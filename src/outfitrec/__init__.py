@@ -1,24 +1,25 @@
 """Multimodal outfit compatibility with attention-based fusion."""
 
-from .compatibility import (LossWeights, loss_comp, loss_tsim, loss_vse,
-                            loss_vsim, pair_score, total_loss, training_loss,
-                            triplet_loss)
+from .compatibility import (LossWeights, loss_comp, loss_vse, loss_vsim,
+                            pair_score, pair_scores, total_loss,
+                            training_loss, triplet_loss)
 from .data import (Dataset, Dims, FCQuestion, FITBQuestion, Item, ItemType,
                    Outfit, SyntheticSpec, canonical_pair, filter_questions,
                    generate_synthetic, load_dataset, save_dataset)
 from .diagnostics import full_loss_grad_check
-from .embedding import (CommonSpaceProjector, init_projector, pool_average,
+from .embedding import (CommonSpaceProjector, init_projector,
                         project_regions, project_words)
 from .evaluation import (MetricsReport, compute_representations, evaluate,
-                         fc_auc, fitb_answer, outfit_score, vote)
+                         fc_auc, fitb_answer, fitb_answers, outfit_score,
+                         vote)
 from .fusion import (attend_text, fuse_coattention, fuse_dot_product,
                      fuse_stacked, mfb)
 from .model import (FUSION_KINDS, ModelDims, OutfitModel, init_model,
-                    item_features, item_representations, load_model,
-                    save_model)
+                    item_features, load_model, save_model)
 from .optim import Adam, GradCheckReport, grad_check
 from .tensor import (Tensor, concat, cosine_similarity, l2_normalize, matmul,
-                     no_grad, parameter, signed_sqrt, softmax)
+                     named_parameters, no_grad, parameter, pool_rows,
+                     signed_sqrt, softmax)
 from .training import (EpochStats, TrainConfig, TripletSpec, sample_triplets,
                        train, train_ensemble)
 

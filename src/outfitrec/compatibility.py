@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset, canonical_pair
 from .errors import DomainError
 from .model import OutfitModel, item_features
 from .tensor import Tensor, as_tensor, cosine_similarity, matmul
@@ -55,14 +56,10 @@ def loss_vse(img_u, img_p, img_n, txt_u, txt_p, txt_n,
 
 
 def loss_vsim(img_u, img_p, img_n, margin: float) -> Tensor:
-    """Same-type images closer to each other than to the cross-type image."""
+    """Same-type images (or texts) closer to each other than to the
+    cross-type one."""
     return (triplet_loss(img_p, img_n, img_u, margin)
             + triplet_loss(img_n, img_p, img_u, margin)) * 0.5
-
-
-def loss_tsim(txt_u, txt_p, txt_n, margin: float) -> Tensor:
-    """Textual counterpart of `loss_vsim`."""
-    return loss_vsim(txt_u, txt_p, txt_n, margin)
 
 
 def loss_comp(rep_u: Tensor, rep_p: Tensor, rep_n: Tensor, space: Tensor,
@@ -115,7 +112,7 @@ def training_loss(model: OutfitModel,
     comp = comp_sum * (1.0 / batch)
 
     vsim = loss_vsim(img_u, img_p, img_n, weights.margin).mean()
-    tsim = loss_tsim(txt_u, txt_p, txt_n, weights.margin).mean()
+    tsim = loss_vsim(txt_u, txt_p, txt_n, weights.margin).mean()
     vse = loss_vse(img_u, img_p, img_n, txt_u, txt_p, txt_n,
                    weights.margin).mean()
     if terms_out is not None:
@@ -125,6 +122,33 @@ def training_loss(model: OutfitModel,
 
 
 # -- scoring -----------------------------------------------------------------
+
+
+def pair_scores(model: OutfitModel, dataset: Dataset,
+                reps: dict[str, np.ndarray],
+                pairs: list[tuple[str, str]]) -> np.ndarray:
+    """`score_from_reps` for a list of item-id pairs, NaN where a pair has
+    no trained space. Each type pair projects its distinct items once, with
+    one matrix product, and scores its pairs as dots of unit rows."""
+    scores = np.full(len(pairs), np.nan)
+    groups: dict[tuple[str, str], list[int]] = {}
+    for k, (a, b) in enumerate(pairs):
+        key = canonical_pair(dataset.items[a].type.name, dataset.items[b].type.name)
+        groups.setdefault(key, []).append(k)
+    for key, ks in groups.items():
+        if key not in model.spaces:
+            continue
+        ids = list(dict.fromkeys(i for k in ks for i in pairs[k]))
+        row = {item: r for r, item in enumerate(ids)}
+        proj = np.stack([reps[i] for i in ids]) @ model.spaces[key].data.T
+        norms = np.linalg.norm(proj, axis=1, keepdims=True)
+        if not norms.all():
+            raise DomainError("compatibility projection collapsed to zero vector")
+        unit = proj / norms
+        left = unit[[row[pairs[k][0]] for k in ks]]
+        right = unit[[row[pairs[k][1]] for k in ks]]
+        scores[ks] = (left * right).sum(axis=1)
+    return scores
 
 
 def score_from_reps(model: OutfitModel, type_a: str, rep_a: np.ndarray,

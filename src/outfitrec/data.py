@@ -81,12 +81,6 @@ class Dataset:
     fc_questions: list[FCQuestion] = field(default_factory=list)
     fitb_questions: list[FITBQuestion] = field(default_factory=list)
 
-    def type_by_name(self, name: str) -> ItemType:
-        for t in self.types:
-            if t.name == name:
-                return t
-        raise DatasetError(f"unknown item type {name!r}")
-
     def trained_type_pairs(self) -> set[tuple[str, str]]:
         """Unordered type pairs co-occurring among described train items."""
         pairs: set[tuple[str, str]] = set()
@@ -292,6 +286,10 @@ class SyntheticSpec:
     undescribed_frac: float = 0.0
 
     def validate(self) -> None:
+        if self.outfit_size < 2:   # an FC negative mixes two styles
+            raise SyntheticSpecError("outfit_size must be at least 2")
+        if not 0.0 <= self.undescribed_frac < 1.0:
+            raise SyntheticSpecError("undescribed_frac must be in [0, 1)")
         if self.num_styles < 2:
             raise SyntheticSpecError("need at least 2 style clusters")
         if self.signal_rows > self.num_regions:

@@ -1,4 +1,4 @@
-"""Projections into the common semantic space and row pooling."""
+"""Projections into the common semantic space."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, matmul, parameter, pool_rows
+from .tensor import Tensor, matmul, parameter
 
 
 @dataclass
@@ -52,7 +52,3 @@ def project_words(words: Tensor, proj: CommonSpaceProjector) -> Tensor:
             f"input dim {proj.w_txt.shape[1]}")
     return matmul(words, proj.w_txt.transpose_last())
 
-
-def pool_average(rows: Tensor) -> Tensor:
-    """Arithmetic mean over feature rows (..., K, d) -> (..., d)."""
-    return pool_rows(rows)

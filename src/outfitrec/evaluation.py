@@ -7,10 +7,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .compatibility import score_from_reps
+from .compatibility import pair_scores
 from .data import Dataset, FCQuestion, FITBQuestion, filter_questions
 from .errors import MetricUndefinedError
-from .model import OutfitModel, item_representations
+from .model import OutfitModel, item_features
 from .tensor import no_grad
 
 
@@ -25,7 +25,7 @@ def compute_representations(model: OutfitModel, dataset: Dataset,
             part = ids[start:start + chunk]
             regions = np.stack([dataset.items[i].regions for i in part])
             words = np.stack([dataset.items[i].words for i in part])
-            out = item_representations(model, regions, words).data
+            out = item_features(model, regions, words)[0].data
             for i, rep in zip(part, out):
                 reps[i] = rep
     return reps
@@ -38,17 +38,9 @@ def outfit_score(item_ids, model: OutfitModel, dataset: Dataset,
     Returns (score, skipped_pairs) where skipped pairs lack a trained
     type-pair space.
     """
-    total, count, skipped = 0.0, 0, 0
-    for a, b in combinations(item_ids, 2):
-        ta, tb = dataset.items[a].type.name, dataset.items[b].type.name
-        if not model.has_space(ta, tb):
-            skipped += 1
-            continue
-        total += score_from_reps(model, ta, reps[a], tb, reps[b])
-        count += 1
-    if count == 0:
-        return None, skipped
-    return total / count, skipped
+    scores, _, _, skipped = fc_scores_and_labels(
+        dataset, [FCQuestion(items=tuple(item_ids), label=0)], model, reps)
+    return (scores[0] if scores else None), skipped
 
 
 def fc_auc(scores, labels) -> float:
@@ -60,16 +52,11 @@ def fc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError(
             f"AUC undefined: {n_pos} positives, {n_neg} negatives")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0   # midrank, 1-based
-        i = j + 1
-    rank_sum = ranks[labels == 1].sum()
+    _, tie_group, tie_counts = np.unique(scores, return_inverse=True,
+                                         return_counts=True)
+    # 1-based midrank of each tie group: its last rank minus half its spread
+    midranks = np.cumsum(tie_counts) - 0.5 * (tie_counts - 1)
+    rank_sum = midranks[tie_group][labels == 1].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -77,47 +64,55 @@ def fc_scores_and_labels(dataset: Dataset, questions: list[FCQuestion],
                          model: OutfitModel,
                          reps: dict[str, np.ndarray] | None = None
                          ) -> tuple[list[float], list[int], int, int]:
-    """Outfit scores for answerable FC questions.
+    """Outfit scores (mean pair score) for answerable FC questions.
 
     Returns (scores, labels, unanswerable_count, skipped_pairs).
     """
     if reps is None:
         ids = [i for q in questions for i in q.items]
         reps = compute_representations(model, dataset, ids)
-    scores, labels = [], []
-    unanswerable, skipped = 0, 0
+    pairs = [list(combinations(q.items, 2)) for q in questions]
+    owner = np.array([qi for qi, ps in enumerate(pairs) for _ in ps],
+                     dtype=np.intp)
+    scores = pair_scores(model, dataset, reps, [p for ps in pairs for p in ps])
+    scored = ~np.isnan(scores)
+    counts = np.bincount(owner[scored], minlength=len(questions))
+    totals = np.bincount(owner[scored], weights=scores[scored],
+                         minlength=len(questions))
+    answered = np.flatnonzero(counts)
+    return ((totals[answered] / counts[answered]).tolist(),
+            [questions[qi].label for qi in answered],
+            len(questions) - len(answered), int((~scored).sum()))
+
+
+def fitb_answers(questions: list[FITBQuestion], model: OutfitModel,
+                 dataset: Dataset, reps: dict[str, np.ndarray]
+                 ) -> list[tuple[int, np.ndarray] | None]:
+    """Per question, the chosen candidate index plus per-candidate total
+    scores.
+
+    Untrained type pairs are skipped. None when no candidate has a single
+    scorable pair. Ties break toward the lowest index.
+    """
+    pairs = [(cand, other) for q in questions
+             for cand in q.candidates for other in q.partial]
+    scores = pair_scores(model, dataset, reps, pairs)
+    outcomes, start = [], 0
     for q in questions:
-        score, sk = outfit_score(q.items, model, dataset, reps)
-        skipped += sk
-        if score is None:
-            unanswerable += 1
-        else:
-            scores.append(score)
-            labels.append(q.label)
-    return scores, labels, unanswerable, skipped
+        shape = (len(q.candidates), len(q.partial))
+        block = scores[start:start + shape[0] * shape[1]].reshape(shape)
+        start += block.size
+        totals = np.nan_to_num(block).sum(axis=1)
+        outcomes.append(None if np.isnan(block).all()
+                        else (int(np.argmax(totals)), totals))
+    return outcomes
 
 
 def fitb_answer(question: FITBQuestion, model: OutfitModel, dataset: Dataset,
                 reps: dict[str, np.ndarray]
                 ) -> tuple[int, np.ndarray] | None:
-    """Chosen candidate index plus per-candidate total scores.
-
-    Untrained type pairs are skipped. Returns None when no candidate has a
-    single scorable pair. Ties break toward the lowest index.
-    """
-    totals = np.zeros(len(question.candidates))
-    scorable = 0
-    for ci, cand in enumerate(question.candidates):
-        tc = dataset.items[cand].type.name
-        for other in question.partial:
-            to = dataset.items[other].type.name
-            if not model.has_space(tc, to):
-                continue
-            totals[ci] += score_from_reps(model, tc, reps[cand], to, reps[other])
-            scorable += 1
-    if scorable == 0:
-        return None
-    return int(np.argmax(totals)), totals
+    """`fitb_answers` for one question."""
+    return fitb_answers([question], model, dataset, reps)[0]
 
 
 def vote(answers: list[int], totals_per_run: list[np.ndarray]) -> int:
@@ -186,7 +181,7 @@ def evaluate(dataset: Dataset, models: list[OutfitModel]) -> MetricsReport:
         scores, labels, unanswerable, skipped = fc_scores_and_labels(
             dataset, fc, model, reps)
         report.fc_auc_per_run.append(fc_auc(scores, labels))
-        outcomes = [fitb_answer(q, model, dataset, reps) for q in fitb]
+        outcomes = fitb_answers(fitb, model, dataset, reps)
         fitb_outcomes.append(outcomes)
         answered = [o for o in outcomes if o is not None]
         if not answered:

@@ -101,27 +101,6 @@ def init_coattention_params(rng: np.random.Generator, d_g: int, hops: int,
         p=p)
 
 
-def stacked_param_list(params: StackedAttentionParams) -> list[tuple[str, Tensor]]:
-    out = []
-    for r, hop in enumerate(params.hops):
-        out += [(f"stacked.{r}.w_v", hop.w_v), (f"stacked.{r}.w_t", hop.w_t),
-                (f"stacked.{r}.w_p", hop.w_p), (f"stacked.{r}.b_s", hop.b_s)]
-    return out
-
-
-def coattention_param_list(params: CoAttentionParams) -> list[tuple[str, Tensor]]:
-    def conv(prefix, cp):
-        return [(f"{prefix}.w1", cp.w1), (f"{prefix}.b1", cp.b1),
-                (f"{prefix}.w2", cp.w2), (f"{prefix}.b2", cp.b2)]
-    out = conv("coatt.text", params.text_attn)
-    for r, cp in enumerate(params.visual_attn):
-        out += conv(f"coatt.vis{r}", cp)
-    out += [("coatt.u_merge", params.u_merge), ("coatt.v_merge", params.v_merge),
-            ("coatt.u_final", params.u_final), ("coatt.v_final", params.v_final),
-            ("coatt.w_f", params.w_f)]
-    return out
-
-
 # -- shape plumbing ----------------------------------------------------------
 
 

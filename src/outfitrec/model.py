@@ -15,14 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import canonical_pair
-from .embedding import (CommonSpaceProjector, init_projector, pool_average,
+from .embedding import (CommonSpaceProjector, init_projector,
                         project_regions, project_words, uniform_init)
 from .errors import DatasetError, DimensionError, UnseenTypePairError
 from .fusion import (CoAttentionParams, StackedAttentionParams,
-                     coattention_param_list, fuse_coattention,
-                     fuse_dot_product, fuse_stacked, init_coattention_params,
-                     init_stacked_params, stacked_param_list)
-from .tensor import Tensor, as_tensor
+                     fuse_coattention, fuse_dot_product, fuse_stacked,
+                     init_coattention_params, init_stacked_params)
+from .tensor import Tensor, as_tensor, named_parameters, pool_rows
 
 FUSION_KINDS = ("baseline", "dot_product", "stacked", "coattention")
 
@@ -55,15 +54,8 @@ class OutfitModel:
         return self.dims.d_g if self.fusion == "baseline" else 2 * self.dims.d_g
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = [("proj.w_img", self.projector.w_img),
-               ("proj.w_txt", self.projector.w_txt)]
-        if self.stacked is not None:
-            out += stacked_param_list(self.stacked)
-        if self.coattention is not None:
-            out += coattention_param_list(self.coattention)
-        for (u, v) in sorted(self.spaces):
-            out.append((f"space.{u}|{v}", self.spaces[(u, v)]))
-        return out
+        """Named parameters in checkpoint order: projector, fuser, spaces."""
+        return named_parameters(self)
 
     def has_space(self, type_u: str, type_v: str) -> bool:
         return canonical_pair(type_u, type_v) in self.spaces
@@ -110,8 +102,8 @@ def item_features(model: OutfitModel, regions, words,
     """
     x_rows = project_regions(as_tensor(regions), model.projector)
     y_rows = project_words(as_tensor(words), model.projector)
-    x_pooled = pool_average(x_rows)
-    t_pooled = pool_average(y_rows)
+    x_pooled = pool_rows(x_rows)
+    t_pooled = pool_rows(y_rows)
     if model.fusion == "baseline":
         fused = x_pooled
     elif model.fusion == "dot_product":
@@ -121,12 +113,6 @@ def item_features(model: OutfitModel, regions, words,
     else:
         fused = fuse_coattention(x_rows, y_rows, model.coattention, weights_out)
     return fused, x_pooled, t_pooled
-
-
-def item_representations(model: OutfitModel, regions, words,
-                         weights_out: list | None = None) -> Tensor:
-    """Fused item vectors (B, rep_dim) for a batch of feature matrices."""
-    return item_features(model, regions, words, weights_out)[0]
 
 
 # -- checkpoint I/O ----------------------------------------------------------
@@ -151,34 +137,38 @@ def save_model(model: OutfitModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> OutfitModel:
+    """Malformed files raise DatasetError, misshapen parameters DimensionError."""
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise DatasetError(f"{path}: not an outfitrec checkpoint")
-    off = len(CHECKPOINT_MAGIC)
-    (hlen,) = struct.unpack_from("<Q", raw, off)
-    off += 8
-    header = json.loads(raw[off:off + hlen].decode())
+    off = len(CHECKPOINT_MAGIC) + 8
+    try:
+        (hlen,) = struct.unpack_from("<Q", raw, off - 8)
+        header = json.loads(raw[off:off + hlen])
+        if header["version"] != CHECKPOINT_VERSION:
+            raise DatasetError(f"{path}: unsupported checkpoint version")
+        model = init_model(header["fusion"], ModelDims(**header["dims"]),
+                           {tuple(k) for k in header["type_pairs"]}, seed=0)
+        stored = [(m["name"], tuple(m["shape"])) for m in header["params"]]
+    except DatasetError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise DatasetError(f"{path}: malformed checkpoint header: {exc!r}") from exc
     off += hlen
-    if header["version"] != CHECKPOINT_VERSION:
-        raise DatasetError(f"{path}: unsupported checkpoint version")
-    dims = ModelDims(**header["dims"])
-    pairs = {tuple(k) for k in header["type_pairs"]}
-    model = init_model(header["fusion"], dims, pairs, seed=0)
-    by_name = dict(model.parameters())
-    for meta in header["params"]:
-        shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
-        if meta["name"] not in by_name:
-            raise DatasetError(f"{path}: unexpected parameter {meta['name']!r}")
-        target = by_name[meta["name"]]
+    params = model.parameters()
+    if [name for name, _ in stored] != [name for name, _ in params]:
+        raise DatasetError(f"{path}: header parameters differ from the model's")
+    for (name, shape), (_, target) in zip(stored, params):
         if target.shape != shape:
             raise DimensionError(
-                f"{path}: parameter {meta['name']!r} has shape {shape}, "
+                f"{path}: parameter {name!r} has shape {shape}, "
                 f"expected {target.shape}")
+        nbytes = 4 * target.data.size
         values = np.frombuffer(raw[off:off + nbytes], dtype="<f4")
-        if values.size != count:
-            raise DatasetError(f"{path}: truncated payload at {meta['name']!r}")
+        if values.size != target.data.size:
+            raise DatasetError(f"{path}: truncated payload at {name!r}")
         target.data = values.astype(np.float64).reshape(shape)
         off += nbytes
+    if off != len(raw):
+        raise DatasetError(f"{path}: {len(raw) - off} trailing bytes after payload")
     return model

@@ -14,6 +14,7 @@ two axes, reductions and activations on whatever axis is requested.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -285,6 +286,20 @@ def as_tensor(value) -> Tensor:
 def parameter(data, name: str | None = None) -> Tensor:
     """A leaf tensor that accumulates gradients."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
+
+
+def named_parameters(tree) -> list[tuple[str, Tensor]]:
+    """(name, tensor) for every tensor in a tree of dataclasses, lists and
+    dicts: fields in declaration order, dict values in sorted key order."""
+    if isinstance(tree, Tensor):
+        return [(tree.name, tree)]
+    if is_dataclass(tree):
+        tree = [getattr(tree, f.name) for f in fields(tree)]
+    elif isinstance(tree, dict):
+        tree = [tree[k] for k in sorted(tree)]
+    elif not isinstance(tree, list):
+        return []
+    return [pair for child in tree for pair in named_parameters(child)]
 
 
 # -- composite / free-function operations ----------------------------------

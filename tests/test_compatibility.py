@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from outfitrec.compatibility import (LossWeights, loss_comp, loss_tsim,
-                                     loss_vse, loss_vsim, pair_score,
-                                     total_loss, training_loss, triplet_loss)
+from outfitrec.compatibility import (LossWeights, loss_comp, loss_vse,
+                                     loss_vsim, pair_score, total_loss,
+                                     training_loss, triplet_loss)
 from outfitrec.data import Item, ItemType
 from outfitrec.errors import DomainError, UnseenTypePairError
 from outfitrec.model import ModelDims, init_model, item_features
@@ -84,12 +84,6 @@ class TestSimilarityLosses:
                     + max(0.0, cos(n, u) - cos(n, p) + m)) / 2.0
         got = loss_vsim(Tensor(u), Tensor(p), Tensor(n), margin=m).item()
         assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_tsim_is_vsim_on_text(self):
-        rng = np.random.default_rng(5)
-        u, p, n = rng.normal(size=(3, 5))
-        assert (loss_tsim(Tensor(u), Tensor(p), Tensor(n), 0.2).item()
-                == loss_vsim(Tensor(u), Tensor(p), Tensor(n), 0.2).item())
 
 
 class TestLossComp:
@@ -221,7 +215,7 @@ class TestTrainingLoss:
                 imgs = [f[1] for f in feats]
                 txts = [f[2] for f in feats]
                 vsim += loss_vsim(*imgs, w.margin).item()
-                tsim += loss_tsim(*txts, w.margin).item()
+                tsim += loss_vsim(*txts, w.margin).item()
                 vse += loss_vse(*imgs, *txts, w.margin).item()
         comp, vsim, tsim, vse = (v / 3.0 for v in (comp, vsim, tsim, vse))
         expected = comp + w.lambda_vsim * vsim + w.lambda_tsim * tsim \

@@ -133,6 +133,16 @@ class TestSyntheticGenerator:
             generate_synthetic(dataclasses.replace(self.SPEC, num_styles=1),
                                seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("outfit_size", 1), ("undescribed_frac", -0.1),
+        ("undescribed_frac", 1.0), ("undescribed_frac", 1.5)])
+    def test_out_of_range_fields_fail_validation(self, field, value):
+        import dataclasses
+        # validate() directly: generating a one-item-outfit spec would hang
+        spec = dataclasses.replace(self.SPEC, **{field: value})
+        with pytest.raises(SyntheticSpecError, match=field):
+            spec.validate()
+
     def test_question_counts_and_shapes(self):
         ds = generate_synthetic(self.SPEC, seed=1)
         assert len(ds.fc_questions) == 40

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from outfitrec.embedding import (CommonSpaceProjector, init_projector,
-                                 pool_average, project_regions, project_words)
+                                 project_regions, project_words)
 from outfitrec.errors import DimensionError, DomainError
-from outfitrec.tensor import Tensor, parameter
+from outfitrec.tensor import Tensor, parameter, pool_rows
 
 
 def identity_projector(d):
@@ -55,11 +55,11 @@ def test_projection_dim_mismatch():
 class TestPoolAverage:
     def test_single_row_is_identity(self):
         row = np.array([[1.0, -2.0, 0.5]])
-        np.testing.assert_array_equal(pool_average(Tensor(row)).data, row[0])
+        np.testing.assert_array_equal(pool_rows(Tensor(row)).data, row[0])
 
     def test_opposite_rows_cancel(self):
         v = np.array([1.0, 2.0, 3.0])
-        out = pool_average(Tensor(np.stack([v, -v]))).data
+        out = pool_rows(Tensor(np.stack([v, -v]))).data
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-15)
 
     def test_49_rows_match_loop_sum_oracle(self):
@@ -68,17 +68,17 @@ class TestPoolAverage:
         total = np.zeros(7)
         for r in rows:
             total = total + r
-        np.testing.assert_allclose(pool_average(Tensor(rows)).data,
+        np.testing.assert_allclose(pool_rows(Tensor(rows)).data,
                                    total / 49.0, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         rows = rng.normal(size=(8, 4))
         perm = rng.permutation(8)
-        np.testing.assert_allclose(pool_average(Tensor(rows)).data,
-                                   pool_average(Tensor(rows[perm])).data,
+        np.testing.assert_allclose(pool_rows(Tensor(rows)).data,
+                                   pool_rows(Tensor(rows[perm])).data,
                                    atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            pool_average(Tensor(np.zeros((0, 3))))
+            pool_rows(Tensor(np.zeros((0, 3))))

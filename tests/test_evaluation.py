@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from outfitrec.data import FITBQuestion, SyntheticSpec, generate_synthetic
-from outfitrec.errors import MetricUndefinedError
+from outfitrec.errors import DomainError, MetricUndefinedError
 from outfitrec.evaluation import (compute_representations, evaluate, fc_auc,
-                                  fitb_answer, outfit_score, vote)
-from outfitrec.compatibility import score_from_reps
+                                  fc_scores_and_labels, fitb_answer,
+                                  outfit_score, vote)
+from outfitrec.compatibility import pair_scores, score_from_reps
 from outfitrec.model import ModelDims, init_model
+from outfitrec.tensor import Tensor
 from outfitrec.training import TrainConfig, train
 
 SPEC = SyntheticSpec(num_types=4, num_styles=3, train_outfits=20,
@@ -79,6 +81,42 @@ class TestOutfitScore:
         fwd, _ = outfit_score(q.items, model, ds, reps)
         rev, _ = outfit_score(list(reversed(q.items)), model, ds, reps)
         assert fwd == pytest.approx(rev, abs=1e-12)
+
+
+class TestPairScores:
+    def test_question_list_matches_per_pair_reference(self):
+        ds, model, reps = fixture_model_and_reps(seed=13, fusion="stacked")
+        pruned = dict(model.spaces)
+        del pruned[sorted(pruned)[0]]
+        model = dataclasses.replace(model, spaces=pruned)
+        expected, expected_labels, expected_skipped = [], [], 0
+        for q in ds.fc_questions:
+            vals = []
+            for a, b in combinations(q.items, 2):
+                ta, tb = ds.items[a].type.name, ds.items[b].type.name
+                if model.has_space(ta, tb):
+                    vals.append(score_from_reps(model, ta, reps[a],
+                                                tb, reps[b]))
+                else:
+                    expected_skipped += 1
+            if vals:
+                expected.append(sum(vals) / len(vals))
+                expected_labels.append(q.label)
+        assert expected_skipped > 0
+        scores, labels, unanswerable, skipped = fc_scores_and_labels(
+            ds, ds.fc_questions, model, reps)
+        np.testing.assert_allclose(scores, expected, atol=1e-12)
+        assert labels == expected_labels
+        assert unanswerable == len(ds.fc_questions) - len(expected)
+        assert skipped == expected_skipped
+
+    def test_zero_projection_rejected(self):
+        ds, model, reps = fixture_model_and_reps(seed=14)
+        zeroed = {k: Tensor(np.zeros_like(v.data))
+                  for k, v in model.spaces.items()}
+        model2 = dataclasses.replace(model, spaces=zeroed)
+        with pytest.raises(DomainError):
+            pair_scores(model2, ds, reps, [ds.fc_questions[0].items[:2]])
 
 
 class TestFcAuc:

@@ -8,9 +8,9 @@ from outfitrec.fusion import (ConvAttentionParams, StackedAttentionParams,
                               StackedHopParams, attend_text, fuse_coattention,
                               fuse_dot_product, fuse_stacked,
                               init_coattention_params, init_stacked_params,
-                              mfb, coattention_param_list, stacked_param_list)
+                              mfb)
 from outfitrec.optim import grad_check
-from outfitrec.tensor import Tensor, parameter
+from outfitrec.tensor import Tensor, named_parameters, parameter
 
 DG = 4
 
@@ -366,7 +366,7 @@ class TestFuserGradients:
             out = fuse_stacked(Tensor(x), Tensor(t), params)
             return (out * out).sum()
 
-        report = grad_check(loss, stacked_param_list(params), h_scale=1e-6)
+        report = grad_check(loss, named_parameters(params), h_scale=1e-6)
         assert report.passed, str(report)
 
     def test_coattention_parameters(self):
@@ -378,7 +378,7 @@ class TestFuserGradients:
             out = fuse_coattention(Tensor(x), Tensor(y), params)
             return (out * out).sum()
 
-        report = grad_check(loss, coattention_param_list(params), h_scale=1e-6)
+        report = grad_check(loss, named_parameters(params), h_scale=1e-6)
         assert report.passed, str(report)
 
     def test_dot_product_inputs(self):
