@@ -65,10 +65,11 @@ def loss_vsim(img_u, img_p, img_n, margin: float) -> Tensor:
 def loss_comp(rep_u: Tensor, rep_p: Tensor, rep_n: Tensor, space: Tensor,
               margin: float) -> Tensor:
     """Triplet loss after projecting the reps into one type-pair space."""
+    space_t = space.transpose_last()
+
     def project(rep):
         rep = as_tensor(rep)
-        out = matmul(rep.reshape(rep.shape[:-1] + (1, rep.shape[-1])),
-                     space.transpose_last())
+        out = matmul(rep.reshape(rep.shape[:-1] + (1, rep.shape[-1])), space_t)
         return out.reshape(out.shape[:-2] + (space.shape[0],))
 
     return triplet_loss(project(rep_u), project(rep_p), project(rep_n), margin)

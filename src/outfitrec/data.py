@@ -156,7 +156,11 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
 
 
 def _load_blob(base: Path, ref: str, rows: int, cols: int, item_id: str) -> np.ndarray:
-    raw = (base / ref).read_bytes()
+    try:
+        raw = (base / ref).read_bytes()
+    except OSError as exc:
+        raise DatasetError(
+            f"cannot read feature blob for item {item_id!r} ({ref}): {exc}") from exc
     expected = 4 * rows * cols
     if len(raw) != expected:
         raise DatasetError(
@@ -169,18 +173,27 @@ def _load_blob(base: Path, ref: str, rows: int, cols: int, item_id: str) -> np.n
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
-    """Load and fully validate a dataset from its manifest."""
+    """Load and fully validate a dataset from its manifest; anything
+    malformed, a missing key or blob included, raises DatasetError."""
     path = Path(manifest_path)
     try:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DatasetError(f"cannot read manifest {path}: {exc}") from exc
-    if manifest.get("format") != MANIFEST_FORMAT:
+    if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DatasetError(f"{path}: not an {MANIFEST_FORMAT} manifest")
     if manifest.get("version") != MANIFEST_VERSION:
         raise DatasetError(f"{path}: unsupported version {manifest.get('version')}")
-    base = path.parent
+    try:
+        return _parse_manifest(manifest, path)
+    except DatasetError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: malformed manifest: {exc!r}") from exc
 
+
+def _parse_manifest(manifest: dict, path: Path) -> Dataset:
+    base = path.parent
     d = manifest["dims"]
     dims = Dims(num_regions=int(d["num_regions"]), num_words=int(d["num_words"]),
                 region_dim=int(d["region_dim"]), word_dim=int(d["word_dim"]))

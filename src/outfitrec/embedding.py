@@ -21,14 +21,17 @@ class CommonSpaceProjector:
         return self.w_img.shape[0]
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
+def uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...],
                  fan_in: int, name: str) -> Tensor:
-    """Uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], seeded."""
+    """Uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], seeded; with no `rng`,
+    zeros allocated without a draw (for a checkpoint to fill)."""
+    if rng is None:
+        return Tensor(np.zeros(shape), requires_grad=True, name=name)
     bound = 1.0 / np.sqrt(fan_in)
     return parameter(rng.uniform(-bound, bound, size=shape), name=name)
 
 
-def init_projector(rng: np.random.Generator, d_g: int, d_i: int,
+def init_projector(rng: np.random.Generator | None, d_g: int, d_i: int,
                    d_t: int) -> CommonSpaceProjector:
     return CommonSpaceProjector(
         w_img=uniform_init(rng, (d_g, d_i), d_i, "proj.w_img"),

@@ -65,7 +65,7 @@ class CoAttentionParams:
     p: int
 
 
-def init_stacked_params(rng: np.random.Generator, d_g: int, h: int,
+def init_stacked_params(rng: np.random.Generator | None, d_g: int, h: int,
                         hops: int) -> StackedAttentionParams:
     out = []
     for r in range(hops):
@@ -77,8 +77,8 @@ def init_stacked_params(rng: np.random.Generator, d_g: int, h: int,
     return StackedAttentionParams(hops=out)
 
 
-def init_conv_attention(rng: np.random.Generator, d_in: int, d_mid: int,
-                        prefix: str) -> ConvAttentionParams:
+def init_conv_attention(rng: np.random.Generator | None, d_in: int,
+                        d_mid: int, prefix: str) -> ConvAttentionParams:
     return ConvAttentionParams(
         w1=uniform_init(rng, (d_mid, d_in), d_in, f"{prefix}.w1"),
         b1=uniform_init(rng, (d_mid,), d_in, f"{prefix}.b1"),
@@ -86,8 +86,8 @@ def init_conv_attention(rng: np.random.Generator, d_in: int, d_mid: int,
         b2=uniform_init(rng, (1,), d_mid, f"{prefix}.b2"))
 
 
-def init_coattention_params(rng: np.random.Generator, d_g: int, hops: int,
-                            p: int) -> CoAttentionParams:
+def init_coattention_params(rng: np.random.Generator | None, d_g: int,
+                            hops: int, p: int) -> CoAttentionParams:
     k = 2 * d_g
     return CoAttentionParams(
         text_attn=init_conv_attention(rng, d_g, d_g, "coatt.text"),

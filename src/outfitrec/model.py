@@ -72,9 +72,15 @@ class OutfitModel:
 def init_model(fusion: str, dims: ModelDims,
                type_pairs: set[tuple[str, str]], seed: int) -> OutfitModel:
     """Seeded initialization; one compatibility space per trained pair."""
+    return _build_model(fusion, dims, type_pairs, np.random.default_rng(seed))
+
+
+def _build_model(fusion: str, dims: ModelDims,
+                 type_pairs: set[tuple[str, str]],
+                 rng: np.random.Generator | None) -> OutfitModel:
+    """The model's tensors drawn from `rng`, or zeros when it is None."""
     if fusion not in FUSION_KINDS:
         raise ValueError(f"unknown fusion kind {fusion!r}; expected {FUSION_KINDS}")
-    rng = np.random.default_rng(seed)
     projector = init_projector(rng, dims.d_g, dims.region_dim, dims.word_dim)
     stacked = coatt = None
     if fusion == "stacked":
@@ -147,8 +153,8 @@ def load_model(path: str | Path) -> OutfitModel:
         header = json.loads(raw[off:off + hlen])
         if header["version"] != CHECKPOINT_VERSION:
             raise DatasetError(f"{path}: unsupported checkpoint version")
-        model = init_model(header["fusion"], ModelDims(**header["dims"]),
-                           {tuple(k) for k in header["type_pairs"]}, seed=0)
+        model = _build_model(header["fusion"], ModelDims(**header["dims"]),
+                             {tuple(k) for k in header["type_pairs"]}, rng=None)
         stored = [(m["name"], tuple(m["shape"])) for m in header["params"]]
     except DatasetError:
         raise

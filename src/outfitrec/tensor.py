@@ -74,8 +74,10 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a private copy: `grad` may be a view of another node's buffer
+            self.grad = np.array(grad, dtype=np.float64, order="C")
+        else:
+            self.grad += grad
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -231,13 +233,9 @@ class Tensor:
         def backward(g):
             if not self.requires_grad:
                 return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            self._accumulate(np.broadcast_to(gg, self.shape).copy())
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor._result(data, (self,), backward)
 
@@ -305,8 +303,19 @@ def named_parameters(tree) -> list[tuple[str, Tensor]]:
 # -- composite / free-function operations ----------------------------------
 
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of the 2-D `w` in `x @ w`, with `x` carrying batch axes:
+    the batch folds into the rows of one GEMM, x^T g over all of them."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes."""
+    """Matrix product over the last two axes, broadcasting leading axes.
+
+    When one operand is a 2-D weight and the other carries batch axes,
+    the weight's gradient is one GEMM over the folded batch; only where
+    both operands carry batch axes is it formed per sample and summed.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
@@ -318,9 +327,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
+            if a.ndim == 2 and b.ndim > 2:   # (W @ X)^T = X^T @ W^T
+                ga = _weight_grad(b.data.swapaxes(-1, -2), g.swapaxes(-1, -2)).T
+            else:
+                ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
+            a._accumulate(ga)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+            if b.ndim == 2 and a.ndim > 2:
+                gb = _weight_grad(a.data, g)
+            else:
+                gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
+            b._accumulate(gb)
 
     return Tensor._result(data, (a, b), backward)
 

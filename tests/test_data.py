@@ -92,6 +92,34 @@ def test_words_blob_without_description_rejected(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("drop", [
+    lambda meta: meta.pop("dims"),
+    lambda meta: meta["types"][0].pop("name"),
+    lambda meta: meta["items"][0].pop("regions"),
+], ids=["dims", "type_name", "item_regions"])
+def test_missing_manifest_key_raises_dataset_error(tmp_path, drop):
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    meta = json.loads(manifest.read_text())
+    drop(meta)
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError):
+        load_dataset(manifest)
+
+
+def test_non_object_manifest_raises_dataset_error(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text("[]")
+    with pytest.raises(DatasetError):
+        load_dataset(manifest)
+
+
+def test_deleted_blob_names_item(tmp_path):
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    (tmp_path / "features" / "b.words.bin").unlink()
+    with pytest.raises(DatasetError, match="'b'"):
+        load_dataset(manifest)
+
+
 class TestSyntheticGenerator:
     SPEC = SyntheticSpec(num_types=5, num_styles=3, train_outfits=20,
                          valid_outfits=4, fc_questions=40, fitb_questions=20,

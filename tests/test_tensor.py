@@ -203,6 +203,80 @@ class TestGradients:
     def test_pool_rows(self):
         self._check(lambda p: (pool_rows(p) * pool_rows(p)).sum(), (5, 3))
 
+    @pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
+        ((3, 4), (5, 6, 4), True),         # 2-D weight @ batched view (w_v @ xt)
+        ((5, 2, 4), (3, 4), True),         # batched @ transposed 2-D weight
+        ((2, 3, 2, 4), (4, 3), False),     # 4-D batched @ 2-D weight
+        ((1, 3, 4), (5, 4, 2), False),     # broadcast batch: per-sample path
+    ], ids=["weight_at_batched", "batched_at_weight_t", "4d_at_weight",
+            "broadcast_batch"])
+    def test_matmul_operand_gradients(self, a_shape, b_shape, transpose_b):
+        rng = np.random.default_rng(5)
+        a = parameter(rng.normal(size=a_shape))
+        b = parameter(rng.normal(size=b_shape))
+
+        def rhs():
+            return b.transpose_last() if transpose_b else b
+
+        c = rng.normal(size=matmul(a, rhs()).shape)
+        loss = lambda: (matmul(a, rhs()) * c).sum()
+        report = grad_check(loss, [("a", a), ("b", b)],
+                            h_scale=1e-3, rel_tol=1e-4)
+        assert report.passed, str(report)
+
+        ref_a, ref_b = per_sample_grads(a.data, rhs().data, c)
+        if transpose_b:
+            ref_b = ref_b.swapaxes(-1, -2)
+        for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
+            assert got.shape == ref.shape
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def per_sample_grads(a, b, g):
+    """Loop oracle for the operand gradients of `a @ b` with upstream `g`:
+    one product per batch index, summed into each operand's broadcast slot."""
+    ga, gb = np.zeros_like(a), np.zeros_like(b)
+    for idx in np.ndindex(*g.shape[:-2]):
+        ia, ib = operand_index(idx, a.shape), operand_index(idx, b.shape)
+        ga[ia] += g[idx] @ b[ib].T
+        gb[ib] += a[ia].T @ g[idx]
+    return ga, gb
+
+
+def operand_index(idx, shape):
+    """Index of the operand slice that numpy broadcasts to batch index `idx`."""
+    lead = shape[:-2]
+    tail = idx[len(idx) - len(lead):]
+    return tuple(i if s != 1 else 0 for i, s in zip(tail, lead))
+
+
+def graph_nodes(root):
+    """Every node reachable from `root` through recorded parents."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if all(node is not n for n in nodes):
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("make_loss", [
+    lambda p: (p + p).sum(),
+    lambda p: p.reshape(6).sum(),
+    lambda p: concat([p, p], axis=0).sum(),
+    lambda p: p.sum(),
+], ids=["add", "reshape", "concat", "sum"])
+def test_gradient_buffers_are_private(make_loss):
+    p = parameter(np.arange(6.0).reshape(2, 3))
+    loss = make_loss(p)
+    loss.backward()
+    others = [n for n in graph_nodes(loss) if n is not p]
+    before = [n.grad.copy() for n in others]
+    p.grad += 1.0
+    for node, grad in zip(others, before):
+        np.testing.assert_array_equal(node.grad, grad)
+
 
 def test_backward_requires_scalar():
     with pytest.raises(DomainError):
