@@ -278,6 +278,9 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
 
 # -- synthetic generation ---------------------------------------------------
 
+# rejection-sampling draws per FC negative before generation gives up
+FC_NEGATIVE_DRAWS = 100_000
+
 
 @dataclass
 class SyntheticSpec:
@@ -318,6 +321,16 @@ class SyntheticSpec:
                      "num_words", "region_dim", "word_dim", "signal_rows"):
             if getattr(self, name) < 1:
                 raise SyntheticSpecError(f"{name} must be positive")
+        if self.test_outfits < 2:   # an FC negative mixes two test outfits
+            raise SyntheticSpecError(
+                f"FC negatives need at least 2 test outfits, but fc_questions="
+                f"{self.fc_questions} and fitb_questions={self.fitb_questions} "
+                f"give {self.test_outfits}")
+
+    @property
+    def test_outfits(self) -> int:
+        """Test outfits generated: one per FC positive or FITB question."""
+        return max(self.fc_questions // 2, self.fitb_questions, 1)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
@@ -378,8 +391,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         outfits["valid"].append(make_outfit(f"valid{i:05d}", i % spec.num_styles))
 
     n_pos = spec.fc_questions // 2
-    n_test = max(n_pos, spec.fitb_questions, 1)
-    for i in range(n_test):
+    for i in range(spec.test_outfits):
         outfits["test"].append(make_outfit(f"test{i:05d}", i % spec.num_styles))
     test_outfits = outfits["test"]
 
@@ -397,7 +409,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     n_neg = spec.fc_questions - n_pos
     for _ in range(n_neg):
         # random cross-style combination with distinct types
-        while True:
+        for _ in range(FC_NEGATIVE_DRAWS):
             picks = rng.choice(len(test_item_ids), size=spec.outfit_size,
                                replace=False)
             chosen = [test_item_ids[int(p)] for p in picks]
@@ -405,6 +417,11 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
             style_set = {item_style[c] for c in chosen}
             if len(type_set) == spec.outfit_size and len(style_set) >= 2:
                 break
+        else:
+            raise SyntheticSpecError(
+                f"no cross-style FC negative with {spec.outfit_size} distinct "
+                f"types in {FC_NEGATIVE_DRAWS} draws; increase num_types "
+                "or the number of test outfits")
         fc.append(FCQuestion(items=tuple(chosen), label=0))
 
     fitb: list[FITBQuestion] = []

@@ -28,6 +28,9 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        # two flat scratch buffers, viewed at each parameter's shape
+        size = max((p.data.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, strict: bool = True) -> None:
         """Apply one update. With strict=False, parameters without a
@@ -42,12 +45,21 @@ class Adam:
                         f"parameter {p.name or i} has no gradient; "
                         "run backward() first")
                 continue
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g ** 2
-            m_hat = self.m[i] / bc1
-            v_hat = self.v[i] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[i], self.v[i]
+            s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+            m *= self.beta1                      # m <- b1*m + (1-b1)*g
+            m += np.multiply(1.0 - self.beta1, g, out=s1)
+            np.multiply(g, g, out=s1)            # v <- b2*v + (1-b2)*g^2
+            s1 *= 1.0 - self.beta2
+            v *= self.beta2
+            v += s1
+            np.divide(m, bc1, out=s1)            # lr * m_hat
+            s1 *= self.lr
+            np.divide(v, bc2, out=s2)            # sqrt(v_hat) + eps
+            np.sqrt(s2, out=s2)
+            s2 += self.eps
+            s1 /= s2
+            p.data -= s1
 
     def zero_grad(self) -> None:
         for p in self.params:

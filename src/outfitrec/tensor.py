@@ -73,11 +73,15 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            # a private copy: `grad` may be a view of another node's buffer
-            self.grad = np.array(grad, dtype=np.float64, order="C")
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif (isinstance(grad, np.ndarray) and grad.base is None
+              and grad.flags.c_contiguous and grad.dtype == np.float64):
+            self.grad = grad   # a fresh temporary no other node holds
+        else:
+            # a view of another node's buffer, or a numpy scalar from 0-d
+            # arithmetic: keep a private C-ordered copy
+            self.grad = np.array(grad, dtype=np.float64, order="C")
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -103,7 +107,11 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar through the recorded graph.
+
+        Each interior node's gradient is freed once its closure has passed
+        it on; only the leaves keep `.grad`.
+        """
         if self.data.size != 1:
             raise DomainError(f"backward() requires a scalar, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -125,6 +133,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -303,6 +312,14 @@ def named_parameters(tree) -> list[tuple[str, Tensor]]:
 # -- composite / free-function operations ----------------------------------
 
 
+def _fold(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`x @ w` for a 2-D `w`, with `x`'s batch axes folded into the rows
+    of one GEMM; the result owns its C-ordered buffer."""
+    out = np.empty(x.shape[:-1] + (w.shape[-1],))
+    np.matmul(x.reshape(-1, x.shape[-1]), w, out=out.reshape(-1, w.shape[-1]))
+    return out
+
+
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of the 2-D `w` in `x @ w`, with `x` carrying batch axes:
     the batch folds into the rows of one GEMM, x^T g over all of them."""
@@ -312,9 +329,10 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes.
 
-    When one operand is a 2-D weight and the other carries batch axes,
-    the weight's gradient is one GEMM over the folded batch; only where
-    both operands carry batch axes is it formed per sample and summed.
+    When one operand is a 2-D weight and the other carries batch axes, the
+    product and both gradients are each one GEMM over the folded batch
+    (`W @ X` folds as `(X^T @ W^T)^T`); only where both operands carry
+    batch axes is the product formed per sample.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -323,18 +341,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+    x_at_w = a.ndim > 2 and b.ndim == 2
+    w_at_x = a.ndim == 2 and b.ndim > 2
+    if x_at_w:
+        data = _fold(a.data, b.data)
+    elif w_at_x:
+        data = _fold(b.data.swapaxes(-1, -2), a.data.T).swapaxes(-1, -2)
+    else:
+        data = np.matmul(a.data, b.data)
 
     def backward(g):
+        gt = g.swapaxes(-1, -2)
         if a.requires_grad:
-            if a.ndim == 2 and b.ndim > 2:   # (W @ X)^T = X^T @ W^T
-                ga = _weight_grad(b.data.swapaxes(-1, -2), g.swapaxes(-1, -2)).T
+            if x_at_w:
+                ga = _fold(g, b.data.T)
+            elif w_at_x:
+                ga = _weight_grad(gt, b.data.swapaxes(-1, -2))
             else:
                 ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
             a._accumulate(ga)
         if b.requires_grad:
-            if b.ndim == 2 and a.ndim > 2:
+            if x_at_w:
                 gb = _weight_grad(a.data, g)
+            elif w_at_x:
+                gb = _fold(gt, a.data).swapaxes(-1, -2)
             else:
                 gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
             b._accumulate(gb)

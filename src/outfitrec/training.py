@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, asdict
+from numbers import Integral, Real
+from typing import get_type_hints
 
 import numpy as np
 
@@ -35,8 +38,20 @@ class TrainConfig:
     runs: int = 5
 
     def validate(self) -> None:
+        for name, kind in get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if kind is int and (isinstance(value, bool)
+                                or not isinstance(value, Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if kind is float and (isinstance(value, bool)
+                                  or not isinstance(value, Real)
+                                  or not math.isfinite(value)):
+                raise ValueError(
+                    f"{name} must be a finite real number, got {value!r}")
         if self.fusion not in FUSION_KINDS:
             raise ValueError(f"fusion must be one of {FUSION_KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         for name in ("batch_size", "hops", "mfb_factor",

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from outfitrec import data
 from outfitrec.data import (Dataset, Dims, FCQuestion, FITBQuestion, Item,
                             ItemType, Outfit, SyntheticSpec, filter_questions,
                             generate_synthetic, load_dataset, save_dataset)
@@ -170,6 +171,17 @@ class TestSyntheticGenerator:
         spec = dataclasses.replace(self.SPEC, **{field: value})
         with pytest.raises(SyntheticSpecError, match=field):
             spec.validate()
+
+    def test_single_test_outfit_fails_validation(self):
+        spec = SyntheticSpec(train_outfits=4, valid_outfits=0,
+                             fc_questions=1, fitb_questions=1)
+        with pytest.raises(SyntheticSpecError, match="2 test outfits"):
+            spec.validate()
+
+    def test_fc_negative_search_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(data, "FC_NEGATIVE_DRAWS", 1)
+        with pytest.raises(SyntheticSpecError, match="1 draws"):
+            generate_synthetic(self.SPEC, seed=0)
 
     def test_question_counts_and_shapes(self):
         ds = generate_synthetic(self.SPEC, seed=1)

@@ -39,6 +39,28 @@ def test_identical_parameters_stay_identical():
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_steps_match_textbook_update():
+    rng = np.random.default_rng(3)
+    lr, b1, b2, eps = 0.3, 0.9, 0.999, 1e-8
+    params = [parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=5))]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(r) for r in ref]
+    v = [np.zeros_like(r) for r in ref]
+    opt = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    for t in range(1, 6):
+        for i, p in enumerate(params):
+            g = rng.normal(size=p.shape)
+            p.grad = g.copy()
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g ** 2
+            m_hat = m[i] / (1 - b1 ** t)
+            v_hat = v[i] / (1 - b2 ** t)
+            ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        opt.step()
+    for p, r in zip(params, ref):
+        np.testing.assert_array_equal(p.data, r)
+
+
 def test_missing_gradient_raises_in_strict_mode():
     p = parameter([1.0], name="w")
     opt = Adam([p])

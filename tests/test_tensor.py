@@ -262,20 +262,52 @@ def graph_nodes(root):
 
 
 @pytest.mark.parametrize("make_loss", [
-    lambda p: (p + p).sum(),
-    lambda p: p.reshape(6).sum(),
-    lambda p: concat([p, p], axis=0).sum(),
-    lambda p: p.sum(),
+    lambda p, q: (p + q).sum(),
+    lambda p, q: (p.reshape(6) + q.reshape(6)).sum(),
+    lambda p, q: concat([p, q], axis=0).sum(),
+    lambda p, q: p.sum() + q.sum(),
 ], ids=["add", "reshape", "concat", "sum"])
 def test_gradient_buffers_are_private(make_loss):
     p = parameter(np.arange(6.0).reshape(2, 3))
-    loss = make_loss(p)
+    q = parameter(-np.arange(6.0).reshape(2, 3))
+    loss = make_loss(p, q)
     loss.backward()
-    others = [n for n in graph_nodes(loss) if n is not p]
-    before = [n.grad.copy() for n in others]
+    nodes = graph_nodes(loss)
+    assert all(n.grad is None for n in nodes if n is not p and n is not q)
+    np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
+    np.testing.assert_array_equal(q.grad, np.ones((2, 3)))
+    data = [n.data.copy() for n in nodes]
     p.grad += 1.0
-    for node, grad in zip(others, before):
-        np.testing.assert_array_equal(node.grad, grad)
+    np.testing.assert_array_equal(q.grad, np.ones((2, 3)))
+    for node, before in zip(nodes, data):
+        np.testing.assert_array_equal(node.data, before)
+
+
+def test_second_backward_adds_one_more_gradient():
+    p = parameter([1.0, -2.0])
+    loss = (p * 3.0).sum()
+    loss.backward()
+    loss.backward()
+    np.testing.assert_array_equal(p.grad, [6.0, 6.0])
+
+
+@pytest.mark.parametrize("make_operands", [
+    lambda r: (Tensor(r.normal(size=(3, 4))),
+               Tensor(r.normal(size=(5, 6, 4))).transpose_last()),
+    lambda r: (Tensor(r.normal(size=(5, 4, 2))).transpose_last(),
+               Tensor(r.normal(size=(3, 4))).transpose_last()),
+    lambda r: (Tensor(r.normal(size=(2, 3, 2, 4))), Tensor(r.normal(size=(4, 3)))),
+    lambda r: (Tensor(r.normal(size=(5, 1, 4))), Tensor(r.normal(size=(4, 3)))),
+], ids=["weight_at_batched_view", "batched_view_at_weight_t", "4d_at_weight",
+        "row_batch_at_weight"])
+def test_folded_matmul_matches_per_sample_loop(make_operands):
+    a, b = make_operands(np.random.default_rng(6))
+    got = matmul(a, b).data
+    ref = np.zeros(got.shape)
+    for idx in np.ndindex(*got.shape[:-2]):
+        ref[idx] = np.matmul(a.data[operand_index(idx, a.shape)],
+                             b.data[operand_index(idx, b.shape)])
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_backward_requires_scalar():

@@ -70,6 +70,16 @@ class TestTrainConfig:
             with pytest.raises(ValueError):
                 TrainConfig.from_dict(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", "3"), ("runs", True), ("batch_size", 2.5),
+        ("margin", "x"), ("learning_rate", float("nan")), ("seed", -1)])
+    def test_field_types_and_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig.from_dict({field: value})
+
+    def test_integer_valued_float_fields_accepted(self):
+        assert TrainConfig.from_dict({"margin": 1}).margin == 1
+
 
 class TestSampleTriplets:
     def test_sampled_triplets_satisfy_constraints(self):
