@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -18,8 +19,28 @@ from .training import TrainConfig, train_ensemble
 
 
 @click.group()
-def main():
+@click.option("--log-level", default="WARNING", show_default=True,
+              type=click.Choice(["DEBUG", "INFO", "WARNING", "ERROR"],
+                                case_sensitive=False),
+              help="level of the package's log lines on stderr "
+                   "(INFO shows training progress per epoch)")
+@click.pass_context
+def main(ctx, log_level):
     """Multimodal outfit compatibility: data generation, training, evaluation."""
+    # the handler lives as long as the command, so in-process callers
+    # (tests, notebooks) do not stack handlers across invocations
+    pkg = logging.getLogger("outfitrec")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = pkg.level
+    pkg.addHandler(handler)
+    pkg.setLevel(log_level.upper())
+
+    def restore():
+        pkg.removeHandler(handler)
+        pkg.setLevel(previous)
+
+    ctx.call_on_close(restore)
 
 
 @main.command()

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, canonical_pair
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .model import OutfitModel, item_features
-from .tensor import Tensor, as_tensor, cosine_similarity, matmul
+from .tensor import (Tensor, as_tensor, cosines, grouped_projection,
+                     is_partition, matmul)
 
 
 @dataclass
@@ -34,32 +35,37 @@ class LossWeights:
                 raise ValueError(f"{name} must be non-negative")
 
 
+def _hinge(cos_negative: Tensor, cos_positive: Tensor, margin: float) -> Tensor:
+    return (cos_negative - cos_positive + margin).relu()
+
+
 def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
                  margin: float) -> Tensor:
     """max(0, f(anchor, negative) - f(anchor, positive) + margin), f = cosine."""
-    gap = (cosine_similarity(anchor, negative)
-           - cosine_similarity(anchor, positive) + margin)
-    return gap.relu()
+    return _hinge(*cosines([(anchor, negative), (anchor, positive)]), margin)
 
 
 def loss_vse(img_u, img_p, img_n, txt_u, txt_p, txt_n,
              margin: float) -> Tensor:
     """Each image closer to its own description than to the other two."""
-    def per_image(img, own, other_a, other_b):
-        return (triplet_loss(img, own, other_a, margin)
-                + triplet_loss(img, own, other_b, margin)) * 0.5
-
-    total = (per_image(img_u, txt_u, txt_p, txt_n)
-             + per_image(img_p, txt_p, txt_u, txt_n)
-             + per_image(img_n, txt_n, txt_u, txt_p))
+    imgs, txts = (img_u, img_p, img_n), (txt_u, txt_p, txt_n)
+    ij = [(i, j) for i in range(3) for j in range(3)]
+    cos = dict(zip(ij, cosines([(imgs[i], txts[j]) for i, j in ij])))
+    total = None
+    for i in range(3):
+        a, b = (j for j in range(3) if j != i)
+        per_image = (_hinge(cos[i, a], cos[i, i], margin)
+                     + _hinge(cos[i, b], cos[i, i], margin)) * 0.5
+        total = per_image if total is None else total + per_image
     return total * (1.0 / 3.0)
 
 
 def loss_vsim(img_u, img_p, img_n, margin: float) -> Tensor:
     """Same-type images (or texts) closer to each other than to the
     cross-type one."""
-    return (triplet_loss(img_p, img_n, img_u, margin)
-            + triplet_loss(img_n, img_p, img_u, margin)) * 0.5
+    cos_pu, cos_pn, cos_nu = cosines(
+        [(img_p, img_u), (img_p, img_n), (img_n, img_u)])
+    return (_hinge(cos_pu, cos_pn, margin) + _hinge(cos_nu, cos_pn, margin)) * 0.5
 
 
 def loss_comp(rep_u: Tensor, rep_p: Tensor, rep_n: Tensor, space: Tensor,
@@ -73,6 +79,11 @@ def loss_comp(rep_u: Tensor, rep_p: Tensor, rep_n: Tensor, space: Tensor,
         return out.reshape(out.shape[:-2] + (space.shape[0],))
 
     return triplet_loss(project(rep_u), project(rep_p), project(rep_n), margin)
+
+
+def _roles(x: Tensor, batch: int) -> tuple[Tensor, Tensor, Tensor]:
+    """The anchor, positive and negative rows of a (3B, ...) stack."""
+    return x[:batch], x[batch:2 * batch], x[2 * batch:]
 
 
 def total_loss(comp: Tensor, vsim: Tensor, tsim: Tensor, vse: Tensor,
@@ -93,25 +104,33 @@ def training_loss(model: OutfitModel,
     stacks, each (B, rows, dim). `pair_groups` maps each canonical type
     pair to the batch indices of the triplets trained in that pair's
     compatibility space; the groups must partition the batch.
+
+    The three roles run through `item_features` as one (3B, rows, dim)
+    stack, and every pair's space projects its rows in one
+    `grouped_projection`, so the graph's size does not grow with the
+    number of type pairs in the batch.
     """
     batch = regions[0].shape[0]
-    grouped = sum(len(ix) for ix in pair_groups.values())
-    if grouped != batch:
+    if any(a.shape[0] != batch for a in (*regions, *words)):
+        raise DimensionError(
+            f"role stacks disagree on the batch size: "
+            f"{[a.shape[0] for a in (*regions, *words)]}")
+    groups = [np.asarray(ix, dtype=np.intp) for ix in pair_groups.values()]
+    if not is_partition(groups, batch):
         raise DomainError(
-            f"pair groups cover {grouped} triplets but batch has {batch}")
+            f"pair groups must partition the batch: they hold "
+            f"{sum(ix.size for ix in groups)} indices but batch has {batch}")
 
-    feats = [item_features(model, r, w) for r, w in zip(regions, words)]
-    (rep_u, img_u, txt_u), (rep_p, img_p, txt_p), (rep_n, img_n, txt_n) = feats
+    fused, img, txt = item_features(model, np.concatenate(regions),
+                                    np.concatenate(words))
+    # a type pair's rows in the (3B, .) stacks: anchors, positives, negatives
+    rows = [np.concatenate([ix, ix + batch, ix + 2 * batch]) for ix in groups]
+    proj = grouped_projection(fused, [model.space(*p) for p in pair_groups],
+                              rows)
+    comp = triplet_loss(*_roles(proj, batch), weights.margin).sum() * (1.0 / batch)
 
-    comp_sum = None
-    for pair, idx in pair_groups.items():
-        space = model.space(*pair)
-        losses = loss_comp(rep_u.take(idx), rep_p.take(idx), rep_n.take(idx),
-                           space, weights.margin)
-        part = losses.sum()
-        comp_sum = part if comp_sum is None else comp_sum + part
-    comp = comp_sum * (1.0 / batch)
-
+    img_u, img_p, img_n = _roles(img, batch)
+    txt_u, txt_p, txt_n = _roles(txt, batch)
     vsim = loss_vsim(img_u, img_p, img_n, weights.margin).mean()
     tsim = loss_vsim(txt_u, txt_p, txt_n, weights.margin).mean()
     vse = loss_vse(img_u, img_p, img_n, txt_u, txt_p, txt_n,

@@ -3,6 +3,15 @@
 Checkpoints are a magic line, a JSON header (version, fusion kind, dims,
 type-pair key table, parameter names/shapes) and a little-endian float32
 payload holding the parameter tensors in header order.
+
+The model computes in float64, so a save/load round trip rounds every
+parameter to the nearest float32: a loaded value differs from the saved
+one by at most 2**-24 of its magnitude (values in float32's normal range;
+smaller ones lose more, larger ones overflow). Through `item_features`
+this moves each fused or pooled row by well under 1e-5 of its norm
+(about 1e-7, and up to 7e-7 for co-attention, whose signed square root
+amplifies it, at d_g from 8 to 128); `tests/test_model.py` holds both
+bounds.
 """
 
 from __future__ import annotations
@@ -153,13 +162,23 @@ def load_model(path: str | Path) -> OutfitModel:
         header = json.loads(raw[off:off + hlen])
         if header["version"] != CHECKPOINT_VERSION:
             raise DatasetError(f"{path}: unsupported checkpoint version")
-        model = _build_model(header["fusion"], ModelDims(**header["dims"]),
-                             {tuple(k) for k in header["type_pairs"]}, rng=None)
+        dims = ModelDims(**header["dims"])
         stored = [(m["name"], tuple(m["shape"])) for m in header["params"]]
+        # every hop adds parameters; a count the header cannot hold would
+        # only build (one hop at a time) a model that fails to match it
+        if header["fusion"] in ("stacked", "coattention") and dims.hops > len(stored):
+            raise DatasetError(
+                f"{path}: {dims.hops} hops but {len(stored)} parameters")
+        model = _build_model(header["fusion"], dims,
+                             {tuple(k) for k in header["type_pairs"]}, rng=None)
     except DatasetError:
         raise
-    except (struct.error, ValueError, KeyError, TypeError) as exc:
+    except (struct.error, ValueError, KeyError, TypeError,
+            RecursionError) as exc:
         raise DatasetError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+    except MemoryError as exc:
+        raise DatasetError(
+            f"{path}: header dims {header['dims']} do not fit in memory") from exc
     off += hlen
     params = model.parameters()
     if [name for name, _ in stored] != [name for name, _ in params]:
@@ -170,10 +189,10 @@ def load_model(path: str | Path) -> OutfitModel:
                 f"{path}: parameter {name!r} has shape {shape}, "
                 f"expected {target.shape}")
         nbytes = 4 * target.data.size
-        values = np.frombuffer(raw[off:off + nbytes], dtype="<f4")
-        if values.size != target.data.size:
+        chunk = raw[off:off + nbytes]
+        if len(chunk) != nbytes:
             raise DatasetError(f"{path}: truncated payload at {name!r}")
-        target.data = values.astype(np.float64).reshape(shape)
+        target.data = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
         off += nbytes
     if off != len(raw):
         raise DatasetError(f"{path}: {len(raw) - off} trailing bytes after payload")

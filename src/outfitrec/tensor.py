@@ -219,17 +219,21 @@ class Tensor:
 
         return Tensor._result(data, (self,), backward)
 
-    def take(self, indices, axis: int = 0):
-        """Gather slices along `axis`; scatter-adds on backward."""
-        idx = np.asarray(indices, dtype=np.intp)
-        data = np.take(self.data, idx, axis=axis)
+    def __getitem__(self, key):
+        """Basic indexing (ints and slices) as a view; backward writes `g`
+        into one zero buffer."""
+        keys = key if isinstance(key, tuple) else (key,)
+        if not all(k is Ellipsis or isinstance(k, slice)
+                   or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+                   for k in keys):
+            raise DimensionError(
+                f"Tensor indexing takes ints and slices, got {key!r}")
+        data = self.data[key]
 
         def backward(g):
             if self.requires_grad:
-                buf = np.zeros_like(self.data)
-                sl: list = [slice(None)] * self.ndim
-                sl[axis] = idx
-                np.add.at(buf, tuple(sl), g)
+                buf = np.zeros(self.shape)
+                buf[key] = g
                 self._accumulate(buf)
 
         return Tensor._result(data, (self,), backward)
@@ -372,6 +376,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(data, (a, b), backward)
 
 
+def is_partition(index_sets: Sequence[np.ndarray], n: int) -> bool:
+    """Whether the index arrays together hold each of 0..n-1 exactly once."""
+    flat = np.concatenate([np.empty(0, np.intp), *map(np.ravel, index_sets)])
+    return flat.size == n and np.array_equal(np.sort(flat), np.arange(n))
+
+
+def grouped_projection(x: Tensor, weights: Sequence[Tensor],
+                       row_sets: Sequence[np.ndarray]) -> Tensor:
+    """Rows `row_sets[k]` of the 2-D `x` projected by `weights[k]`:
+    `out[rows] = x[rows] @ weights[k]^T`, every weight (d_out, d_in).
+
+    The row sets must partition x's rows. Forward and backward are one
+    GEMM per weight in each direction, and rows are written by index.
+    """
+    x = as_tensor(x)
+    rows = [np.asarray(r, dtype=np.intp) for r in row_sets]
+    if x.ndim != 2 or len(weights) != len(rows) or not weights:
+        raise DimensionError(
+            f"grouped_projection needs a 2-D x and one row set per weight, "
+            f"got {x.shape}, {len(weights)} weights, {len(rows)} row sets")
+    d_out = weights[0].shape[0]
+    if any(w.shape != (d_out, x.shape[1]) for w in weights):
+        raise DimensionError(
+            f"grouped_projection weights {[w.shape for w in weights]} do not "
+            f"all map {x.shape[1]} to {d_out}")
+    if not is_partition(rows, x.shape[0]):
+        raise DomainError(
+            f"row sets hold {sum(r.size for r in rows)} indices and must "
+            f"partition the {x.shape[0]} rows of x")
+    data = np.empty((x.shape[0], d_out))
+    for w, r in zip(weights, rows):
+        data[r] = x.data[r] @ w.data.T
+
+    def backward(g):
+        gx = np.empty(x.shape) if x.requires_grad else None
+        for w, r in zip(weights, rows):
+            g_r = g[r]
+            if gx is not None:
+                gx[r] = g_r @ w.data
+            if w.requires_grad:
+                w._accumulate(g_r.T @ x.data[r])
+        if gx is not None:
+            x._accumulate(gx)
+
+    return Tensor._result(data, (x, *weights), backward)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along `axis` (max-subtraction)."""
     x = as_tensor(x)
@@ -430,16 +481,32 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-24) -> Tensor:
 
 def cosine_similarity(x: Tensor, y: Tensor, axis: int = -1) -> Tensor:
     """Cosine of the angle between `x` and `y` along `axis`."""
-    x, y = as_tensor(x), as_tensor(y)
-    if x.shape != y.shape:
-        raise DimensionError(
-            f"cosine_similarity shape mismatch: {x.shape} vs {y.shape}")
-    nx = np.linalg.norm(x.data, axis=axis)
-    ny = np.linalg.norm(y.data, axis=axis)
-    if np.any(nx == 0.0) or np.any(ny == 0.0):
-        raise DomainError("cosine_similarity of a zero vector is undefined")
-    dot = (x * y).sum(axis=axis)
-    return dot / ((x * x).sum(axis=axis).sqrt() * (y * y).sum(axis=axis).sqrt())
+    return cosines([(x, y)], axis)[0]
+
+
+def cosines(pairs: Sequence[tuple[Tensor, Tensor]], axis: int = -1
+            ) -> list[Tensor]:
+    """`cosine_similarity` of each (x, y) pair; a tensor that appears in
+    several pairs has its norm computed once."""
+    norms: dict[int, tuple[Tensor, Tensor]] = {}   # id -> (tensor, norm)
+
+    def norm(t: Tensor) -> Tensor:
+        if id(t) not in norms:
+            n = (t * t).sum(axis=axis).sqrt()
+            if not np.all(n.data):
+                raise DomainError("cosine_similarity of a zero vector is undefined")
+            norms[id(t)] = (t, n)   # holding t keeps its id from being reused
+        return norms[id(t)][1]
+
+    out = []
+    for x, y in pairs:
+        x, y = as_tensor(x), as_tensor(y)
+        if x.shape != y.shape:
+            raise DimensionError(
+                f"cosine_similarity shape mismatch: {x.shape} vs {y.shape}")
+        dot = (x * y).sum(axis=axis)
+        out.append(dot / (norm(x) * norm(y)))
+    return out
 
 
 def pool_rows(x: Tensor) -> Tensor:

@@ -101,6 +101,19 @@ class TestTrain:
         assert (out / "run0.ckpt").exists()
         assert not (out / "run1.ckpt").exists()
 
+    def test_log_level_shows_epoch_progress(self, tmp_path, runner, data_dir):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(TRAIN_CONFIG))
+        args = ["train", "--data", str(data_dir / "manifest.json"),
+                "--config", str(cfg_path), "--runs", "1"]
+        quiet = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "q")])
+        loud = runner.invoke(main, ["--log-level", "info", *args,
+                                    "--out-dir", str(tmp_path / "l")])
+        assert quiet.exit_code == 0 and loud.exit_code == 0, loud.output
+        assert quiet.stderr == ""
+        assert loud.stdout.startswith("trained 1 run(s)")
+        assert "INFO outfitrec.training: epoch 0: loss" in loud.stderr
+
     def test_unknown_config_key_fails(self, tmp_path, runner, data_dir):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"optimizer": "sgd"}))

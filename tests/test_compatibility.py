@@ -9,7 +9,8 @@ from outfitrec.compatibility import (LossWeights, loss_comp, loss_vse,
 from outfitrec.data import Item, ItemType
 from outfitrec.errors import DomainError, UnseenTypePairError
 from outfitrec.model import ModelDims, init_model, item_features
-from outfitrec.tensor import Tensor, no_grad
+from outfitrec.optim import grad_check
+from outfitrec.tensor import Tensor, grouped_projection, no_grad, parameter
 
 
 def cos(a, b):
@@ -190,6 +191,37 @@ class TestTrainingLoss:
             training_loss(model, regions, words,
                           {("shoes", "tops"): np.array([0, 1])}, LossWeights())
 
+    @pytest.mark.parametrize("groups", [
+        {("shoes", "tops"): [0, 0], ("hats", "tops"): [2]},
+        {("shoes", "tops"): [0, 5], ("hats", "tops"): [1]},
+    ], ids=["repeated_triplet", "index_outside_batch"])
+    def test_groups_that_do_not_partition_the_batch_rejected(self, groups):
+        rng = np.random.default_rng(13)
+        model = make_model(pairs={("tops", "shoes"), ("tops", "hats")})
+        regions, words = self.batch(rng, b=3)
+        groups = {k: np.array(v) for k, v in groups.items()}
+        with pytest.raises(DomainError, match="partition"):
+            training_loss(model, regions, words, groups, LossWeights())
+
+    def test_graph_size_does_not_grow_with_type_pairs(self):
+        pairs = [("tops", "shoes"), ("tops", "hats"), ("shoes", "hats")]
+        model = make_model("stacked", pairs=pairs)
+        regions, words = self.batch(np.random.default_rng(15), b=6)
+        keys = sorted(model.spaces)
+        one = {keys[0]: np.arange(6)}
+        three = {keys[0]: np.array([4]), keys[1]: np.array([0, 5]),
+                 keys[2]: np.array([1, 2, 3])}
+        counts = []
+        for groups in (one, three):
+            loss = training_loss(model, regions, words, groups, LossWeights())
+            nodes = graph_nodes(loss)
+            counts.append((sum(1 for n in nodes if n._parents),
+                           sum(1 for n in nodes if n.requires_grad
+                               and not n._parents)))
+        (ops_one, leaves_one), (ops_three, leaves_three) = counts
+        assert ops_one == ops_three
+        assert leaves_three == leaves_one + 2   # the two extra spaces
+
     def test_matches_per_triplet_oracle(self):
         rng = np.random.default_rng(14)
         model = make_model(pairs={("tops", "shoes"), ("tops", "hats")})
@@ -223,3 +255,64 @@ class TestTrainingLoss:
         assert got.item() == pytest.approx(expected, abs=1e-10)
         assert terms["comp"] == pytest.approx(comp, abs=1e-10)
         assert terms["vse"] == pytest.approx(vse, abs=1e-10)
+
+
+def graph_nodes(root):
+    """Every node reachable from `root` through recorded parents."""
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+class TestGroupedProjection:
+    """`grouped_projection` against a loop of single-space `loss_comp`s:
+    two spaces with unequal groups over a (3B, d) role stack."""
+
+    B, D, D_C = 5, 4, 3
+    GROUPS = [np.array([0, 3, 4]), np.array([1, 2])]
+
+    def setup(self, seed):
+        rng = np.random.default_rng(seed)
+        reps = parameter(rng.normal(size=(3 * self.B, self.D)))
+        spaces = [parameter(rng.normal(size=(self.D_C, self.D)))
+                  for _ in self.GROUPS]
+        rows = [np.concatenate([ix, ix + self.B, ix + 2 * self.B])
+                for ix in self.GROUPS]
+        return reps, spaces, rows
+
+    def test_matches_per_group_loss_comp(self):
+        reps, spaces, rows = self.setup(20)
+        proj = grouped_projection(reps, spaces, rows)
+        b = self.B
+        got = triplet_loss(proj[:b], proj[b:2 * b], proj[2 * b:], 0.2).data
+        for ix, space in zip(self.GROUPS, spaces):
+            roles = [Tensor(reps.data[ix + r * b]) for r in range(3)]
+            want = loss_comp(*roles, space, 0.2).data
+            np.testing.assert_allclose(got[ix], want, rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        reps, spaces, rows = self.setup(21)
+        weights = np.random.default_rng(22).normal(size=(3 * self.B, self.D_C))
+
+        def loss():
+            proj = grouped_projection(reps, spaces, rows)
+            return (proj * proj * weights).sum()
+
+        params = [("reps", reps)] + [(f"space{k}", s) for k, s in enumerate(spaces)]
+        report = grad_check(loss, params, h_scale=1e-3, rel_tol=1e-4)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("rows", [
+        [np.array([0, 1]), np.array([1, 2])],
+        [np.array([0, 1]), np.array([2, 3])],
+        [np.array([0]), np.array([2])],
+    ], ids=["overlap", "out_of_range", "gap"])
+    def test_row_sets_must_partition(self, rows):
+        x = Tensor(np.ones((3, 2)))
+        spaces = [Tensor(np.eye(2)), Tensor(np.eye(2))]
+        with pytest.raises(DomainError, match="partition"):
+            grouped_projection(x, spaces, rows)

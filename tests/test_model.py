@@ -6,10 +6,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from outfitrec.errors import DatasetError
+from outfitrec import model as model_module
+from outfitrec.errors import DatasetError, DimensionError
 from outfitrec.model import (CHECKPOINT_MAGIC, FUSION_KINDS, ModelDims,
-                             init_model, load_model, save_model)
+                             init_model, item_features, load_model,
+                             save_model)
+from outfitrec.tensor import no_grad
 
 DIMS = ModelDims(d_g=2, d_c=3, h=2, hops=2, mfb_factor=2, region_dim=3,
                  word_dim=2)
@@ -106,6 +111,16 @@ def trailing_bytes(raw):
     return raw + b"\0" * 4
 
 
+def cut_inside_float(raw):
+    return raw[:-1]
+
+
+def dims_beyond_memory(raw):
+    header, payload = split(raw)
+    header["dims"]["d_g"] = 10**15
+    return join(json.dumps(header).encode(), payload)
+
+
 def omitted_parameter(raw):
     """Drop the last parameter from the header and its values from the
     payload, leaving a file that is consistent but incomplete."""
@@ -117,9 +132,77 @@ def omitted_parameter(raw):
 
 @pytest.mark.parametrize("corrupt", [
     cut_length_prefix, cut_header, invalid_header, header_without_dims,
-    trailing_bytes, omitted_parameter], ids=lambda f: f.__name__)
+    trailing_bytes, cut_inside_float, dims_beyond_memory, omitted_parameter],
+    ids=lambda f: f.__name__)
 def test_malformed_checkpoint_raises_dataset_error(tmp_path, corrupt):
     path = saved(tmp_path, "stacked")
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(DatasetError):
         load_model(path)
+
+
+def test_hop_count_is_checked_before_the_model_is_built(tmp_path, monkeypatch):
+    path = saved(tmp_path, "stacked")
+    header, payload = split(path.read_bytes())
+    header["dims"]["hops"] = 10**9
+    path.write_bytes(join(json.dumps(header).encode(), payload))
+
+    def build(*args, **kwargs):
+        raise AssertionError("built a model for an impossible hop count")
+
+    monkeypatch.setattr(model_module, "_build_model", build)
+    with pytest.raises(DatasetError, match="hops"):
+        load_model(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    return {fusion: saved(tmp_path_factory.mktemp(fusion), fusion).read_bytes()
+            for fusion in ("stacked", "coattention")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), fusion=st.sampled_from(["stacked", "coattention"]),
+       edit=st.sampled_from(["truncate", "overwrite", "insert"]))
+def test_mutated_checkpoint_raises_only_package_errors(
+        tmp_path_factory, checkpoint_bytes, data, fusion, edit):
+    raw = checkpoint_bytes[fusion]
+    pos = data.draw(st.integers(0, len(raw)), label="position")
+    if edit == "truncate":
+        raw = raw[:pos]
+    else:
+        chunk = data.draw(st.binary(min_size=1, max_size=8), label="bytes")
+        end = pos + len(chunk) if edit == "overwrite" else pos
+        raw = raw[:pos] + chunk + raw[end:]
+    path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
+    path.write_bytes(raw)
+    try:
+        load_model(path)
+    except (DatasetError, DimensionError):
+        pass
+
+
+# -- the float32 round trip --------------------------------------------------
+
+
+@pytest.mark.parametrize("fusion", FUSION_KINDS)
+def test_f32_round_trip_stays_within_its_bound(tmp_path, fusion):
+    dims = ModelDims(d_g=16, d_c=16, h=16, hops=2, mfb_factor=2,
+                     region_dim=12, word_dim=10)
+    model = init_model(fusion, dims, PAIRS, seed=3)
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    loaded = load_model(path)
+    for (name, want), (_, got) in zip(model.parameters(), loaded.parameters()):
+        err = np.abs(got.data - want.data)
+        assert np.all(err <= 2.0**-24 * np.abs(want.data)), name
+
+    rng = np.random.default_rng(4)
+    regions = 3.0 * rng.normal(size=(32, 8, 12))
+    words = rng.normal(size=(32, 6, 10))
+    with no_grad():
+        pairs = zip(item_features(model, regions, words),
+                    item_features(loaded, regions, words))
+        for want, got in pairs:
+            err = np.linalg.norm(got.data - want.data, axis=-1)
+            assert np.all(err <= 1e-5 * np.linalg.norm(want.data, axis=-1))

@@ -187,10 +187,10 @@ class TestGradients:
         self._check(lambda p: (p.transpose_last().reshape(12).mean()
                                + p.sum(axis=0).sum()), (3, 4))
 
-    def test_concat_take(self):
+    def test_concat_slices(self):
         def loss(p):
             c = concat([p, p * 2.0], axis=-1)
-            return (c.take(np.array([1, 0, 1])) * c.take(np.array([0, 2, 2]))).sum()
+            return (c[1:] * c[:2]).sum() + (c[0, ::2] * c[2, 1::2]).sum()
         self._check(loss, (3, 2))
 
     def test_cosine(self):
@@ -308,6 +308,14 @@ def test_folded_matmul_matches_per_sample_loop(make_operands):
         ref[idx] = np.matmul(a.data[operand_index(idx, a.shape)],
                              b.data[operand_index(idx, b.shape)])
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("key", [np.array([0, 1]), [0, 1], True,
+                                 (slice(None), np.array([0]))],
+                         ids=["array", "list", "bool", "mixed"])
+def test_indexing_is_basic_only(key):
+    with pytest.raises(DimensionError, match="ints and slices"):
+        Tensor(np.zeros((2, 3)))[key]
 
 
 def test_backward_requires_scalar():
