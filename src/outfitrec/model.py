@@ -164,9 +164,10 @@ def load_model(path: str | Path) -> OutfitModel:
             raise DatasetError(f"{path}: unsupported checkpoint version")
         dims = ModelDims(**header["dims"])
         stored = [(m["name"], tuple(m["shape"])) for m in header["params"]]
-        # every hop adds parameters; a count the header cannot hold would
-        # only build (one hop at a time) a model that fails to match it
-        if header["fusion"] in ("stacked", "coattention") and dims.hops > len(stored):
+        # each hop adds parameters, so more hops than listed parameters
+        # cannot match; building them one by one could exhaust memory
+        if (header["fusion"] in ("stacked", "coattention")
+                and dims.hops > len(stored)):
             raise DatasetError(
                 f"{path}: {dims.hops} hops but {len(stored)} parameters")
         model = _build_model(header["fusion"], dims,
@@ -192,7 +193,8 @@ def load_model(path: str | Path) -> OutfitModel:
         chunk = raw[off:off + nbytes]
         if len(chunk) != nbytes:
             raise DatasetError(f"{path}: truncated payload at {name!r}")
-        target.data = np.frombuffer(chunk, dtype="<f4").astype(np.float64).reshape(shape)
+        values = np.frombuffer(chunk, dtype="<f4")
+        target.data = values.astype(np.float64).reshape(shape)
         off += nbytes
     if off != len(raw):
         raise DatasetError(f"{path}: {len(raw) - off} trailing bytes after payload")

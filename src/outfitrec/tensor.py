@@ -223,8 +223,8 @@ class Tensor:
         """Basic indexing (ints and slices) as a view; backward writes `g`
         into one zero buffer."""
         keys = key if isinstance(key, tuple) else (key,)
-        if not all(k is Ellipsis or isinstance(k, slice)
-                   or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        basic = (slice, int, np.integer, type(Ellipsis))
+        if not all(isinstance(k, basic) and not isinstance(k, bool)
                    for k in keys):
             raise DimensionError(
                 f"Tensor indexing takes ints and slices, got {key!r}")
@@ -494,7 +494,8 @@ def cosines(pairs: Sequence[tuple[Tensor, Tensor]], axis: int = -1
         if id(t) not in norms:
             n = (t * t).sum(axis=axis).sqrt()
             if not np.all(n.data):
-                raise DomainError("cosine_similarity of a zero vector is undefined")
+                raise DomainError(
+                    "cosine_similarity of a zero vector is undefined")
             norms[id(t)] = (t, n)   # holding t keeps its id from being reused
         return norms[id(t)][1]
 

@@ -302,7 +302,8 @@ class TestGroupedProjection:
             proj = grouped_projection(reps, spaces, rows)
             return (proj * proj * weights).sum()
 
-        params = [("reps", reps)] + [(f"space{k}", s) for k, s in enumerate(spaces)]
+        params = [("reps", reps)] + [(f"space{k}", w)
+                                     for k, w in enumerate(spaces)]
         report = grad_check(loss, params, h_scale=1e-3, rel_tol=1e-4)
         assert report.passed, str(report)
 
