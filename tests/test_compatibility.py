@@ -275,7 +275,7 @@ class TestGroupedProjection:
     B, D, D_C = 5, 4, 3
     GROUPS = [np.array([0, 3, 4]), np.array([1, 2])]
 
-    def setup(self, seed):
+    def operands(self, seed):
         rng = np.random.default_rng(seed)
         reps = parameter(rng.normal(size=(3 * self.B, self.D)))
         spaces = [parameter(rng.normal(size=(self.D_C, self.D)))
@@ -285,7 +285,7 @@ class TestGroupedProjection:
         return reps, spaces, rows
 
     def test_matches_per_group_loss_comp(self):
-        reps, spaces, rows = self.setup(20)
+        reps, spaces, rows = self.operands(20)
         proj = grouped_projection(reps, spaces, rows)
         b = self.B
         got = triplet_loss(proj[:b], proj[b:2 * b], proj[2 * b:], 0.2).data
@@ -295,7 +295,7 @@ class TestGroupedProjection:
             np.testing.assert_allclose(got[ix], want, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        reps, spaces, rows = self.setup(21)
+        reps, spaces, rows = self.operands(21)
         weights = np.random.default_rng(22).normal(size=(3 * self.B, self.D_C))
 
         def loss():
