@@ -1,8 +1,8 @@
 """Multimodal outfit compatibility with attention-based fusion."""
 
-from .compatibility import (LossWeights, loss_comp, loss_vse, loss_vsim,
-                            pair_score, pair_scores, total_loss,
-                            training_loss, triplet_loss)
+from .compatibility import (LossWeights, loss_vse, loss_vsim, pair_score,
+                            pair_scores, total_loss, training_loss,
+                            triplet_loss)
 from .data import (Dataset, Dims, FCQuestion, FITBQuestion, Item, ItemType,
                    Outfit, SyntheticSpec, canonical_pair, filter_questions,
                    generate_synthetic, load_dataset, save_dataset)
@@ -10,8 +10,7 @@ from .diagnostics import full_loss_grad_check
 from .embedding import (CommonSpaceProjector, init_projector,
                         project_regions, project_words)
 from .evaluation import (MetricsReport, compute_representations, evaluate,
-                         fc_auc, fitb_answer, fitb_answers, outfit_score,
-                         vote)
+                         fc_auc, fitb_answer, fitb_answers, vote)
 from .fusion import (attend_text, fuse_coattention, fuse_dot_product,
                      fuse_stacked, mfb)
 from .model import (FUSION_KINDS, ModelDims, OutfitModel, init_model,

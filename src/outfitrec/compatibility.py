@@ -16,8 +16,7 @@ import numpy as np
 from .data import Dataset, canonical_pair
 from .errors import DimensionError, DomainError
 from .model import OutfitModel, item_features
-from .tensor import (Tensor, as_tensor, cosines, grouped_projection,
-                     is_partition, matmul)
+from .tensor import Tensor, cosines, grouped_projection, take_rows
 
 
 @dataclass
@@ -68,19 +67,6 @@ def loss_vsim(img_u, img_p, img_n, margin: float) -> Tensor:
     return (_hinge(cos_pu, cos_pn, margin) + _hinge(cos_nu, cos_pn, margin)) * 0.5
 
 
-def loss_comp(rep_u: Tensor, rep_p: Tensor, rep_n: Tensor, space: Tensor,
-              margin: float) -> Tensor:
-    """Triplet loss after projecting the reps into one type-pair space."""
-    space_t = space.transpose_last()
-
-    def project(rep):
-        rep = as_tensor(rep)
-        out = matmul(rep.reshape(rep.shape[:-1] + (1, rep.shape[-1])), space_t)
-        return out.reshape(out.shape[:-2] + (space.shape[0],))
-
-    return triplet_loss(project(rep_u), project(rep_p), project(rep_n), margin)
-
-
 def _roles(x: Tensor, batch: int) -> tuple[Tensor, Tensor, Tensor]:
     """The anchor, positive and negative rows of a (3B, ...) stack."""
     return x[:batch], x[batch:2 * batch], x[2 * batch:]
@@ -92,39 +78,51 @@ def total_loss(comp: Tensor, vsim: Tensor, tsim: Tensor, vse: Tensor,
             + weights.lambda_vse * vse)
 
 
-def training_loss(model: OutfitModel,
-                  regions: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  words: tuple[np.ndarray, np.ndarray, np.ndarray],
+def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
                   pair_groups: dict[tuple[str, str], np.ndarray],
                   weights: LossWeights,
                   terms_out: dict | None = None) -> Tensor:
     """Mean total loss over a triplet batch.
 
-    `regions`/`words` hold the anchor, positive and negative feature
-    stacks, each (B, rows, dim). `pair_groups` maps each canonical type
-    pair to the batch indices of the triplets trained in that pair's
-    compatibility space; the groups must partition the batch.
+    `regions` (U, N, d_i) and `words` (U, M, d_t) hold each distinct item
+    of the batch once. `pair_groups` maps each canonical type pair to a
+    (3, n_k) integer array: the item rows of the anchors, positives and
+    negatives of the n_k triplets trained in that pair's compatibility
+    space. The batch is the B = sum n_k triplets of all the groups.
 
-    The three roles run through `item_features` as one (3B, rows, dim)
-    stack, and every pair's space projects its rows in one
-    `grouped_projection`, so the graph's size does not grow with the
-    number of type pairs in the batch.
+    `item_features` runs once over the U items. `take_rows` then gathers
+    the 3B role rows of its outputs, anchors first, and sums the gradients
+    of an item that appears in several roles or triplets. Every pair's
+    space projects its rows in one `grouped_projection`, so the graph's
+    size does not grow with the number of type pairs in the batch.
     """
-    batch = regions[0].shape[0]
-    if any(a.shape[0] != batch for a in (*regions, *words)):
+    items = regions.shape[0]
+    if words.shape[0] != items:
         raise DimensionError(
-            f"role stacks disagree on the batch size: "
-            f"{[a.shape[0] for a in (*regions, *words)]}")
-    groups = [np.asarray(ix, dtype=np.intp) for ix in pair_groups.values()]
-    if not is_partition(groups, batch):
+            f"regions hold {items} items but words hold {words.shape[0]}")
+    groups = [np.asarray(ix) for ix in pair_groups.values()]
+    for ix in groups:
+        if (ix.ndim != 2 or ix.shape[0] != 3
+                or not np.issubdtype(ix.dtype, np.integer)):
+            raise DimensionError(
+                f"a pair group must be a (3, n) integer array of item rows, "
+                f"got shape {ix.shape} ({ix.dtype})")
+    if not groups or not sum(ix.shape[1] for ix in groups):
+        raise DomainError("a triplet batch needs at least one triplet")
+    role_items = np.concatenate(groups, axis=1)   # (3, B)
+    if role_items.min() < 0 or role_items.max() >= items:
         raise DomainError(
-            f"pair groups must partition the batch: they hold "
-            f"{sum(ix.size for ix in groups)} indices but batch has {batch}")
+            f"pair groups name item rows in [{role_items.min()}, "
+            f"{role_items.max()}], outside the batch's {items} items")
+    batch = role_items.shape[1]
 
-    fused, img, txt = item_features(model, np.concatenate(regions),
-                                    np.concatenate(words))
+    fused, img, txt = (take_rows(t, role_items.ravel())
+                       for t in item_features(model, regions, words))
     # a type pair's rows in the (3B, .) stacks: anchors, positives, negatives
-    rows = [np.concatenate([ix, ix + batch, ix + 2 * batch]) for ix in groups]
+    slot = np.arange(3 * batch).reshape(3, batch)
+    ends = np.cumsum([ix.shape[1] for ix in groups])
+    rows = [slot[:, end - ix.shape[1]:end].ravel()
+            for ix, end in zip(groups, ends)]
     proj = grouped_projection(fused, [model.space(*p) for p in pair_groups],
                               rows)
     comp = triplet_loss(*_roles(proj, batch), weights.margin).sum() * (1.0 / batch)

@@ -188,7 +188,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         return _parse_manifest(manifest, path)
     except DatasetError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: malformed manifest: {exc!r}") from exc
 
 

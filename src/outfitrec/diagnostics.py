@@ -16,7 +16,8 @@ def full_loss_grad_check(fusion: str, d_g: int = 8, d_c: int = 8, h: int = 8,
                          seed: int = 0, rel_tol: float = 1e-4,
                          h_scale: float = 1e-6) -> GradCheckReport:
     """Check every parameter's tape gradient of the total training loss
-    against central finite differences on a small random triplet batch.
+    against central finite differences on a small random triplet batch
+    whose items repeat across roles and type pairs.
 
     The step is smaller than the primitive-op default because the composed
     loss contains ReLU kinks and the signed-sqrt's high-curvature region;
@@ -28,13 +29,13 @@ def full_loss_grad_check(fusion: str, d_g: int = 8, d_c: int = 8, h: int = 8,
                      region_dim=region_dim, word_dim=word_dim)
     pairs = {("typeA", "typeB"), ("typeA", "typeC")}
     model = init_model(fusion, dims, pairs, seed)
-    batch = 3
-    regions = tuple(rng.normal(size=(batch, n_regions, region_dim))
-                    for _ in range(3))
-    words = tuple(rng.normal(size=(batch, n_words, word_dim))
-                  for _ in range(3))
-    pair_groups = {("typeA", "typeB"): np.array([0, 1], dtype=np.intp),
-                   ("typeA", "typeC"): np.array([2], dtype=np.intp)}
+    # items 0-1 are typeA, 2-3 typeB, 4-5 typeC; item 0 is an anchor in
+    # both type pairs and a positive, so the gather's scatter sums gradients
+    # across roles and pairs
+    regions = rng.normal(size=(6, n_regions, region_dim))
+    words = rng.normal(size=(6, n_words, word_dim))
+    pair_groups = {("typeA", "typeB"): np.array([[0, 2], [2, 0], [3, 1]]),
+                   ("typeA", "typeC"): np.array([[0], [4], [5]])}
     weights = LossWeights()
 
     def loss_fn():

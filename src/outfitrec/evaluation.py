@@ -31,18 +31,6 @@ def compute_representations(model: OutfitModel, dataset: Dataset,
     return reps
 
 
-def outfit_score(item_ids, model: OutfitModel, dataset: Dataset,
-                 reps: dict[str, np.ndarray]) -> tuple[float | None, int]:
-    """Mean pair score over scorable unordered pairs; None if none scorable.
-
-    Returns (score, skipped_pairs) where skipped pairs lack a trained
-    type-pair space.
-    """
-    scores, _, _, skipped = fc_scores_and_labels(
-        dataset, [FCQuestion(items=tuple(item_ids), label=0)], model, reps)
-    return (scores[0] if scores else None), skipped
-
-
 def fc_auc(scores, labels) -> float:
     """ROC AUC via the rank statistic, midranks for ties."""
     scores = np.asarray(scores, dtype=np.float64)

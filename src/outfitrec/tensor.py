@@ -376,6 +376,35 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._result(data, (a, b), backward)
 
 
+def take_rows(x: Tensor, index) -> Tensor:
+    """Rows `index` of `x` along its first axis. Rows may repeat or go
+    unused; backward sums the gradients of a repeated row with one
+    `np.bincount` over the flat `row * width + col` positions."""
+    x = as_tensor(x)
+    index = np.asarray(index)
+    if (x.ndim < 1 or index.ndim != 1
+            or not np.issubdtype(index.dtype, np.integer)):
+        raise DimensionError(
+            f"take_rows needs a 1-D integer index into an array with rows, "
+            f"got index shape {index.shape} ({index.dtype}) and x {x.shape}")
+    rows = x.shape[0]
+    if index.size and (index.min() < 0 or index.max() >= rows):
+        raise DimensionError(
+            f"take_rows index spans [{index.min()}, {index.max()}], "
+            f"outside the {rows} rows of x")
+    data = x.data[index]
+
+    def backward(g):
+        if x.requires_grad:
+            width = int(np.prod(x.shape[1:]))
+            flat = (index[:, None] * width + np.arange(width)).ravel()
+            summed = np.bincount(flat, weights=g.ravel(),
+                                 minlength=rows * width)
+            x._accumulate(summed.reshape(x.shape))
+
+    return Tensor._result(data, (x,), backward)
+
+
 def is_partition(index_sets: Sequence[np.ndarray], n: int) -> bool:
     """Whether the index arrays together hold each of 0..n-1 exactly once."""
     flat = np.concatenate([np.empty(0, np.intp), *map(np.ravel, index_sets)])

@@ -151,17 +151,28 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
 
 
 def _batch_arrays(dataset: Dataset, triplets: list[TripletSpec]
-                  ) -> tuple[tuple, tuple, dict]:
-    items = dataset.items
-    roles = ["anchor", "positive", "negative"]
-    regions = tuple(np.stack([items[getattr(t, r)].regions for t in triplets])
-                    for r in roles)
-    words = tuple(np.stack([items[getattr(t, r)].words for t in triplets])
-                  for r in roles)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for i, t in enumerate(triplets):
-        groups.setdefault(canonical_pair(t.type_u, t.type_v), []).append(i)
-    pair_groups = {k: np.asarray(v, dtype=np.intp) for k, v in groups.items()}
+                  ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The item-level inputs of `training_loss` for a triplet batch.
+
+    `regions` (U, N, d_i) and `words` (U, M, d_t) stack each distinct item
+    once, in first-seen order over the anchors, then the positives, then
+    the negatives. `pair_groups` maps each canonical type pair to a
+    (3, n_k) array of item rows: the anchors, positives and negatives of
+    that pair's triplets, in batch order.
+    """
+    roles = ("anchor", "positive", "negative")
+    row: dict[str, int] = {}
+    for role in roles:
+        for t in triplets:
+            row.setdefault(getattr(t, role), len(row))
+    items = [dataset.items[i] for i in row]
+    regions = np.stack([item.regions for item in items])
+    words = np.stack([item.words for item in items])
+    groups: dict[tuple[str, str], list[list[int]]] = {}
+    for t in triplets:
+        groups.setdefault(canonical_pair(t.type_u, t.type_v), []).append(
+            [row[getattr(t, role)] for role in roles])
+    pair_groups = {k: np.asarray(v, dtype=np.intp).T for k, v in groups.items()}
     return regions, words, pair_groups
 
 

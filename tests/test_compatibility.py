@@ -3,18 +3,32 @@
 import numpy as np
 import pytest
 
-from outfitrec.compatibility import (LossWeights, loss_comp, loss_vse,
-                                     loss_vsim, pair_score, total_loss,
-                                     training_loss, triplet_loss)
+from outfitrec.compatibility import (LossWeights, loss_vse, loss_vsim,
+                                     pair_score, total_loss, training_loss,
+                                     triplet_loss)
 from outfitrec.data import Item, ItemType
-from outfitrec.errors import DomainError, UnseenTypePairError
+from outfitrec.errors import DimensionError, DomainError, UnseenTypePairError
 from outfitrec.model import ModelDims, init_model, item_features
 from outfitrec.optim import grad_check
-from outfitrec.tensor import Tensor, grouped_projection, no_grad, parameter
+from outfitrec.tensor import (Tensor, as_tensor, grouped_projection, matmul,
+                              no_grad, parameter)
 
 
 def cos(a, b):
     return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def loss_comp(rep_u, rep_p, rep_n, space, margin):
+    """Reference: triplet loss after projecting the reps into one type-pair
+    space, one matrix product per rep."""
+    space_t = space.transpose_last()
+
+    def project(rep):
+        rep = as_tensor(rep)
+        out = matmul(rep.reshape(rep.shape[:-1] + (1, rep.shape[-1])), space_t)
+        return out.reshape(out.shape[:-2] + (space.shape[0],))
+
+    return triplet_loss(project(rep_u), project(rep_p), project(rep_n), margin)
 
 
 def tl(a, p, n, m=0.2):
@@ -178,39 +192,39 @@ class TestPairScore:
 
 
 class TestTrainingLoss:
-    def batch(self, rng, b=4):
-        regions = tuple(rng.normal(size=(b, 2, 3)) for _ in range(3))
-        words = tuple(rng.normal(size=(b, 3, 4)) for _ in range(3))
-        return regions, words
+    def items(self, rng, n):
+        return rng.normal(size=(n, 2, 3)), rng.normal(size=(n, 3, 4))
 
-    def test_incomplete_pair_groups_rejected(self):
-        rng = np.random.default_rng(13)
-        model = make_model()
-        regions, words = self.batch(rng)
-        with pytest.raises(DomainError, match="batch has 4"):
-            training_loss(model, regions, words,
-                          {("shoes", "tops"): np.array([0, 1])}, LossWeights())
-
-    @pytest.mark.parametrize("groups", [
-        {("shoes", "tops"): [0, 0], ("hats", "tops"): [2]},
-        {("shoes", "tops"): [0, 5], ("hats", "tops"): [1]},
-    ], ids=["repeated_triplet", "index_outside_batch"])
-    def test_groups_that_do_not_partition_the_batch_rejected(self, groups):
-        rng = np.random.default_rng(13)
+    @pytest.mark.parametrize("row", [5, -1], ids=["past_end", "negative"])
+    def test_item_row_outside_batch_rejected(self, row):
         model = make_model(pairs={("tops", "shoes"), ("tops", "hats")})
-        regions, words = self.batch(rng, b=3)
-        groups = {k: np.array(v) for k, v in groups.items()}
-        with pytest.raises(DomainError, match="partition"):
+        regions, words = self.items(np.random.default_rng(13), 5)
+        groups = {("shoes", "tops"): np.array([[0, 1], [1, 2], [2, 3]]),
+                  ("hats", "tops"): np.array([[0], [4], [row]])}
+        with pytest.raises(DomainError, match="outside the batch's 5 items"):
             training_loss(model, regions, words, groups, LossWeights())
+
+    @pytest.mark.parametrize("group", [
+        np.array([0, 1, 2]), np.array([[0, 1], [1, 2]]),
+        np.array([[0.0], [1.0], [2.0]]),
+    ], ids=["one_dim", "two_roles", "float_rows"])
+    def test_malformed_pair_group_rejected(self, group):
+        model = make_model()
+        regions, words = self.items(np.random.default_rng(13), 3)
+        with pytest.raises(DimensionError, match=r"\(3, n\) integer array"):
+            training_loss(model, regions, words, {("shoes", "tops"): group},
+                          LossWeights())
 
     def test_graph_size_does_not_grow_with_type_pairs(self):
         pairs = [("tops", "shoes"), ("tops", "hats"), ("shoes", "hats")]
         model = make_model("stacked", pairs=pairs)
-        regions, words = self.batch(np.random.default_rng(15), b=6)
+        regions, words = self.items(np.random.default_rng(15), 8)
+        rows = np.array([[0, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6],
+                         [7, 7, 0, 1, 2, 3]])
         keys = sorted(model.spaces)
-        one = {keys[0]: np.arange(6)}
-        three = {keys[0]: np.array([4]), keys[1]: np.array([0, 5]),
-                 keys[2]: np.array([1, 2, 3])}
+        one = {keys[0]: rows}
+        three = {keys[0]: rows[:, [4]], keys[1]: rows[:, [0, 5]],
+                 keys[2]: rows[:, [1, 2, 3]]}
         counts = []
         for groups in (one, three):
             loss = training_loss(model, regions, words, groups, LossWeights())
@@ -224,32 +238,32 @@ class TestTrainingLoss:
 
     def test_matches_per_triplet_oracle(self):
         rng = np.random.default_rng(14)
-        model = make_model(pairs={("tops", "shoes"), ("tops", "hats")})
-        regions, words = self.batch(rng, b=3)
-        groups = {("shoes", "tops"): np.array([0, 2]),
-                  ("hats", "tops"): np.array([1])}
+        model = make_model("coattention",
+                           pairs={("tops", "shoes"), ("tops", "hats")})
+        regions, words = self.items(rng, 5)
+        # item 0 is an anchor in both pairs and a positive; triplet (0, 1, 2)
+        # is trained twice
+        groups = {("shoes", "tops"): np.array([[0, 1, 0], [1, 0, 1],
+                                               [2, 3, 2]]),
+                  ("hats", "tops"): np.array([[0], [4], [3]])}
         w = LossWeights()
         terms = {}
         got = training_loss(model, regions, words, groups, w, terms_out=terms)
 
         comp = vsim = tsim = vse = 0.0
         with no_grad():
-            # recompute per-triplet with the single-pair loss functions
-            for pair, idx in groups.items():
-                space = model.space(*pair)
-                for i in idx:
-                    reps = [item_features(model, regions[r][i],
-                                          words[r][i])[0] for r in range(3)]
-                    comp += loss_comp(*reps, space, w.margin).item()
-            for i in range(3):
-                feats = [item_features(model, regions[r][i], words[r][i])
-                         for r in range(3)]
-                imgs = [f[1] for f in feats]
-                txts = [f[2] for f in feats]
-                vsim += loss_vsim(*imgs, w.margin).item()
-                tsim += loss_vsim(*txts, w.margin).item()
-                vse += loss_vse(*imgs, *txts, w.margin).item()
-        comp, vsim, tsim, vse = (v / 3.0 for v in (comp, vsim, tsim, vse))
+            # recompute per triplet with the single-pair loss functions
+            for pair, rows in groups.items():
+                for triplet in rows.T:
+                    feats = [item_features(model, regions[i], words[i])
+                             for i in triplet]
+                    reps, imgs, txts = zip(*feats)
+                    comp += loss_comp(*reps, model.space(*pair),
+                                      w.margin).item()
+                    vsim += loss_vsim(*imgs, w.margin).item()
+                    tsim += loss_vsim(*txts, w.margin).item()
+                    vse += loss_vse(*imgs, *txts, w.margin).item()
+        comp, vsim, tsim, vse = (v / 4.0 for v in (comp, vsim, tsim, vse))
         expected = comp + w.lambda_vsim * vsim + w.lambda_tsim * tsim \
             + w.lambda_vse * vse
         assert got.item() == pytest.approx(expected, abs=1e-10)

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outfitrec import data
 from outfitrec.data import (Dataset, Dims, FCQuestion, FITBQuestion, Item,
                             ItemType, Outfit, SyntheticSpec, filter_questions,
                             generate_synthetic, load_dataset, save_dataset)
-from outfitrec.errors import DatasetError, SyntheticSpecError
+from outfitrec.errors import DatasetError, DimensionError, SyntheticSpecError
 
 
 def tiny_dataset() -> Dataset:
@@ -107,6 +109,19 @@ def test_missing_manifest_key_raises_dataset_error(tmp_path, drop):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["dims"].update(num_regions=float("inf")),
+    lambda meta: meta["types"][0].update(id=float("-inf")),
+], ids=["dims", "type_id"])
+def test_infinite_count_raises_dataset_error(tmp_path, edit):
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    meta = json.loads(manifest.read_text())
+    edit(meta)
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError):
+        load_dataset(manifest)
+
+
 def test_non_object_manifest_raises_dataset_error(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("[]")
@@ -119,6 +134,65 @@ def test_deleted_blob_names_item(tmp_path):
     (tmp_path / "features" / "b.words.bin").unlink()
     with pytest.raises(DatasetError, match="'b'"):
         load_dataset(manifest)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A loadable manifest (with one FITB question, so every section has an
+    entry) and the directory that holds its blobs."""
+    root = tmp_path_factory.mktemp("manifest_fuzz")
+    manifest = save_dataset(tiny_dataset(), root)
+    meta = json.loads(manifest.read_text())
+    meta["questions"]["fitb"].append(
+        {"partial": ["a"], "candidates": ["b", "c", "b", "c"], "answer": 0})
+    manifest.write_text(json.dumps(meta))
+    load_dataset(manifest)
+    return root, meta
+
+
+def json_paths(node, path=()):
+    """The key path of every value below `node`."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([None, True, 0, -1, 2**70, 0.5, float("inf"),
+                     float("nan"), "", "a", [], {}, ["a", "a"]]),
+    st.integers(), st.floats(), st.text(max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_raises_only_package_errors(fuzz_base, data):
+    root, base = fuzz_base
+    meta = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        paths = list(json_paths(meta))
+        if not paths:
+            break
+        *parent_path, key = data.draw(st.sampled_from(paths), label="path")
+        parent = meta
+        for k in parent_path:
+            parent = parent[k]
+        edit = data.draw(st.sampled_from(["delete", "retype", "nest"]),
+                         label="edit")
+        if edit == "delete":
+            del parent[key]
+        elif edit == "retype":
+            parent[key] = data.draw(FUZZ_VALUES, label="value")
+        else:
+            parent[key] = data.draw(st.sampled_from(
+                [[parent[key]], {"value": parent[key]}]), label="wrapper")
+    manifest = root / "mutated.json"
+    manifest.write_text(json.dumps(meta))
+    try:
+        load_dataset(manifest)
+    except (DatasetError, DimensionError):
+        pass
 
 
 class TestSyntheticGenerator:

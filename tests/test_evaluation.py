@@ -6,11 +6,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from outfitrec.data import FITBQuestion, SyntheticSpec, generate_synthetic
+from outfitrec.data import (FCQuestion, FITBQuestion, SyntheticSpec,
+                            generate_synthetic)
 from outfitrec.errors import DomainError, MetricUndefinedError
 from outfitrec.evaluation import (compute_representations, evaluate, fc_auc,
-                                  fc_scores_and_labels, fitb_answer,
-                                  outfit_score, vote)
+                                  fc_scores_and_labels, fitb_answer, vote)
 from outfitrec.compatibility import pair_scores, score_from_reps
 from outfitrec.model import ModelDims, init_model
 from outfitrec.tensor import Tensor
@@ -29,6 +29,15 @@ def fixture_model_and_reps(seed=0, fusion="baseline"):
     model = init_model(fusion, dims, ds.trained_type_pairs(), seed=seed)
     reps = compute_representations(model, ds, list(ds.items))
     return ds, model, reps
+
+
+def outfit_score(item_ids, model, dataset, reps):
+    """Mean pair score of one outfit through `fc_scores_and_labels`, None
+    if no pair is scorable, and the number of pairs without a trained
+    type-pair space."""
+    scores, _, _, skipped = fc_scores_and_labels(
+        dataset, [FCQuestion(items=tuple(item_ids), label=0)], model, reps)
+    return (scores[0] if scores else None), skipped
 
 
 class TestOutfitScore:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from outfitrec.errors import DimensionError, DomainError
 from outfitrec.optim import grad_check
 from outfitrec.tensor import (Tensor, concat, cosine_similarity, matmul,
-                              parameter, pool_rows, signed_sqrt, softmax)
+                              parameter, pool_rows, signed_sqrt, softmax,
+                              take_rows)
 
 
 def naive_matmul(a, b):
@@ -266,7 +267,8 @@ def graph_nodes(root):
     lambda p, q: (p.reshape(6) + q.reshape(6)).sum(),
     lambda p, q: concat([p, q], axis=0).sum(),
     lambda p, q: p.sum() + q.sum(),
-], ids=["add", "reshape", "concat", "sum"])
+    lambda p, q: take_rows(concat([p, q], axis=0), [3, 1, 0, 2]).sum(),
+], ids=["add", "reshape", "concat", "sum", "take_rows"])
 def test_gradient_buffers_are_private(make_loss):
     p = parameter(np.arange(6.0).reshape(2, 3))
     q = parameter(-np.arange(6.0).reshape(2, 3))
@@ -316,6 +318,37 @@ def test_folded_matmul_matches_per_sample_loop(make_operands):
 def test_indexing_is_basic_only(key):
     with pytest.raises(DimensionError, match="ints and slices"):
         Tensor(np.zeros((2, 3)))[key]
+
+
+class TestTakeRows:
+    INDEX = np.array([2, 0, 2, 2, 4])   # row 2 three times; rows 1 and 3 unused
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(7)
+        p = parameter(rng.normal(size=(5, 3)))
+        c = rng.normal(size=(self.INDEX.size, 3))
+        loss = lambda: (take_rows(p, self.INDEX).tanh() * c).sum()
+        report = grad_check(loss, [("p", p)], h_scale=1e-3, rel_tol=1e-4)
+        assert report.passed, str(report)
+
+    def test_matches_add_at_reference(self):
+        rng = np.random.default_rng(8)
+        p = parameter(rng.normal(size=(5, 2, 3)))
+        g = rng.normal(size=(self.INDEX.size, 2, 3))
+        out = take_rows(p, self.INDEX)
+        np.testing.assert_array_equal(out.data, p.data[self.INDEX])
+        (out * g).sum().backward()
+        ref = np.zeros(p.shape)
+        np.add.at(ref, self.INDEX, g)
+        np.testing.assert_array_equal(p.grad, ref)
+
+    @pytest.mark.parametrize("index", [
+        np.array([[0, 1]]), np.array([0, 5]), np.array([-1]),
+        np.array([0.0, 1.0]),
+    ], ids=["2d", "past_end", "negative", "float"])
+    def test_malformed_index_rejected(self, index):
+        with pytest.raises(DimensionError, match="take_rows"):
+            take_rows(parameter(np.zeros((5, 3))), index)
 
 
 def test_backward_requires_scalar():
