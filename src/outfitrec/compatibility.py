@@ -101,15 +101,17 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
         raise DimensionError(
             f"regions hold {items} items but words hold {words.shape[0]}")
     groups = [np.asarray(ix) for ix in pair_groups.values()]
-    for ix in groups:
-        if (ix.ndim != 2 or ix.shape[0] != 3
-                or not np.issubdtype(ix.dtype, np.integer)):
-            raise DimensionError(
-                f"a pair group must be a (3, n) integer array of item rows, "
-                f"got shape {ix.shape} ({ix.dtype})")
-    if not groups or not sum(ix.shape[1] for ix in groups):
+    if any(ix.ndim != 2 or ix.shape[0] != 3 for ix in groups):
+        raise DimensionError(
+            f"pair groups must be (3, n) arrays of item rows, got shapes "
+            f"{[ix.shape for ix in groups]}")
+    role_items = np.concatenate([np.empty((3, 0), np.intp), *groups],
+                                axis=1)   # (3, B)
+    if not np.issubdtype(role_items.dtype, np.integer):
+        raise DimensionError(
+            f"pair groups must hold integer item rows, got {role_items.dtype}")
+    if not role_items.size:
         raise DomainError("a triplet batch needs at least one triplet")
-    role_items = np.concatenate(groups, axis=1)   # (3, B)
     if role_items.min() < 0 or role_items.max() >= items:
         raise DomainError(
             f"pair groups name item rows in [{role_items.min()}, "

@@ -161,18 +161,16 @@ def _batch_arrays(dataset: Dataset, triplets: list[TripletSpec]
     that pair's triplets, in batch order.
     """
     roles = ("anchor", "positive", "negative")
-    row: dict[str, int] = {}
-    for role in roles:
-        for t in triplets:
-            row.setdefault(getattr(t, role), len(row))
+    ids = [getattr(t, role) for role in roles for t in triplets]
+    row = {item: r for r, item in enumerate(dict.fromkeys(ids))}
     items = [dataset.items[i] for i in row]
     regions = np.stack([item.regions for item in items])
     words = np.stack([item.words for item in items])
-    groups: dict[tuple[str, str], list[list[int]]] = {}
-    for t in triplets:
-        groups.setdefault(canonical_pair(t.type_u, t.type_v), []).append(
-            [row[getattr(t, role)] for role in roles])
-    pair_groups = {k: np.asarray(v, dtype=np.intp).T for k, v in groups.items()}
+    role_rows = np.array([row[i] for i in ids], dtype=np.intp).reshape(3, -1)
+    groups: dict[tuple[str, str], list[int]] = {}
+    for b, t in enumerate(triplets):
+        groups.setdefault(canonical_pair(t.type_u, t.type_v), []).append(b)
+    pair_groups = {k: role_rows[:, v] for k, v in groups.items()}
     return regions, words, pair_groups
 
 

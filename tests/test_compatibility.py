@@ -211,7 +211,7 @@ class TestTrainingLoss:
     def test_malformed_pair_group_rejected(self, group):
         model = make_model()
         regions, words = self.items(np.random.default_rng(13), 3)
-        with pytest.raises(DimensionError, match=r"\(3, n\) integer array"):
+        with pytest.raises(DimensionError, match="pair groups must"):
             training_loss(model, regions, words, {("shoes", "tops"): group},
                           LossWeights())
 
