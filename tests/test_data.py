@@ -171,10 +171,8 @@ def test_mutated_manifest_raises_only_package_errors(fuzz_base, data):
     root, base = fuzz_base
     meta = json.loads(json.dumps(base))
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
-        paths = list(json_paths(meta))
-        if not paths:
-            break
-        *parent_path, key = data.draw(st.sampled_from(paths), label="path")
+        *parent_path, key = data.draw(st.sampled_from(list(json_paths(meta))),
+                                      label="path")
         parent = meta
         for k in parent_path:
             parent = parent[k]
