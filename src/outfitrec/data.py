@@ -192,21 +192,28 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise DatasetError(f"{path}: malformed manifest: {exc!r}") from exc
 
 
+def _int(value, what: str) -> int:
+    """`value` if it is a JSON integer (a bool is not), else DatasetError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DatasetError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_manifest(manifest: dict, path: Path) -> Dataset:
     base = path.parent
     d = manifest["dims"]
-    dims = Dims(num_regions=int(d["num_regions"]), num_words=int(d["num_words"]),
-                region_dim=int(d["region_dim"]), word_dim=int(d["word_dim"]))
+    dims = Dims(**{k: _int(d[k], f"dims {k!r}") for k in
+                   ("num_regions", "num_words", "region_dim", "word_dim")})
     if min(dims.num_regions, dims.region_dim, dims.word_dim) < 1 or dims.num_words < 0:
         raise DatasetError(f"{path}: invalid dims {d}")
 
     types: list[ItemType] = []
-    seen_names: set[str] = set()
     for t in manifest["types"]:
-        if t["name"] in seen_names:
-            raise DatasetError(f"duplicate item type name {t['name']!r}")
-        seen_names.add(t["name"])
-        types.append(ItemType(name=t["name"], id=int(t["id"])))
+        type_id = _int(t["id"], f"type {t['name']!r} id")
+        if any(t["name"] == u.name or type_id == u.id for u in types):
+            raise DatasetError(
+                f"type {t['name']!r} (id {type_id}) repeats a name or an id")
+        types.append(ItemType(name=t["name"], id=type_id))
     by_name = {t.name: t for t in types}
 
     items: dict[str, Item] = {}
@@ -258,19 +265,19 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
     fc = []
     for q in manifest["questions"]["fc"]:
         check_ids(q["items"], "FC question")
-        if q["label"] not in (0, 1):
+        if _int(q["label"], "FC label") not in (0, 1):
             raise DatasetError(f"FC label must be 0 or 1, got {q['label']!r}")
-        fc.append(FCQuestion(items=tuple(q["items"]), label=int(q["label"])))
+        fc.append(FCQuestion(items=tuple(q["items"]), label=q["label"]))
     fitb = []
     for q in manifest["questions"]["fitb"]:
         check_ids(list(q["partial"]) + list(q["candidates"]), "FITB question")
         if len(q["candidates"]) != 4:
             raise DatasetError("FITB question must have exactly 4 candidates")
-        if not 0 <= int(q["answer"]) <= 3:
+        if not 0 <= _int(q["answer"], "FITB answer") <= 3:
             raise DatasetError(f"FITB answer index out of range: {q['answer']!r}")
         fitb.append(FITBQuestion(partial=tuple(q["partial"]),
                                  candidates=tuple(q["candidates"]),
-                                 answer=int(q["answer"])))
+                                 answer=q["answer"]))
 
     return Dataset(items=items, types=types, dims=dims, outfits=outfits,
                    fc_questions=fc, fitb_questions=fitb)

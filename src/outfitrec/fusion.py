@@ -122,13 +122,12 @@ def _check_rows(x: Tensor, what: str) -> None:
         raise DomainError(f"{what} requires at least one row")
 
 
-def _record(weights_out: list | None, alpha: Tensor) -> None:
+def _attend(scores: Tensor, rows: Tensor, weights_out: list | None) -> Tensor:
+    """Softmax of the (B, K) scores, appended to `weights_out` when given,
+    and the attention-weighted sum of the (B, K, d) rows: (B, d)."""
+    alpha = softmax(scores, axis=-1)
     if weights_out is not None:
         weights_out.append(alpha.data.copy())
-
-
-def _context(alpha: Tensor, rows: Tensor) -> Tensor:
-    """Attention-weighted sum of rows: (B, K) x (B, K, d) -> (B, d)."""
     b, k = alpha.shape
     return matmul(alpha.reshape(b, 1, k), rows).reshape(b, rows.shape[-1])
 
@@ -144,9 +143,7 @@ def fuse_dot_product(regions: Tensor, text: Tensor,
     _check_rows(x, "dot-product attention")
     b, _, d_g = x.shape
     scores = (x.tanh() * t.tanh().reshape(b, 1, d_g)).sum(axis=-1)  # (B, N)
-    alpha = softmax(scores, axis=-1)
-    _record(weights_out, alpha)
-    ctx = _context(alpha, x)
+    ctx = _attend(scores, x, weights_out)
     return _squeeze_batch(concat([ctx, t], axis=-1), sq)
 
 
@@ -157,17 +154,15 @@ def fuse_stacked(regions: Tensor, text: Tensor,
     x, sq = _batched(regions, 3)
     t, _ = _batched(text, 2)
     _check_rows(x, "stacked attention")
-    b, _, d_g = x.shape
-    xt = x.transpose_last()                       # (B, d_g, N)
+    b, n, _ = x.shape
     query = t
     for hop in params.hops:
-        proj_x = matmul(hop.w_v, xt)              # (B, h, N)
-        proj_q = matmul(hop.w_t, query.reshape(b, d_g, 1)) + hop.b_s  # (B, h, 1)
-        hidden = (proj_x + proj_q).tanh()         # column-wise broadcast sum
-        scores = matmul(hop.w_p, hidden).reshape(b, x.shape[1])
-        alpha = softmax(scores, axis=-1)
-        _record(weights_out, alpha)
-        query = query + _context(alpha, x)
+        proj_x = matmul(x, hop.w_v.transpose_last())          # (B, N, h)
+        proj_q = (matmul(query, hop.w_t.transpose_last())
+                  + hop.b_s.transpose_last())                 # (B, h)
+        hidden = (proj_x + proj_q.reshape(b, 1, -1)).tanh()   # (B, N, h)
+        scores = matmul(hidden, hop.w_p.transpose_last()).reshape(b, n)
+        query = query + _attend(scores, x, weights_out)
     return _squeeze_batch(concat([query, t], axis=-1), sq)
 
 
@@ -183,9 +178,8 @@ def attend_text(words: Tensor, params: ConvAttentionParams,
     """Text context vector attended independently of the image."""
     y, sq = _batched(words, 3)
     _check_rows(y, "text attention")
-    alpha = softmax(conv_attention_scores(y, params), axis=-1)
-    _record(weights_out, alpha)
-    return _squeeze_batch(_context(alpha, y), sq)
+    ctx = _attend(conv_attention_scores(y, params), y, weights_out)
+    return _squeeze_batch(ctx, sq)
 
 
 def mfb(x: Tensor, y: Tensor, u: Tensor, v: Tensor, p: int) -> Tensor:
@@ -225,9 +219,8 @@ def fuse_coattention(regions: Tensor, words: Tensor,
 
     hop_ctx = []
     for conv in params.visual_attn:
-        alpha = softmax(conv_attention_scores(merged, conv), axis=-1)
-        _record(weights_out, alpha)
-        hop_ctx.append(_context(alpha, merged))                   # (B, 2*d_g)
+        hop_ctx.append(_attend(conv_attention_scores(merged, conv), merged,
+                               weights_out))                      # (B, 2*d_g)
     visual_ctx = matmul(concat(hop_ctx, axis=-1),
                         params.w_f.transpose_last())              # (B, 2*d_g)
     out = mfb(visual_ctx, text_ctx, params.u_final, params.v_final, params.p)

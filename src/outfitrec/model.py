@@ -152,7 +152,8 @@ def save_model(model: OutfitModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> OutfitModel:
-    """Malformed files raise DatasetError, misshapen parameters DimensionError."""
+    """Malformed files, non-finite values included, raise DatasetError;
+    misshapen parameters raise DimensionError."""
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise DatasetError(f"{path}: not an outfitrec checkpoint")
@@ -193,8 +194,12 @@ def load_model(path: str | Path) -> OutfitModel:
         chunk = raw[off:off + nbytes]
         if len(chunk) != nbytes:
             raise DatasetError(f"{path}: truncated payload at {name!r}")
-        values = np.frombuffer(chunk, dtype="<f4")
-        target.data = values.astype(np.float64).reshape(shape)
+        # an all-ones f32 exponent is NaN or Inf; testing the bits keeps a
+        # signaling NaN from warning as it is widened
+        bits = np.frombuffer(chunk, dtype="<u4")
+        if np.any((bits & 0x7F800000) == 0x7F800000):
+            raise DatasetError(f"{path}: parameter {name!r} holds NaN or Inf")
+        target.data = bits.view("<f4").astype(np.float64).reshape(shape)
         off += nbytes
     if off != len(raw):
         raise DatasetError(f"{path}: {len(raw) - off} trailing bytes after payload")

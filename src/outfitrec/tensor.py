@@ -325,18 +325,18 @@ def _fold(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of the 2-D `w` in `x @ w`, with `x` carrying batch axes:
-    the batch folds into the rows of one GEMM, x^T g over all of them."""
+    """Gradient of the 2-D `w` in `x @ w`: `x`'s batch axes, if any, fold
+    into the rows of one GEMM, x^T g over all of them."""
     return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes.
 
-    When one operand is a 2-D weight and the other carries batch axes, the
-    product and both gradients are each one GEMM over the folded batch
-    (`W @ X` folds as `(X^T @ W^T)^T`); only where both operands carry
-    batch axes is the product formed per sample.
+    A 2-D right operand (a weight) folds `a`'s batch axes into the rows of
+    one GEMM, for the product and for both gradients. A right operand with
+    batch axes is multiplied per sample, and each gradient is summed back
+    over the axes its operand was broadcast along.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -345,30 +345,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    x_at_w = a.ndim > 2 and b.ndim == 2
-    w_at_x = a.ndim == 2 and b.ndim > 2
-    if x_at_w:
-        data = _fold(a.data, b.data)
-    elif w_at_x:
-        data = _fold(b.data.swapaxes(-1, -2), a.data.T).swapaxes(-1, -2)
-    else:
-        data = np.matmul(a.data, b.data)
+    folded = b.ndim == 2
+    data = _fold(a.data, b.data) if folded else np.matmul(a.data, b.data)
 
     def backward(g):
-        gt = g.swapaxes(-1, -2)
         if a.requires_grad:
-            if x_at_w:
+            if folded:
                 ga = _fold(g, b.data.T)
-            elif w_at_x:
-                ga = _weight_grad(gt, b.data.swapaxes(-1, -2))
             else:
                 ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
             a._accumulate(ga)
         if b.requires_grad:
-            if x_at_w:
+            if folded:
                 gb = _weight_grad(a.data, g)
-            elif w_at_x:
-                gb = _fold(gt, a.data).swapaxes(-1, -2)
             else:
                 gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
             b._accumulate(gb)

@@ -122,6 +122,30 @@ def test_infinite_count_raises_dataset_error(tmp_path, edit):
         load_dataset(manifest)
 
 
+FITB_TRUE_ANSWER = {"partial": ["a"], "candidates": ["b", "c", "b", "c"],
+                    "answer": True}
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["dims"].update(num_regions=2.9),
+    lambda meta: meta["dims"].update(num_words="3"),
+    lambda meta: meta["types"][1].update(id=True),
+    lambda meta: meta["types"][1].update(id=0),
+    lambda meta: meta["questions"]["fc"][0].update(label=True),
+    lambda meta: meta["questions"]["fc"][0].update(label=1.0),
+    lambda meta: meta["questions"]["fitb"].append(FITB_TRUE_ANSWER),
+], ids=["fractional_dims", "string_dims", "bool_type_id", "shared_type_id",
+        "bool_fc_label", "float_fc_label", "bool_fitb_answer"])
+def test_manifest_integers_are_strict(tmp_path, edit):
+    """Each edit used to load, coerced by int() or passed by `in (0, 1)`."""
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    meta = json.loads(manifest.read_text())
+    edit(meta)
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError):
+        load_dataset(manifest)
+
+
 def test_non_object_manifest_raises_dataset_error(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("[]")

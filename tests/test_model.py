@@ -130,9 +130,24 @@ def omitted_parameter(raw):
     return join(json.dumps(header).encode(), payload[:-nbytes])
 
 
+def nan_payload(raw):
+    """A quiet NaN in place of the last stored value."""
+    return raw[:-4] + struct.pack("<f", float("nan"))
+
+
+def inf_payload(raw):
+    return raw[:-4] + struct.pack("<f", float("-inf"))
+
+
+def snan_payload(raw):
+    """A signaling NaN, which warns if it is widened before the check."""
+    return raw[:-4] + struct.pack("<I", 0x7F800001)
+
+
 @pytest.mark.parametrize("corrupt", [
     cut_length_prefix, cut_header, invalid_header, header_without_dims,
-    trailing_bytes, cut_inside_float, dims_beyond_memory, omitted_parameter],
+    trailing_bytes, cut_inside_float, dims_beyond_memory, omitted_parameter,
+    nan_payload, inf_payload, snan_payload],
     ids=lambda f: f.__name__)
 def test_malformed_checkpoint_raises_dataset_error(tmp_path, corrupt):
     path = saved(tmp_path, "stacked")
@@ -177,9 +192,11 @@ def test_mutated_checkpoint_raises_only_package_errors(
     path = tmp_path_factory.getbasetemp() / "mutated.ckpt"
     path.write_bytes(raw)
     try:
-        load_model(path)
+        model = load_model(path)
     except (DatasetError, DimensionError):
-        pass
+        return
+    for name, tensor in model.parameters():
+        assert np.all(np.isfinite(tensor.data)), name
 
 
 # -- the float32 round trip --------------------------------------------------

@@ -205,12 +205,13 @@ class TestGradients:
         self._check(lambda p: (pool_rows(p) * pool_rows(p)).sum(), (5, 3))
 
     @pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
-        ((3, 4), (5, 6, 4), True),         # 2-D weight @ batched view (w_v @ xt)
+        ((3, 4), (5, 6, 4), True),         # 2-D @ batched view: per-sample path
         ((5, 2, 4), (3, 4), True),         # batched @ transposed 2-D weight
+        ((6, 4), (3, 4), True),            # 2-D @ transposed 2-D weight
         ((2, 3, 2, 4), (4, 3), False),     # 4-D batched @ 2-D weight
         ((1, 3, 4), (5, 4, 2), False),     # broadcast batch: per-sample path
-    ], ids=["weight_at_batched", "batched_at_weight_t", "4d_at_weight",
-            "broadcast_batch"])
+    ], ids=["weight_at_batched", "batched_at_weight_t", "2d_at_weight_t",
+            "4d_at_weight", "broadcast_batch"])
     def test_matmul_operand_gradients(self, a_shape, b_shape, transpose_b):
         rng = np.random.default_rng(5)
         a = parameter(rng.normal(size=a_shape))
@@ -228,8 +229,9 @@ class TestGradients:
         ref_a, ref_b = per_sample_grads(a.data, rhs().data, c)
         if transpose_b:
             ref_b = ref_b.swapaxes(-1, -2)
+        # a strided weight gradient once doubled the d=512 Adam step
         for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
-            assert got.shape == ref.shape
+            assert got.shape == ref.shape and got.flags.c_contiguous
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -294,6 +296,7 @@ def test_second_backward_adds_one_more_gradient():
 
 
 @pytest.mark.parametrize("make_operands", [
+    # a batched right operand takes the per-sample path; the rest fold
     lambda r: (Tensor(r.normal(size=(3, 4))),
                Tensor(r.normal(size=(5, 6, 4))).transpose_last()),
     lambda r: (Tensor(r.normal(size=(5, 4, 2))).transpose_last(),
