@@ -73,11 +73,19 @@ def gen(out, seed, **kwargs):
 
 
 def _load_config(config_path, overrides) -> TrainConfig:
+    """The config file's keys under the command-line overrides; a file that
+    is not a JSON object of valid TrainConfig keys is a usage error."""
     raw = {}
-    if config_path:
-        raw = json.loads(Path(config_path).read_text())
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    return TrainConfig.from_dict(raw)
+    try:
+        if config_path:
+            raw = json.loads(Path(config_path).read_text())
+            if not isinstance(raw, dict):
+                raise ValueError("not a JSON object")
+        raw.update({k: v for k, v in overrides.items() if v is not None})
+        return TrainConfig.from_dict(raw)
+    except (OSError, ValueError) as exc:   # JSONDecodeError is a ValueError
+        raise click.ClickException(
+            f"{config_path or 'training options'}: {exc}") from exc
 
 
 @main.command(name="train")

@@ -1,9 +1,12 @@
 """Data model for typed items, outfits and evaluation questions.
 
-On disk a dataset is a JSON manifest plus one raw binary blob per feature
-matrix (little-endian float32, row-major, exactly 4*rows*cols bytes).
-Blobs are widened to float64 in memory; the save/load round-trip is
-bit-exact at the float32 payload level.
+On disk a dataset is a directory of three files: `manifest.json` (version
+2: dims, types, items with their type and description, outfits, questions),
+`regions.f32`, every item's (num_regions, region_dim) matrix, and
+`words.f32`, the (num_words, word_dim) matrix of every described item, both
+in manifest order. Feature files are little-endian float32, row-major, 4
+bytes per value and no header. They are widened to float64 in memory; the
+save/load round-trip is bit-exact at the float32 payload level.
 
 Also provides a deterministic synthetic generator that plants a
 style-derived signal into a small subset of each item's region and word
@@ -13,15 +16,16 @@ rows, so that attention over rows can recover what mean pooling dilutes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, SyntheticSpecError
+from .errors import DatasetError, SyntheticSpecError, check_field_types
 
 MANIFEST_FORMAT = "outfitrec-dataset"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 SPLITS = ("train", "valid", "test")
 
@@ -101,31 +105,34 @@ def canonical_pair(u: str, v: str) -> tuple[str, str]:
 # -- on-disk format ---------------------------------------------------------
 
 
-def _blob_path(feature_dir: str, item_id: str, kind: str) -> str:
-    return f"{feature_dir}/{item_id}.{kind}.bin"
+def read_f32(raw: bytes, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """`raw` as little-endian float32 values of `shape`, widened to float64.
+
+    A byte count other than 4 per value, or a NaN or Inf value, raises
+    DatasetError naming `what`.
+    """
+    expected = 4 * math.prod(shape)
+    if len(raw) != expected:
+        raise DatasetError(f"{what} has {len(raw)} bytes, expected {expected} "
+                           f"(4 per value of shape {shape})")
+    # an all-ones f32 exponent is NaN or Inf; testing the bits keeps a
+    # signaling NaN from warning as it is widened
+    bits = np.frombuffer(raw, dtype="<u4")
+    if np.any((bits & 0x7F800000) == 0x7F800000):
+        raise DatasetError(f"{what} holds NaN or Inf")
+    return bits.view("<f4").astype(np.float64).reshape(shape)
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write manifest.json plus per-matrix feature blobs; returns manifest path."""
+    """Write manifest.json, regions.f32 and words.f32; returns manifest path."""
     out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    items_meta = []
-    for item in dataset.items.values():
-        reg_ref = _blob_path("features", item.id, "regions")
-        (out / reg_ref).write_bytes(
-            np.asarray(item.regions, dtype="<f4").tobytes())
-        word_ref = None
-        if item.described:
-            word_ref = _blob_path("features", item.id, "words")
-            (out / word_ref).write_bytes(
-                np.asarray(item.words, dtype="<f4").tobytes())
-        items_meta.append({
-            "id": item.id,
-            "type": item.type.name,
-            "description": item.description,
-            "regions": reg_ref,
-            "words": word_ref,
-        })
+    out.mkdir(parents=True, exist_ok=True)
+    items = list(dataset.items.values())
+    (out / "regions.f32").write_bytes(b"".join(
+        np.asarray(item.regions, dtype="<f4").tobytes() for item in items))
+    (out / "words.f32").write_bytes(b"".join(
+        np.asarray(item.words, dtype="<f4").tobytes()
+        for item in items if item.described))
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -136,7 +143,8 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
             "word_dim": dataset.dims.word_dim,
         },
         "types": [{"id": t.id, "name": t.name} for t in dataset.types],
-        "items": items_meta,
+        "items": [{"id": item.id, "type": item.type.name,
+                   "description": item.description} for item in items],
         "outfits": [
             {"id": o.id, "split": split, "items": list(o.items)}
             for split in SPLITS for o in dataset.outfits.get(split, [])
@@ -155,26 +163,17 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     return path
 
 
-def _load_blob(base: Path, ref: str, rows: int, cols: int, item_id: str) -> np.ndarray:
+def _read_features(path: Path, shape: tuple[int, ...]) -> np.ndarray:
     try:
-        raw = (base / ref).read_bytes()
+        raw = path.read_bytes()
     except OSError as exc:
-        raise DatasetError(
-            f"cannot read feature blob for item {item_id!r} ({ref}): {exc}") from exc
-    expected = 4 * rows * cols
-    if len(raw) != expected:
-        raise DatasetError(
-            f"feature blob for item {item_id!r} ({ref}) has {len(raw)} bytes, "
-            f"expected {expected} (= 4*{rows}*{cols})")
-    arr = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DatasetError(f"non-finite feature values in blob for item {item_id!r}")
-    return arr
+        raise DatasetError(f"cannot read feature file {path}: {exc}") from exc
+    return read_f32(raw, shape, f"feature file {path}")
 
 
 def load_dataset(manifest_path: str | Path) -> Dataset:
     """Load and fully validate a dataset from its manifest; anything
-    malformed, a missing key or blob included, raises DatasetError."""
+    malformed, a missing key or feature file included, raises DatasetError."""
     path = Path(manifest_path)
     try:
         manifest = json.loads(path.read_text())
@@ -182,8 +181,9 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise DatasetError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DatasetError(f"{path}: not an {MANIFEST_FORMAT} manifest")
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise DatasetError(f"{path}: unsupported version {manifest.get('version')}")
+    if _int(manifest.get("version"), "manifest version") != MANIFEST_VERSION:
+        raise DatasetError(f"{path}: unsupported version {manifest['version']}; "
+                           "regenerate the dataset with `outfitrec gen`")
     try:
         return _parse_manifest(manifest, path)
     except DatasetError:
@@ -216,29 +216,26 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
         types.append(ItemType(name=t["name"], id=type_id))
     by_name = {t.name: t for t in types}
 
-    items: dict[str, Item] = {}
+    entries: dict[str, tuple[ItemType, str | None]] = {}
     for meta in manifest["items"]:
         item_id = meta["id"]
-        if item_id in items:
+        if item_id in entries:
             raise DatasetError(f"duplicate item id {item_id!r}")
         if meta["type"] not in by_name:
             raise DatasetError(f"item {item_id!r} has unknown type {meta['type']!r}")
-        description = meta.get("description")
-        regions = _load_blob(base, meta["regions"], dims.num_regions,
-                             dims.region_dim, item_id)
-        if description is not None:
-            if meta.get("words") is None:
-                raise DatasetError(f"described item {item_id!r} lacks a words blob")
-            words = _load_blob(base, meta["words"], dims.num_words,
-                               dims.word_dim, item_id)
-        else:
-            if meta.get("words") is not None:
-                raise DatasetError(
-                    f"item {item_id!r} has words blob but no description")
-            words = np.zeros((0, dims.word_dim), dtype=np.float64)
-        items[item_id] = Item(id=item_id, type=by_name[meta["type"]],
-                              regions=regions, words=words,
-                              description=description)
+        entries[item_id] = (by_name[meta["type"]], meta.get("description"))
+    regions = _read_features(base / "regions.f32", (
+        len(entries), dims.num_regions, dims.region_dim))
+    described = sum(d is not None for _, d in entries.values())
+    words = iter(_read_features(base / "words.f32", (
+        described, dims.num_words, dims.word_dim)))
+    items = {
+        item_id: Item(id=item_id, type=item_type, regions=rows,
+                      words=(next(words) if description is not None
+                             else np.zeros((0, dims.word_dim))),
+                      description=description)
+        for (item_id, (item_type, description)), rows
+        in zip(entries.items(), regions)}
 
     outfits: dict[str, list[Outfit]] = {s: [] for s in SPLITS}
     seen_outfits: set[str] = set()
@@ -309,6 +306,7 @@ class SyntheticSpec:
     undescribed_frac: float = 0.0
 
     def validate(self) -> None:
+        check_field_types(self, SyntheticSpecError)
         if self.outfit_size < 2:   # an FC negative mixes two styles
             raise SyntheticSpecError("outfit_size must be at least 2")
         if not 0.0 <= self.undescribed_frac < 1.0:

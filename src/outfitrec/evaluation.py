@@ -13,16 +13,18 @@ from .errors import MetricUndefinedError
 from .model import OutfitModel, item_features
 from .tensor import no_grad
 
+# items per item_features call in compute_representations
+REPRESENTATION_CHUNK = 512
+
 
 def compute_representations(model: OutfitModel, dataset: Dataset,
-                            item_ids, chunk: int = 512
-                            ) -> dict[str, np.ndarray]:
+                            item_ids) -> dict[str, np.ndarray]:
     """Fused reps for described items, batched; undescribed ids are skipped."""
     ids = [i for i in dict.fromkeys(item_ids) if dataset.items[i].described]
     reps: dict[str, np.ndarray] = {}
     with no_grad():
-        for start in range(0, len(ids), chunk):
-            part = ids[start:start + chunk]
+        for start in range(0, len(ids), REPRESENTATION_CHUNK):
+            part = ids[start:start + REPRESENTATION_CHUNK]
             regions = np.stack([dataset.items[i].regions for i in part])
             words = np.stack([dataset.items[i].words for i in part])
             out = item_features(model, regions, words)[0].data

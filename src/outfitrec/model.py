@@ -17,16 +17,18 @@ bounds.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import canonical_pair
+from .data import canonical_pair, read_f32
 from .embedding import (CommonSpaceProjector, init_projector,
                         project_regions, project_words, uniform_init)
-from .errors import DatasetError, DimensionError, UnseenTypePairError
+from .errors import (DatasetError, DimensionError, UnseenTypePairError,
+                     check_field_types)
 from .fusion import (CoAttentionParams, StackedAttentionParams,
                      fuse_coattention, fuse_dot_product, fuse_stacked,
                      init_coattention_params, init_stacked_params)
@@ -161,9 +163,13 @@ def load_model(path: str | Path) -> OutfitModel:
     try:
         (hlen,) = struct.unpack_from("<Q", raw, off - 8)
         header = json.loads(raw[off:off + hlen])
-        if header["version"] != CHECKPOINT_VERSION:
-            raise DatasetError(f"{path}: unsupported checkpoint version")
+        version = header["version"]
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise DatasetError(f"{path}: unsupported checkpoint version {version!r}")
         dims = ModelDims(**header["dims"])
+        check_field_types(dims, DatasetError)
+        if min(vars(dims).values()) < 1:
+            raise DatasetError(f"{path}: dims must be positive, got {vars(dims)}")
         stored = [(m["name"], tuple(m["shape"])) for m in header["params"]]
         # each hop adds parameters, so more hops than listed parameters
         # cannot match; building them one by one could exhaust memory
@@ -190,16 +196,9 @@ def load_model(path: str | Path) -> OutfitModel:
             raise DimensionError(
                 f"{path}: parameter {name!r} has shape {shape}, "
                 f"expected {target.shape}")
-        nbytes = 4 * target.data.size
-        chunk = raw[off:off + nbytes]
-        if len(chunk) != nbytes:
-            raise DatasetError(f"{path}: truncated payload at {name!r}")
-        # an all-ones f32 exponent is NaN or Inf; testing the bits keeps a
-        # signaling NaN from warning as it is widened
-        bits = np.frombuffer(chunk, dtype="<u4")
-        if np.any((bits & 0x7F800000) == 0x7F800000):
-            raise DatasetError(f"{path}: parameter {name!r} holds NaN or Inf")
-        target.data = bits.view("<f4").astype(np.float64).reshape(shape)
+        nbytes = 4 * math.prod(shape)
+        target.data = read_f32(raw[off:off + nbytes], shape,
+                               f"{path}: parameter {name!r}")
         off += nbytes
     if off != len(raw):
         raise DatasetError(f"{path}: {len(raw) - off} trailing bytes after payload")

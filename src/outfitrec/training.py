@@ -3,16 +3,13 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, asdict
-from numbers import Integral, Real
-from typing import get_type_hints
 
 import numpy as np
 
 from .compatibility import LossWeights, training_loss
 from .data import Dataset, FCQuestion, canonical_pair
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_field_types
 from .model import FUSION_KINDS, ModelDims, OutfitModel, init_model
 from .optim import Adam
 
@@ -38,16 +35,7 @@ class TrainConfig:
     runs: int = 5
 
     def validate(self) -> None:
-        for name, kind in get_type_hints(type(self)).items():
-            value = getattr(self, name)
-            if kind is int and (isinstance(value, bool)
-                                or not isinstance(value, Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if kind is float and (isinstance(value, bool)
-                                  or not isinstance(value, Real)
-                                  or not math.isfinite(value)):
-                raise ValueError(
-                    f"{name} must be a finite real number, got {value!r}")
+        check_field_types(self, ValueError)
         if self.fusion not in FUSION_KINDS:
             raise ValueError(f"fusion must be one of {FUSION_KINDS}")
         if self.seed < 0:

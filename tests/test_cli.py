@@ -123,6 +123,21 @@ class TestTrain:
                                       "--out-dir", str(tmp_path / "x")])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", json.dumps({"optimizer": "sgd"})],
+        ids=["malformed_json", "json_list", "unknown_key"])
+    def test_bad_config_file_fails_without_traceback(self, tmp_path, runner,
+                                                     data_dir, text):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        result = runner.invoke(main, ["train", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / "x")])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert str(cfg_path) in result.output
+
 
 class TestEval:
     def test_report_is_written_and_parseable(self, tmp_path, runner,

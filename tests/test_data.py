@@ -1,6 +1,8 @@
 """Dataset model, on-disk round-trips and the synthetic generator."""
 
 import json
+import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,22 +48,54 @@ def test_minimal_manifest_round_trip(tmp_path):
     assert loaded.items["c"].description is None
 
 
+DATASET_FILES = ["manifest.json", "regions.f32", "words.f32"]
+
+
+def test_save_writes_manifest_and_two_feature_files(tmp_path):
+    save_dataset(tiny_dataset(), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == DATASET_FILES
+    # 3 items of 2x4 regions; 2 described items of 3x5 words
+    assert (tmp_path / "regions.f32").stat().st_size == 4 * 3 * 2 * 4
+    assert (tmp_path / "words.f32").stat().st_size == 4 * 2 * 3 * 5
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     ds = tiny_dataset()
     save_dataset(ds, tmp_path / "first")
     loaded = load_dataset(tmp_path / "first" / "manifest.json")
     save_dataset(loaded, tmp_path / "second")
-    for blob in sorted((tmp_path / "first" / "features").iterdir()):
-        other = tmp_path / "second" / "features" / blob.name
-        assert blob.read_bytes() == other.read_bytes()
+    for name in DATASET_FILES:
+        assert ((tmp_path / "first" / name).read_bytes()
+                == (tmp_path / "second" / name).read_bytes()), name
 
 
-def test_wrong_blob_length_names_item(tmp_path):
+def test_version_1_manifest_rejected(tmp_path):
+    """Version 1 kept one blob per matrix; it is not read."""
     manifest = save_dataset(tiny_dataset(), tmp_path)
-    blob = tmp_path / "features" / "a.regions.bin"
-    blob.write_bytes(blob.read_bytes()[:-4])
-    with pytest.raises(DatasetError, match="'a'"):
+    meta = json.loads(manifest.read_text())
+    meta["version"] = 1
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match="outfitrec gen"):
         load_dataset(manifest)
+
+
+def test_truncated_regions_file_rejected(tmp_path):
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    regions = tmp_path / "regions.f32"
+    regions.write_bytes(regions.read_bytes()[:-4])
+    with pytest.raises(DatasetError, match="regions.f32"):
+        load_dataset(manifest)
+
+
+def test_signalling_nan_in_regions_rejected_without_warning(tmp_path):
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    regions = tmp_path / "regions.f32"
+    regions.write_bytes(struct.pack("<I", 0x7F800001)
+                        + regions.read_bytes()[4:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError, match="NaN or Inf"):
+            load_dataset(manifest)
 
 
 def test_dangling_outfit_reference_rejected(tmp_path):
@@ -85,21 +119,22 @@ def test_fitb_question_validation(tmp_path):
 
 
 def test_words_blob_without_description_rejected(tmp_path):
+    """words.f32 holds a row for 'a', which the manifest calls undescribed."""
     manifest = save_dataset(tiny_dataset(), tmp_path)
     meta = json.loads(manifest.read_text())
     for entry in meta["items"]:
         if entry["id"] == "a":
             entry["description"] = None
     manifest.write_text(json.dumps(meta))
-    with pytest.raises(DatasetError, match="'a'"):
+    with pytest.raises(DatasetError, match="words.f32"):
         load_dataset(manifest)
 
 
 @pytest.mark.parametrize("drop", [
     lambda meta: meta.pop("dims"),
     lambda meta: meta["types"][0].pop("name"),
-    lambda meta: meta["items"][0].pop("regions"),
-], ids=["dims", "type_name", "item_regions"])
+    lambda meta: meta["items"][0].pop("type"),
+], ids=["dims", "type_name", "item_type"])
 def test_missing_manifest_key_raises_dataset_error(tmp_path, drop):
     manifest = save_dataset(tiny_dataset(), tmp_path)
     meta = json.loads(manifest.read_text())
@@ -134,8 +169,11 @@ FITB_TRUE_ANSWER = {"partial": ["a"], "candidates": ["b", "c", "b", "c"],
     lambda meta: meta["questions"]["fc"][0].update(label=True),
     lambda meta: meta["questions"]["fc"][0].update(label=1.0),
     lambda meta: meta["questions"]["fitb"].append(FITB_TRUE_ANSWER),
+    lambda meta: meta.update(version=float(meta["version"])),
+    lambda meta: meta.update(version=True),
 ], ids=["fractional_dims", "string_dims", "bool_type_id", "shared_type_id",
-        "bool_fc_label", "float_fc_label", "bool_fitb_answer"])
+        "bool_fc_label", "float_fc_label", "bool_fitb_answer", "float_version",
+        "bool_version"])
 def test_manifest_integers_are_strict(tmp_path, edit):
     """Each edit used to load, coerced by int() or passed by `in (0, 1)`."""
     manifest = save_dataset(tiny_dataset(), tmp_path)
@@ -153,17 +191,17 @@ def test_non_object_manifest_raises_dataset_error(tmp_path):
         load_dataset(manifest)
 
 
-def test_deleted_blob_names_item(tmp_path):
+def test_missing_words_file_rejected(tmp_path):
     manifest = save_dataset(tiny_dataset(), tmp_path)
-    (tmp_path / "features" / "b.words.bin").unlink()
-    with pytest.raises(DatasetError, match="'b'"):
+    (tmp_path / "words.f32").unlink()
+    with pytest.raises(DatasetError, match="words.f32"):
         load_dataset(manifest)
 
 
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
     """A loadable manifest (with one FITB question, so every section has an
-    entry) and the directory that holds its blobs."""
+    entry) and the directory that holds its feature files."""
     root = tmp_path_factory.mktemp("manifest_fuzz")
     manifest = save_dataset(tiny_dataset(), root)
     meta = json.loads(manifest.read_text())
@@ -267,6 +305,16 @@ class TestSyntheticGenerator:
         spec = dataclasses.replace(self.SPEC, **{field: value})
         with pytest.raises(SyntheticSpecError, match=field):
             spec.validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_types", 8.5), ("train_outfits", True),
+        ("signal_amplitude", "x"), ("noise_scale", float("nan"))])
+    def test_mistyped_fields_fail_validation(self, field, value):
+        """Each used to raise a raw TypeError or generate without error."""
+        import dataclasses
+        spec = dataclasses.replace(self.SPEC, **{field: value})
+        with pytest.raises(SyntheticSpecError, match=field):
+            generate_synthetic(spec, seed=0)
 
     def test_single_test_outfit_fails_validation(self):
         spec = SyntheticSpec(train_outfits=4, valid_outfits=0,

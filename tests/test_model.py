@@ -101,10 +101,29 @@ def invalid_header(raw):
     return join(b"{not json", split(raw)[1])
 
 
-def header_without_dims(raw):
+def with_header(raw, edit):
+    """`raw` with `edit` applied to its header dict."""
     header, payload = split(raw)
-    del header["dims"]
+    edit(header)
     return join(json.dumps(header).encode(), payload)
+
+
+def header_without_dims(raw):
+    return with_header(raw, lambda header: header.pop("dims"))
+
+
+def version_true(raw):
+    """`True == 1`, so a loose check passes it."""
+    return with_header(raw, lambda header: header.update(version=True))
+
+
+def float_dims(raw):
+    """Stacked fusion never reads mfb_factor, so a loose check loads 2.5."""
+    return with_header(raw, lambda header: header["dims"].update(mfb_factor=2.5))
+
+
+def bool_dims(raw):
+    return with_header(raw, lambda header: header["dims"].update(mfb_factor=True))
 
 
 def trailing_bytes(raw):
@@ -116,9 +135,7 @@ def cut_inside_float(raw):
 
 
 def dims_beyond_memory(raw):
-    header, payload = split(raw)
-    header["dims"]["d_g"] = 10**15
-    return join(json.dumps(header).encode(), payload)
+    return with_header(raw, lambda header: header["dims"].update(d_g=10**15))
 
 
 def omitted_parameter(raw):
@@ -147,7 +164,8 @@ def snan_payload(raw):
 @pytest.mark.parametrize("corrupt", [
     cut_length_prefix, cut_header, invalid_header, header_without_dims,
     trailing_bytes, cut_inside_float, dims_beyond_memory, omitted_parameter,
-    nan_payload, inf_payload, snan_payload],
+    nan_payload, inf_payload, snan_payload, version_true, float_dims,
+    bool_dims],
     ids=lambda f: f.__name__)
 def test_malformed_checkpoint_raises_dataset_error(tmp_path, corrupt):
     path = saved(tmp_path, "stacked")
