@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import sys
@@ -11,11 +12,29 @@ import click
 
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .diagnostics import full_loss_grad_check
-from .errors import UnseenTypePairError
+from .errors import (ConsistencyError, DatasetError, DimensionError,
+                     DomainError, SyntheticSpecError, UnseenTypePairError)
 from .evaluation import evaluate
 from .model import FUSION_KINDS, load_model, save_model
 from .compatibility import pair_score
 from .training import TrainConfig, train_ensemble
+
+
+# the package's own errors: bad input files, specs or shapes, reported
+# as a one-line usage error instead of a traceback
+_PACKAGE_ERRORS = (SyntheticSpecError, DatasetError, DimensionError,
+                   DomainError, ConsistencyError, UnseenTypePairError)
+
+
+def _package_errors_as_usage(command):
+    """Re-raise the package's own errors from `command` as ClickException."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except _PACKAGE_ERRORS as exc:
+            raise click.ClickException(str(exc)) from exc
+    return run
 
 
 @click.group()
@@ -61,6 +80,7 @@ def main(ctx, log_level):
 @click.option("--signal-amplitude", default=3.0, show_default=True, type=float)
 @click.option("--noise-scale", default=1.0, show_default=True, type=float)
 @click.option("--undescribed-frac", default=0.0, show_default=True, type=float)
+@_package_errors_as_usage
 def gen(out, seed, **kwargs):
     """Generate a synthetic planted-signal dataset with FC/FITB questions."""
     spec = SyntheticSpec(**kwargs)
@@ -98,6 +118,7 @@ def _load_config(config_path, overrides) -> TrainConfig:
 @click.option("--seed", type=int, default=None)
 @click.option("--runs", type=int, default=None)
 @click.option("--epochs", type=int, default=None)
+@_package_errors_as_usage
 def train_cmd(data, config, out_dir, **overrides):
     """Train `runs` models and write checkpoints plus a metrics log."""
     cfg = _load_config(config, overrides)
@@ -125,6 +146,7 @@ def train_cmd(data, config, out_dir, **overrides):
 @click.option("--checkpoints", required=True, type=click.Path(exists=True),
               help="checkpoint file or directory of run*.ckpt files")
 @click.option("--report", required=True, type=click.Path())
+@_package_errors_as_usage
 def eval_cmd(data, checkpoints, report):
     """Evaluate checkpoints on the dataset's FC and FITB questions."""
     dataset = load_dataset(data)
@@ -146,6 +168,7 @@ def eval_cmd(data, checkpoints, report):
 @click.option("--checkpoint", required=True, type=click.Path(exists=True))
 @click.option("-a", "item_a", required=True, help="first item id")
 @click.option("-b", "item_b", required=True, help="second item id")
+@_package_errors_as_usage
 def score(data, checkpoint, item_a, item_b):
     """Print the compatibility score of two items."""
     dataset = load_dataset(data)
@@ -156,10 +179,7 @@ def score(data, checkpoint, item_a, item_b):
         if not dataset.items[item_id].described:
             raise click.ClickException(
                 f"item {item_id!r} has no description and cannot be scored")
-    try:
-        value = pair_score(model, dataset.items[item_a], dataset.items[item_b])
-    except UnseenTypePairError as exc:
-        raise click.ClickException(str(exc))
+    value = pair_score(model, dataset.items[item_a], dataset.items[item_b])
     click.echo(f"{value:.6f}")
 
 

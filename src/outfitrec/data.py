@@ -313,6 +313,12 @@ class SyntheticSpec:
             raise SyntheticSpecError("undescribed_frac must be in [0, 1)")
         if self.num_styles < 2:
             raise SyntheticSpecError("need at least 2 style clusters")
+        if self.noise_scale < 0.0:
+            raise SyntheticSpecError(
+                f"noise_scale must be >= 0, got {self.noise_scale}")
+        if self.valid_outfits < 0:
+            raise SyntheticSpecError(
+                f"valid_outfits must be >= 0, got {self.valid_outfits}")
         if self.signal_rows > self.num_regions:
             raise SyntheticSpecError(
                 f"signal_rows {self.signal_rows} > num_regions {self.num_regions}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, matmul, parameter
+from .tensor import Tensor, linear, parameter
 
 
 @dataclass
@@ -44,7 +44,7 @@ def project_regions(regions: Tensor, proj: CommonSpaceProjector) -> Tensor:
         raise DimensionError(
             f"region dim {regions.shape[-1]} does not match projector "
             f"input dim {proj.w_img.shape[1]}")
-    return matmul(regions, proj.w_img.transpose_last())
+    return linear(regions, proj.w_img)
 
 
 def project_words(words: Tensor, proj: CommonSpaceProjector) -> Tensor:
@@ -53,5 +53,5 @@ def project_words(words: Tensor, proj: CommonSpaceProjector) -> Tensor:
         raise DimensionError(
             f"word dim {words.shape[-1]} does not match projector "
             f"input dim {proj.w_txt.shape[1]}")
-    return matmul(words, proj.w_txt.transpose_last())
+    return linear(words, proj.w_txt)
 

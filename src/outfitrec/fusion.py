@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import (Tensor, as_tensor, concat, l2_normalize, matmul,
-                     signed_sqrt, softmax)
+from .tensor import (Tensor, as_tensor, concat, l2_normalize, linear,
+                     matmul, signed_sqrt, softmax)
 from .embedding import uniform_init
 
 
@@ -157,19 +157,18 @@ def fuse_stacked(regions: Tensor, text: Tensor,
     b, n, _ = x.shape
     query = t
     for hop in params.hops:
-        proj_x = matmul(x, hop.w_v.transpose_last())          # (B, N, h)
-        proj_q = (matmul(query, hop.w_t.transpose_last())
-                  + hop.b_s.transpose_last())                 # (B, h)
+        proj_x = linear(x, hop.w_v)                           # (B, N, h)
+        proj_q = linear(query, hop.w_t) + hop.b_s.reshape(1, -1)  # (B, h)
         hidden = (proj_x + proj_q.reshape(b, 1, -1)).tanh()   # (B, N, h)
-        scores = matmul(hidden, hop.w_p.transpose_last()).reshape(b, n)
+        scores = linear(hidden, hop.w_p).reshape(b, n)
         query = query + _attend(scores, x, weights_out)
     return _squeeze_batch(concat([query, t], axis=-1), sq)
 
 
 def conv_attention_scores(rows: Tensor, params: ConvAttentionParams) -> Tensor:
     """Kernel-1 conv stack with ReLU between: per-row scores (B, K)."""
-    hidden = (matmul(rows, params.w1.transpose_last()) + params.b1).relu()
-    scores = matmul(hidden, params.w2.transpose_last()) + params.b2
+    hidden = (linear(rows, params.w1) + params.b1).relu()
+    scores = linear(hidden, params.w2) + params.b2
     return scores.reshape(scores.shape[:-1])
 
 
@@ -195,8 +194,8 @@ def mfb(x: Tensor, y: Tensor, u: Tensor, v: Tensor, p: int) -> Tensor:
         raise DimensionError(
             f"expand maps disagree or are not divisible by p={p}: "
             f"{u.shape} vs {v.shape}")
-    ex = matmul(as_tensor(x), u.transpose_last())
-    ey = matmul(as_tensor(y), v.transpose_last())
+    ex = linear(x, u)
+    ey = linear(y, v)
     z = ex * ey
     k = u.shape[0] // p
     pooled = z.reshape(z.shape[:-1] + (k, p)).sum(axis=-1)
@@ -221,7 +220,6 @@ def fuse_coattention(regions: Tensor, words: Tensor,
     for conv in params.visual_attn:
         hop_ctx.append(_attend(conv_attention_scores(merged, conv), merged,
                                weights_out))                      # (B, 2*d_g)
-    visual_ctx = matmul(concat(hop_ctx, axis=-1),
-                        params.w_f.transpose_last())              # (B, 2*d_g)
+    visual_ctx = linear(concat(hop_ctx, axis=-1), params.w_f)     # (B, 2*d_g)
     out = mfb(visual_ctx, text_ctx, params.u_final, params.v_final, params.p)
     return _squeeze_batch(out, sq)

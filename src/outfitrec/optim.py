@@ -11,16 +11,30 @@ from .errors import ConsistencyError
 from .tensor import Tensor, no_grad
 
 
+# Elements per Adam block: six f64 block arrays (weight, gradient, m, v and
+# two scratch buffers) fit in a 2 MB L2 cache.
+ADAM_BLOCK = 32768
+
+
 class Adam:
     """Standard Adam with bias correction, operating on parameter tensors.
 
     Update: m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
     p <- p - lr * m_hat / (sqrt(v_hat) + eps).
+
+    A parameter larger than `ADAM_BLOCK` (read when the optimizer is built)
+    is updated in flat blocks of that many elements, through views of its
+    C-ordered buffer; the values are those of one whole-array pass.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 5e-5,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = list(params)
+        for i, p in enumerate(self.params):
+            if not p.data.flags.c_contiguous:
+                raise ConsistencyError(
+                    f"parameter {p.name or i} is not C-ordered; Adam updates "
+                    "it through flat views of its buffer")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -28,8 +42,10 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # two flat scratch buffers, viewed at each parameter's shape
-        size = max((p.data.size for p in self.params), default=0)
+        # two flat scratch buffers of one block, viewed at each block's shape
+        self._block = ADAM_BLOCK
+        size = min(max((p.data.size for p in self.params), default=0),
+                   self._block)
         self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, strict: bool = True) -> None:
@@ -38,28 +54,44 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        block = self._block
         for i, p in enumerate(self.params):
-            if p.grad is None:
+            g = p.grad
+            if g is None:
                 if strict:
                     raise ConsistencyError(
                         f"parameter {p.name or i} has no gradient; "
                         "run backward() first")
                 continue
-            g, m, v = p.grad, self.m[i], self.v[i]
-            s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
-            m *= self.beta1                      # m <- b1*m + (1-b1)*g
-            m += np.multiply(1.0 - self.beta1, g, out=s1)
-            np.multiply(g, g, out=s1)            # v <- b2*v + (1-b2)*g^2
-            s1 *= 1.0 - self.beta2
-            v *= self.beta2
-            v += s1
-            np.divide(m, bc1, out=s1)            # lr * m_hat
-            s1 *= self.lr
-            np.divide(v, bc2, out=s2)            # sqrt(v_hat) + eps
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
-            s1 /= s2
-            p.data -= s1
+            if g.size <= block:   # one block, at the parameter's own shape
+                self._update(p.data, g, self.m[i], self.v[i], bc1, bc2)
+                continue
+            if not p.data.flags.c_contiguous:
+                raise ConsistencyError(
+                    f"parameter {p.name or i} is no longer C-ordered")
+            w, g = p.data.reshape(-1), g.reshape(-1)
+            m, v = self.m[i].reshape(-1), self.v[i].reshape(-1)
+            for lo in range(0, g.size, block):
+                hi = lo + block
+                self._update(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bc1, bc2)
+
+    def _update(self, w: np.ndarray, g: np.ndarray, m: np.ndarray,
+                v: np.ndarray, bc1: float, bc2: float) -> None:
+        """The Adam update of one block, in place in `w`, `m` and `v`."""
+        s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+        m *= self.beta1                      # m <- b1*m + (1-b1)*g
+        m += np.multiply(1.0 - self.beta1, g, out=s1)
+        np.multiply(g, g, out=s1)            # v <- b2*v + (1-b2)*g^2
+        s1 *= 1.0 - self.beta2
+        v *= self.beta2
+        v += s1
+        np.divide(m, bc1, out=s1)            # lr * m_hat
+        s1 *= self.lr
+        np.divide(v, bc2, out=s2)            # sqrt(v_hat) + eps
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        w -= s1
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -295,8 +295,10 @@ def as_tensor(value) -> Tensor:
 
 
 def parameter(data, name: str | None = None) -> Tensor:
-    """A leaf tensor that accumulates gradients."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
+    """A leaf tensor that accumulates gradients, in its own C-ordered
+    buffer (so `Adam` can update it through flat views)."""
+    return Tensor(np.array(data, dtype=np.float64, order="C"),
+                  requires_grad=True, name=name)
 
 
 def named_parameters(tree) -> list[tuple[str, Tensor]]:
@@ -324,19 +326,39 @@ def _fold(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of the 2-D `w` in `x @ w`: `x`'s batch axes, if any, fold
-    into the rows of one GEMM, x^T g over all of them."""
-    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """`x @ w^T` for a (d_out, d_in) weight `w`, with `x`'s batch axes folded
+    into the rows of one GEMM for the product and for both gradients.
+
+    `w`'s gradient, `g^T x` over all rows, is one GEMM written straight into
+    `w`'s own layout, so the leaf adopts it without a copy.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 1 or w.ndim != 2:
+        raise DimensionError(
+            f"linear needs an ndim >= 1 input and a 2-D weight, "
+            f"got {x.shape} and {w.shape}")
+    d_out, d_in = w.shape
+    if x.shape[-1] != d_in:
+        raise DimensionError(
+            f"linear input dim {x.shape[-1]} does not match weight {w.shape}")
+    data = _fold(x.data, w.data.T)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(_fold(g, w.data))
+        if w.requires_grad:
+            w._accumulate(g.reshape(-1, d_out).T @ x.data.reshape(-1, d_in))
+
+    return Tensor._result(data, (x, w), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes, broadcasting leading axes.
 
-    A 2-D right operand (a weight) folds `a`'s batch axes into the rows of
-    one GEMM, for the product and for both gradients. A right operand with
-    batch axes is multiplied per sample, and each gradient is summed back
-    over the axes its operand was broadcast along.
+    A 2-D right operand (a weight) is `linear(a, b^T)`. A right operand
+    with batch axes is multiplied per sample, and each gradient is summed
+    back over the axes its operand was broadcast along.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -345,22 +367,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    folded = b.ndim == 2
-    data = _fold(a.data, b.data) if folded else np.matmul(a.data, b.data)
+    if b.ndim == 2:
+        return linear(a, b.transpose_last())
+    data = np.matmul(a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
-            if folded:
-                ga = _fold(g, b.data.T)
-            else:
-                ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-            a._accumulate(ga)
+            a._accumulate(
+                _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
         if b.requires_grad:
-            if folded:
-                gb = _weight_grad(a.data, g)
-            else:
-                gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
-            b._accumulate(gb)
+            b._accumulate(
+                _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
 
     return Tensor._result(data, (a, b), backward)
 

@@ -72,6 +72,12 @@ class TestGen:
                                       "--num-styles", "1", *GEN_ARGS[2:]])
         assert result.exit_code != 0
 
+    def test_invalid_spec_is_a_usage_error(self, tmp_path, runner):
+        # the last --num-styles wins
+        result = runner.invoke(main, ["gen", "--out", str(tmp_path / "x"),
+                                      *GEN_ARGS, "--num-styles", "1"])
+        assert_usage_error(result, "need at least 2 style clusters")
+
 
 class TestTrain:
     def test_writes_config_checkpoints_and_metrics(self, run_dir):
@@ -139,6 +145,14 @@ class TestTrain:
         assert str(cfg_path) in result.output
 
 
+    def test_malformed_manifest_is_a_usage_error(self, tmp_path, runner):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("{}")
+        result = runner.invoke(main, ["train", "--data", str(manifest),
+                                      "--out-dir", str(tmp_path / "x")])
+        assert_usage_error(result, "manifest")
+
+
 class TestEval:
     def test_report_is_written_and_parseable(self, tmp_path, runner,
                                              data_dir, run_dir):
@@ -162,6 +176,17 @@ class TestEval:
                                       "--checkpoints", str(empty),
                                       "--report", str(tmp_path / "r.json")])
         assert result.exit_code != 0
+
+
+    def test_malformed_checkpoint_is_a_usage_error(self, tmp_path, runner,
+                                                   data_dir):
+        bad = tmp_path / "run0.ckpt"
+        bad.write_bytes(b"not a checkpoint")
+        result = runner.invoke(main, ["eval", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoints", str(bad),
+                                      "--report", str(tmp_path / "r.json")])
+        assert_usage_error(result, str(bad))
 
 
 class TestScore:
@@ -188,6 +213,25 @@ class TestScore:
                                       "-a", "nope", "-b", "nope2"])
         assert result.exit_code != 0
         assert "unknown item id" in result.output
+
+
+    def test_truncated_feature_file_is_a_usage_error(self, runner, data_dir,
+                                                     run_dir):
+        regions = data_dir / "regions.f32"
+        regions.write_bytes(regions.read_bytes()[:-4])
+        result = runner.invoke(main, ["score", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoint",
+                                      str(run_dir / "run0.ckpt"),
+                                      "-a", "x", "-b", "y"])
+        assert_usage_error(result, "regions.f32")
+
+
+def assert_usage_error(result, message):
+    """A package error reached the user as one line, not a traceback."""
+    assert result.exit_code != 0
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Error:" in result.output and message in result.output
 
 
 class TestGradcheckCommand:

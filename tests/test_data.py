@@ -298,7 +298,8 @@ class TestSyntheticGenerator:
 
     @pytest.mark.parametrize("field, value", [
         ("outfit_size", 1), ("undescribed_frac", -0.1),
-        ("undescribed_frac", 1.0), ("undescribed_frac", 1.5)])
+        ("undescribed_frac", 1.0), ("undescribed_frac", 1.5),
+        ("noise_scale", -1.0), ("valid_outfits", -1)])
     def test_out_of_range_fields_fail_validation(self, field, value):
         import dataclasses
         # validate() directly: generating a one-item-outfit spec would hang

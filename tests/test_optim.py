@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from outfitrec import optim
 from outfitrec.errors import ConsistencyError
 from outfitrec.optim import Adam, grad_check
-from outfitrec.tensor import parameter
+from outfitrec.tensor import Tensor, parameter
 
 
 def test_zero_gradient_leaves_parameters_unchanged():
@@ -41,8 +42,42 @@ def test_identical_parameters_stay_identical():
 
 def test_steps_match_textbook_update():
     rng = np.random.default_rng(3)
+    assert_textbook_update(rng, [parameter(rng.normal(size=(3, 4))),
+                                 parameter(rng.normal(size=5))])
+
+
+def test_blocked_steps_match_textbook_update(monkeypatch):
+    """Parameters of several blocks plus a remainder, one exact block, and
+    one smaller than a block; a transposed array becomes a C-ordered leaf."""
+    monkeypatch.setattr(optim, "ADAM_BLOCK", 4)
+    rng = np.random.default_rng(4)
+    assert_textbook_update(rng, [
+        parameter(rng.normal(size=(3, 5))), parameter(rng.normal(size=4)),
+        parameter(rng.normal(size=(2, 7)).T), parameter(rng.normal(size=3)),
+        parameter(rng.normal(size=(2, 3, 3)))])
+
+
+def test_non_contiguous_parameter_rejected(monkeypatch):
+    """A reshape copy of a strided buffer would drop its update, so Adam
+    refuses one when it is built or, for a multi-block parameter, when it
+    steps."""
+    p = Tensor(np.zeros((3, 4)).T, requires_grad=True, name="w_t")
+    with pytest.raises(ConsistencyError, match="w_t"):
+        Adam([p])
+    monkeypatch.setattr(optim, "ADAM_BLOCK", 4)
+    q = parameter(np.zeros((3, 4)), name="w")
+    opt = Adam([q])
+    q.data = np.asfortranarray(q.data)
+    q.grad = np.ones((3, 4))
+    with pytest.raises(ConsistencyError, match="w"):
+        opt.step()
+
+
+def assert_textbook_update(rng, params):
+    """Five Adam steps on `params` equal the textbook update bit for bit,
+    in place in each parameter's own array."""
     lr, b1, b2, eps = 0.3, 0.9, 0.999, 1e-8
-    params = [parameter(rng.normal(size=(3, 4))), parameter(rng.normal(size=5))]
+    buffers = [p.data for p in params]
     ref = [p.data.copy() for p in params]
     m = [np.zeros_like(r) for r in ref]
     v = [np.zeros_like(r) for r in ref]
@@ -57,8 +92,9 @@ def test_steps_match_textbook_update():
             v_hat = v[i] / (1 - b2 ** t)
             ref[i] = ref[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
         opt.step()
-    for p, r in zip(params, ref):
+    for p, r, buf in zip(params, ref, buffers):
         np.testing.assert_array_equal(p.data, r)
+        assert p.data is buf
 
 
 def test_missing_gradient_raises_in_strict_mode():
@@ -88,7 +124,6 @@ def test_grad_check_quadratic():
 
 
 def test_grad_check_constant_loss_reports_zero_gradients():
-    from outfitrec.tensor import Tensor
     p = parameter([1.0, 2.0])
     report = grad_check(lambda: Tensor([0.0]).sum() + p.sum() * 0.0,
                         [("p", p)], h_scale=1e-3)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from outfitrec.compatibility import LossWeights, training_loss
 from outfitrec.errors import DimensionError, DomainError
+from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
-from outfitrec.tensor import (Tensor, concat, cosine_similarity, matmul,
-                              parameter, pool_rows, signed_sqrt, softmax,
-                              take_rows)
+from outfitrec.tensor import (Tensor, concat, cosine_similarity, linear,
+                              matmul, parameter, pool_rows, signed_sqrt,
+                              softmax, take_rows)
 
 
 def naive_matmul(a, b):
@@ -233,6 +235,56 @@ class TestGradients:
         for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
             assert got.shape == ref.shape and got.flags.c_contiguous
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)],
+                             ids=["2d", "batched"])
+    def test_matches_matmul_on_transposed_weight(self, x_shape):
+        rng = np.random.default_rng(9)
+        x = parameter(rng.normal(size=x_shape))
+        w = parameter(rng.normal(size=(5, 4)))
+        c = rng.normal(size=x_shape[:-1] + (5,))
+        report = grad_check(lambda: (linear(x, w) * c).sum(),
+                            [("x", x), ("w", w)], h_scale=1e-3, rel_tol=1e-4)
+        assert report.passed, str(report)
+
+        results = []
+        for product in (lambda: linear(x, w),
+                        lambda: matmul(x, w.transpose_last())):
+            x.zero_grad()
+            w.zero_grad()
+            out = product()
+            (out * c).sum().backward()
+            results.append((out.data, x.grad, w.grad))
+        for got, ref in zip(*results):
+            np.testing.assert_array_equal(got, ref)
+        # the weight gradient is one GEMM in the weight's own layout, adopted
+        # by the leaf without a copy
+        assert results[0][2].flags.c_contiguous
+        assert results[0][2].base is None
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="linear"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+        with pytest.raises(DimensionError, match="linear"):
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 2, 3))))
+
+    @pytest.mark.parametrize("fusion", FUSION_KINDS)
+    def test_training_graph_has_no_weight_transposes(self, fusion):
+        """Every learned map is `linear(x, W)`; a `transpose_last` node in
+        the training graph would copy its weight's gradient into C order."""
+        dims = ModelDims(d_g=6, d_c=5, h=4, hops=2, mfb_factor=2,
+                         region_dim=3, word_dim=4)
+        model = init_model(fusion, dims, {("tops", "shoes")}, seed=0)
+        rng = np.random.default_rng(10)
+        groups = {("shoes", "tops"): np.array([[0, 1], [1, 2], [2, 0]])}
+        loss = training_loss(model, rng.normal(size=(3, 2, 3)),
+                             rng.normal(size=(3, 3, 4)), groups,
+                             LossWeights())
+        transposes = [n for n in graph_nodes(loss) if n._backward is not None
+                      and "transpose_last" in n._backward.__qualname__]
+        assert transposes == []
 
 
 def per_sample_grads(a, b, g):
