@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import logging
@@ -37,6 +38,16 @@ def _package_errors_as_usage(command):
     return run
 
 
+def _spec_options(command):
+    """One `--name-with-dashes` option per SyntheticSpec field, in field
+    order, with the field's default and the type of that default."""
+    for f in reversed(dataclasses.fields(SyntheticSpec)):
+        command = click.option(f"--{f.name.replace('_', '-')}",
+                               default=f.default, show_default=True,
+                               type=type(f.default))(command)
+    return command
+
+
 @click.group()
 @click.option("--log-level", default="WARNING", show_default=True,
               type=click.Choice(["DEBUG", "INFO", "WARNING", "ERROR"],
@@ -65,21 +76,7 @@ def main(ctx, log_level):
 @main.command()
 @click.option("--out", required=True, type=click.Path(), help="output directory")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--num-types", default=8, show_default=True, type=int)
-@click.option("--num-styles", default=6, show_default=True, type=int)
-@click.option("--train-outfits", default=500, show_default=True, type=int)
-@click.option("--valid-outfits", default=100, show_default=True, type=int)
-@click.option("--fc-questions", default=2000, show_default=True, type=int)
-@click.option("--fitb-questions", default=1000, show_default=True, type=int)
-@click.option("--outfit-size", default=4, show_default=True, type=int)
-@click.option("--num-regions", default=8, show_default=True, type=int)
-@click.option("--num-words", default=6, show_default=True, type=int)
-@click.option("--region-dim", default=16, show_default=True, type=int)
-@click.option("--word-dim", default=16, show_default=True, type=int)
-@click.option("--signal-rows", default=2, show_default=True, type=int)
-@click.option("--signal-amplitude", default=3.0, show_default=True, type=float)
-@click.option("--noise-scale", default=1.0, show_default=True, type=float)
-@click.option("--undescribed-frac", default=0.0, show_default=True, type=float)
+@_spec_options
 @_package_errors_as_usage
 def gen(out, seed, **kwargs):
     """Generate a synthetic planted-signal dataset with FC/FITB questions."""

@@ -12,13 +12,16 @@ Three mechanisms, each turning an item's common-space region matrix
   R hops of conv attention over the merged rows; hop contexts fused and
   merged with the text context by a final MFB.
 
-All functions accept a leading batch axis: X is (B, N, d_g) or (N, d_g),
-t is (B, d_g) or (d_g,), Y is (B, M, d_g) or (M, d_g).
+Every function works over any leading axes, so one item and a batch of
+items take the same path: the region rows X are (..., N, d_g), the text
+vector t is (..., d_g) and the word rows Y are (..., M, d_g), with the
+same leading axes. The output, and each attention-weight array appended
+to `weights_out`, keeps those leading axes: (..., 2*d_g) and (..., K).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,35 +104,32 @@ def init_coattention_params(rng: np.random.Generator | None, d_g: int,
         p=p)
 
 
-# -- shape plumbing ----------------------------------------------------------
+# -- shape checks and attention ---------------------------------------------
 
 
-def _batched(x: Tensor, ndim: int) -> tuple[Tensor, bool]:
+def _check_rows(x: Tensor, what: str) -> Tensor:
+    """`x` as a tensor of (..., K, d) rows; fewer than 2 axes raise
+    DimensionError and K == 0 raises DomainError."""
     x = as_tensor(x)
-    if x.ndim == ndim:
-        return x, False
-    if x.ndim == ndim - 1:
-        return x.reshape((1,) + x.shape), True
-    raise DimensionError(f"expected ndim {ndim} or {ndim - 1}, got shape {x.shape}")
-
-
-def _squeeze_batch(x: Tensor, squeeze: bool) -> Tensor:
-    return x.reshape(x.shape[1:]) if squeeze else x
-
-
-def _check_rows(x: Tensor, what: str) -> None:
+    if x.ndim < 2:
+        raise DimensionError(f"{what} expects (..., K, d) rows, got shape {x.shape}")
     if x.shape[-2] == 0:
         raise DomainError(f"{what} requires at least one row")
+    return x
+
+
+def _row(v: Tensor) -> Tensor:
+    """A (..., d) vector as a one-row (..., 1, d) matrix."""
+    return v.reshape(v.shape[:-1] + (1, v.shape[-1]))
 
 
 def _attend(scores: Tensor, rows: Tensor, weights_out: list | None) -> Tensor:
-    """Softmax of the (B, K) scores, appended to `weights_out` when given,
-    and the attention-weighted sum of the (B, K, d) rows: (B, d)."""
+    """Softmax of the (..., K) scores, appended to `weights_out` when given,
+    and the attention-weighted sum of the (..., K, d) rows: (..., d)."""
     alpha = softmax(scores, axis=-1)
     if weights_out is not None:
         weights_out.append(alpha.data.copy())
-    b, k = alpha.shape
-    return matmul(alpha.reshape(b, 1, k), rows).reshape(b, rows.shape[-1])
+    return matmul(_row(alpha), rows).reshape(rows.shape[:-2] + rows.shape[-1:])
 
 
 # -- fusers -------------------------------------------------------------------
@@ -138,35 +138,31 @@ def _attend(scores: Tensor, rows: Tensor, weights_out: list | None) -> Tensor:
 def fuse_dot_product(regions: Tensor, text: Tensor,
                      weights_out: list | None = None) -> Tensor:
     """Parameter-free visual attention from tanh'd dot products."""
-    x, sq = _batched(regions, 3)
-    t, _ = _batched(text, 2)
-    _check_rows(x, "dot-product attention")
-    b, _, d_g = x.shape
-    scores = (x.tanh() * t.tanh().reshape(b, 1, d_g)).sum(axis=-1)  # (B, N)
+    x = _check_rows(regions, "dot-product attention")
+    t = as_tensor(text)
+    scores = (x.tanh() * _row(t.tanh())).sum(axis=-1)        # (..., N)
     ctx = _attend(scores, x, weights_out)
-    return _squeeze_batch(concat([ctx, t], axis=-1), sq)
+    return concat([ctx, t], axis=-1)
 
 
 def fuse_stacked(regions: Tensor, text: Tensor,
                  params: StackedAttentionParams,
                  weights_out: list | None = None) -> Tensor:
     """R hops of additive attention with an accumulating query vector."""
-    x, sq = _batched(regions, 3)
-    t, _ = _batched(text, 2)
-    _check_rows(x, "stacked attention")
-    b, n, _ = x.shape
+    x = _check_rows(regions, "stacked attention")
+    t = as_tensor(text)
     query = t
     for hop in params.hops:
-        proj_x = linear(x, hop.w_v)                           # (B, N, h)
-        proj_q = linear(query, hop.w_t) + hop.b_s.reshape(1, -1)  # (B, h)
-        hidden = (proj_x + proj_q.reshape(b, 1, -1)).tanh()   # (B, N, h)
-        scores = linear(hidden, hop.w_p).reshape(b, n)
+        proj_x = linear(x, hop.w_v)                           # (..., N, h)
+        proj_q = linear(query, hop.w_t) + hop.b_s.reshape(-1)  # (..., h)
+        hidden = (proj_x + _row(proj_q)).tanh()               # (..., N, h)
+        scores = linear(hidden, hop.w_p).reshape(hidden.shape[:-1])
         query = query + _attend(scores, x, weights_out)
-    return _squeeze_batch(concat([query, t], axis=-1), sq)
+    return concat([query, t], axis=-1)
 
 
 def conv_attention_scores(rows: Tensor, params: ConvAttentionParams) -> Tensor:
-    """Kernel-1 conv stack with ReLU between: per-row scores (B, K)."""
+    """Kernel-1 conv stack with ReLU between: per-row scores (..., K)."""
     hidden = (linear(rows, params.w1) + params.b1).relu()
     scores = linear(hidden, params.w2) + params.b2
     return scores.reshape(scores.shape[:-1])
@@ -175,10 +171,8 @@ def conv_attention_scores(rows: Tensor, params: ConvAttentionParams) -> Tensor:
 def attend_text(words: Tensor, params: ConvAttentionParams,
                 weights_out: list | None = None) -> Tensor:
     """Text context vector attended independently of the image."""
-    y, sq = _batched(words, 3)
-    _check_rows(y, "text attention")
-    ctx = _attend(conv_attention_scores(y, params), y, weights_out)
-    return _squeeze_batch(ctx, sq)
+    y = _check_rows(words, "text attention")
+    return _attend(conv_attention_scores(y, params), y, weights_out)
 
 
 def mfb(x: Tensor, y: Tensor, u: Tensor, v: Tensor, p: int) -> Tensor:
@@ -206,20 +200,16 @@ def fuse_coattention(regions: Tensor, words: Tensor,
                      params: CoAttentionParams,
                      weights_out: list | None = None) -> Tensor:
     """Co-attention over words and MFB-merged region rows."""
-    x, sq = _batched(regions, 3)
-    y, _ = _batched(words, 3)
-    _check_rows(x, "co-attention (regions)")
-    _check_rows(y, "co-attention (words)")
-    b, n, d_g = x.shape
+    x = _check_rows(regions, "co-attention (regions)")
+    y = _check_rows(words, "co-attention (words)")
 
-    text_ctx = attend_text(y, params.text_attn, weights_out)      # (B, d_g)
-    merged = mfb(x, text_ctx.reshape(b, 1, d_g),
-                 params.u_merge, params.v_merge, params.p)        # (B, N, 2*d_g)
+    text_ctx = attend_text(y, params.text_attn, weights_out)      # (..., d_g)
+    merged = mfb(x, _row(text_ctx),
+                 params.u_merge, params.v_merge, params.p)        # (..., N, 2*d_g)
 
     hop_ctx = []
     for conv in params.visual_attn:
         hop_ctx.append(_attend(conv_attention_scores(merged, conv), merged,
-                               weights_out))                      # (B, 2*d_g)
-    visual_ctx = linear(concat(hop_ctx, axis=-1), params.w_f)     # (B, 2*d_g)
-    out = mfb(visual_ctx, text_ctx, params.u_final, params.v_final, params.p)
-    return _squeeze_batch(out, sq)
+                               weights_out))                      # (..., 2*d_g)
+    visual_ctx = linear(concat(hop_ctx, axis=-1), params.w_f)     # (..., 2*d_g)
+    return mfb(visual_ctx, text_ctx, params.u_final, params.v_final, params.p)

@@ -56,8 +56,7 @@ class OutfitModel:
     fusion: str
     dims: ModelDims
     projector: CommonSpaceProjector
-    stacked: StackedAttentionParams | None
-    coattention: CoAttentionParams | None
+    fuser: StackedAttentionParams | CoAttentionParams | None
     spaces: dict[tuple[str, str], Tensor]   # canonical type pair -> (d_c, rep_dim)
 
     @property
@@ -93,18 +92,18 @@ def _build_model(fusion: str, dims: ModelDims,
     if fusion not in FUSION_KINDS:
         raise ValueError(f"unknown fusion kind {fusion!r}; expected {FUSION_KINDS}")
     projector = init_projector(rng, dims.d_g, dims.region_dim, dims.word_dim)
-    stacked = coatt = None
+    fuser = None
     if fusion == "stacked":
-        stacked = init_stacked_params(rng, dims.d_g, dims.h, dims.hops)
+        fuser = init_stacked_params(rng, dims.d_g, dims.h, dims.hops)
     elif fusion == "coattention":
-        coatt = init_coattention_params(rng, dims.d_g, dims.hops, dims.mfb_factor)
+        fuser = init_coattention_params(rng, dims.d_g, dims.hops, dims.mfb_factor)
     rep_dim = dims.d_g if fusion == "baseline" else 2 * dims.d_g
     spaces = {}
     for (u, v) in sorted(canonical_pair(*pr) for pr in type_pairs):
         spaces[(u, v)] = uniform_init(rng, (dims.d_c, rep_dim), rep_dim,
                                       f"space.{u}|{v}")
     return OutfitModel(fusion=fusion, dims=dims, projector=projector,
-                       stacked=stacked, coattention=coatt, spaces=spaces)
+                       fuser=fuser, spaces=spaces)
 
 
 # -- representations ---------------------------------------------------------
@@ -126,9 +125,9 @@ def item_features(model: OutfitModel, regions, words,
     elif model.fusion == "dot_product":
         fused = fuse_dot_product(x_rows, t_pooled, weights_out)
     elif model.fusion == "stacked":
-        fused = fuse_stacked(x_rows, t_pooled, model.stacked, weights_out)
+        fused = fuse_stacked(x_rows, t_pooled, model.fuser, weights_out)
     else:
-        fused = fuse_coattention(x_rows, y_rows, model.coattention, weights_out)
+        fused = fuse_coattention(x_rows, y_rows, model.fuser, weights_out)
     return fused, x_pooled, t_pooled
 
 

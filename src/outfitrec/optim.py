@@ -22,9 +22,9 @@ class Adam:
     Update: m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
     p <- p - lr * m_hat / (sqrt(v_hat) + eps).
 
-    A parameter larger than `ADAM_BLOCK` (read when the optimizer is built)
-    is updated in flat blocks of that many elements, through views of its
-    C-ordered buffer; the values are those of one whole-array pass.
+    Every parameter is updated in flat blocks of `ADAM_BLOCK` elements
+    (read when the optimizer is built), through views of its C-ordered
+    buffer; the values are those of one whole-array pass.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 5e-5,
@@ -42,7 +42,7 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
-        # two flat scratch buffers of one block, viewed at each block's shape
+        # two flat scratch buffers of one block
         self._block = ADAM_BLOCK
         size = min(max((p.data.size for p in self.params), default=0),
                    self._block)
@@ -63,9 +63,6 @@ class Adam:
                         f"parameter {p.name or i} has no gradient; "
                         "run backward() first")
                 continue
-            if g.size <= block:   # one block, at the parameter's own shape
-                self._update(p.data, g, self.m[i], self.v[i], bc1, bc2)
-                continue
             if not p.data.flags.c_contiguous:
                 raise ConsistencyError(
                     f"parameter {p.name or i} is no longer C-ordered")
@@ -78,7 +75,7 @@ class Adam:
     def _update(self, w: np.ndarray, g: np.ndarray, m: np.ndarray,
                 v: np.ndarray, bc1: float, bc2: float) -> None:
         """The Adam update of one block, in place in `w`, `m` and `v`."""
-        s1, s2 = (buf[:g.size].reshape(g.shape) for buf in self._scratch)
+        s1, s2 = (buf[:g.size] for buf in self._scratch)
         m *= self.beta1                      # m <- b1*m + (1-b1)*g
         m += np.multiply(1.0 - self.beta1, g, out=s1)
         np.multiply(g, g, out=s1)            # v <- b2*v + (1-b2)*g^2

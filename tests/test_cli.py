@@ -67,16 +67,18 @@ class TestGen:
             pb = tmp_path / "b" / pa.relative_to(tmp_path / "a")
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_invalid_spec_fails(self, tmp_path, runner):
-        result = runner.invoke(main, ["gen", "--out", str(tmp_path / "x"),
-                                      "--num-styles", "1", *GEN_ARGS[2:]])
-        assert result.exit_code != 0
-
-    def test_invalid_spec_is_a_usage_error(self, tmp_path, runner):
+    @pytest.mark.parametrize("args, message", [
         # the last --num-styles wins
+        ([*GEN_ARGS, "--num-styles", "1"], "need at least 2 style clusters"),
+        # eight types leave too few test items to draw FITB distractors from
+        ([*GEN_ARGS, "--num-types", "8"],
+         "too few same-type cross-style items"),
+    ], ids=["num_styles", "fitb_distractors"])
+    def test_invalid_spec_is_a_usage_error(self, tmp_path, runner, args,
+                                           message):
         result = runner.invoke(main, ["gen", "--out", str(tmp_path / "x"),
-                                      *GEN_ARGS, "--num-styles", "1"])
-        assert_usage_error(result, "need at least 2 style clusters")
+                                      *args])
+        assert_usage_error(result, message)
 
 
 class TestTrain:

@@ -59,8 +59,7 @@ def test_blocked_steps_match_textbook_update(monkeypatch):
 
 def test_non_contiguous_parameter_rejected(monkeypatch):
     """A reshape copy of a strided buffer would drop its update, so Adam
-    refuses one when it is built or, for a multi-block parameter, when it
-    steps."""
+    refuses one when it is built or when it steps."""
     p = Tensor(np.zeros((3, 4)).T, requires_grad=True, name="w_t")
     with pytest.raises(ConsistencyError, match="w_t"):
         Adam([p])
