@@ -16,7 +16,7 @@ import numpy as np
 from .data import Dataset, canonical_pair
 from .errors import DimensionError, DomainError
 from .model import OutfitModel, item_features
-from .tensor import Tensor, cosines, grouped_projection, take_rows
+from .tensor import Tensor, cosines, grouped_projection, no_grad, take_rows
 
 
 @dataclass
@@ -144,12 +144,24 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
 # -- scoring -----------------------------------------------------------------
 
 
+def _space_cosines(space: np.ndarray, reps: np.ndarray, left, right
+                   ) -> np.ndarray:
+    """Cosines of the `left[k]` and `right[k]` rows of `reps` (n, rep_dim)
+    in the (d_c, rep_dim) type-pair `space`: one GEMM projects every row,
+    and each pair is the dot of two unit rows."""
+    proj = reps @ space.T
+    norms = np.linalg.norm(proj, axis=1, keepdims=True)
+    if not norms.all():
+        raise DomainError("compatibility projection collapsed to zero vector")
+    unit = proj / norms
+    return (unit[left] * unit[right]).sum(axis=1)
+
+
 def pair_scores(model: OutfitModel, dataset: Dataset,
                 reps: dict[str, np.ndarray],
                 pairs: list[tuple[str, str]]) -> np.ndarray:
     """`score_from_reps` for a list of item-id pairs, NaN where a pair has
-    no trained space. Each type pair projects its distinct items once, with
-    one matrix product, and scores its pairs as dots of unit rows."""
+    no trained space. Each type pair projects its distinct items once."""
     scores = np.full(len(pairs), np.nan)
     groups: dict[tuple[str, str], list[int]] = {}
     for k, (a, b) in enumerate(pairs):
@@ -160,37 +172,36 @@ def pair_scores(model: OutfitModel, dataset: Dataset,
             continue
         ids = list(dict.fromkeys(i for k in ks for i in pairs[k]))
         row = {item: r for r, item in enumerate(ids)}
-        proj = np.stack([reps[i] for i in ids]) @ model.spaces[key].data.T
-        norms = np.linalg.norm(proj, axis=1, keepdims=True)
-        if not norms.all():
-            raise DomainError("compatibility projection collapsed to zero vector")
-        unit = proj / norms
-        left = unit[[row[pairs[k][0]] for k in ks]]
-        right = unit[[row[pairs[k][1]] for k in ks]]
-        scores[ks] = (left * right).sum(axis=1)
+        scores[ks] = _space_cosines(
+            model.spaces[key].data, np.stack([reps[i] for i in ids]),
+            [row[pairs[k][0]] for k in ks], [row[pairs[k][1]] for k in ks])
     return scores
 
 
 def score_from_reps(model: OutfitModel, type_a: str, rep_a: np.ndarray,
                     type_b: str, rep_b: np.ndarray) -> float:
     """Cosine similarity of two fused reps in their type-pair space."""
-    space = model.space(type_a, type_b).data
-    pa = space @ rep_a
-    pb = space @ rep_b
-    na, nb = np.linalg.norm(pa), np.linalg.norm(pb)
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("compatibility projection collapsed to zero vector")
-    return float(pa @ pb / (na * nb))
+    return float(_space_cosines(model.space(type_a, type_b).data,
+                                np.stack([rep_a, rep_b]), [0], [1])[0])
 
 
 def pair_score(model: OutfitModel, item_a, item_b) -> float:
-    """Compatibility of two described items, in [-1, 1].
+    """Compatibility of two described items, in [-1, 1]. Both are fused in
+    one `item_features` call, in `(type, id)` order, so the score does not
+    depend on the argument order.
 
-    Raises UnseenTypePairError when the type pair has no trained space.
+    Raises UnseenTypePairError when the type pair has no trained space,
+    DomainError for an undescribed item and DimensionError when the items'
+    region or word counts differ.
     """
-    from .tensor import no_grad
+    a, b = sorted((item_a, item_b), key=lambda item: (item.type.name, item.id))
+    space = model.space(a.type.name, b.type.name).data
+    if not (a.described and b.described):
+        raise DomainError("pair_score needs two described items")
+    if a.regions.shape != b.regions.shape or a.words.shape != b.words.shape:
+        raise DimensionError(
+            f"items {a.id!r} and {b.id!r} differ in region or word count")
     with no_grad():
-        rep_a = item_features(model, item_a.regions, item_a.words)[0].data
-        rep_b = item_features(model, item_b.regions, item_b.words)[0].data
-    return score_from_reps(model, item_a.type.name, rep_a,
-                           item_b.type.name, rep_b)
+        reps = item_features(model, np.stack([a.regions, b.regions]),
+                             np.stack([a.words, b.words]))[0].data
+    return float(_space_cosines(space, reps, [0], [1])[0])

@@ -17,6 +17,7 @@ items take the same path: the region rows X are (..., N, d_g), the text
 vector t is (..., d_g) and the word rows Y are (..., M, d_g), with the
 same leading axes. The output, and each attention-weight array appended
 to `weights_out`, keeps those leading axes: (..., 2*d_g) and (..., K).
+Inputs whose leading axes or widths disagree raise DimensionError.
 """
 
 from __future__ import annotations
@@ -107,12 +108,18 @@ def init_coattention_params(rng: np.random.Generator | None, d_g: int,
 # -- shape checks and attention ---------------------------------------------
 
 
-def _check_rows(x: Tensor, what: str) -> Tensor:
-    """`x` as a tensor of (..., K, d) rows; fewer than 2 axes raise
-    DimensionError and K == 0 raises DomainError."""
+def _check_rows(x: Tensor, what: str,
+                other: tuple[int, ...] | None = None) -> Tensor:
+    """`x` as a tensor of (..., K, d) rows. Fewer than 2 axes, or an
+    (..., d) shape other than that of the `other` input when it is given,
+    raise DimensionError; K == 0 raises DomainError."""
     x = as_tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"{what} expects (..., K, d) rows, got shape {x.shape}")
+    if other is not None and x.shape[:-2] + x.shape[-1:] != other:
+        raise DimensionError(
+            f"{what} rows {x.shape} do not match the (..., d) shape {other} "
+            f"of its other input")
     if x.shape[-2] == 0:
         raise DomainError(f"{what} requires at least one row")
     return x
@@ -138,8 +145,8 @@ def _attend(scores: Tensor, rows: Tensor, weights_out: list | None) -> Tensor:
 def fuse_dot_product(regions: Tensor, text: Tensor,
                      weights_out: list | None = None) -> Tensor:
     """Parameter-free visual attention from tanh'd dot products."""
-    x = _check_rows(regions, "dot-product attention")
     t = as_tensor(text)
+    x = _check_rows(regions, "dot-product attention", t.shape)
     scores = (x.tanh() * _row(t.tanh())).sum(axis=-1)        # (..., N)
     ctx = _attend(scores, x, weights_out)
     return concat([ctx, t], axis=-1)
@@ -149,8 +156,8 @@ def fuse_stacked(regions: Tensor, text: Tensor,
                  params: StackedAttentionParams,
                  weights_out: list | None = None) -> Tensor:
     """R hops of additive attention with an accumulating query vector."""
-    x = _check_rows(regions, "stacked attention")
     t = as_tensor(text)
+    x = _check_rows(regions, "stacked attention", t.shape)
     query = t
     for hop in params.hops:
         proj_x = linear(x, hop.w_v)                           # (..., N, h)
@@ -201,7 +208,7 @@ def fuse_coattention(regions: Tensor, words: Tensor,
                      weights_out: list | None = None) -> Tensor:
     """Co-attention over words and MFB-merged region rows."""
     x = _check_rows(regions, "co-attention (regions)")
-    y = _check_rows(words, "co-attention (words)")
+    y = _check_rows(words, "co-attention (words)", x.shape[:-2] + x.shape[-1:])
 
     text_ctx = attend_text(y, params.text_attn, weights_out)      # (..., d_g)
     merged = mfb(x, _row(text_ctx),

@@ -59,10 +59,6 @@ class OutfitModel:
     fuser: StackedAttentionParams | CoAttentionParams | None
     spaces: dict[tuple[str, str], Tensor]   # canonical type pair -> (d_c, rep_dim)
 
-    @property
-    def rep_dim(self) -> int:
-        return self.dims.d_g if self.fusion == "baseline" else 2 * self.dims.d_g
-
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Named parameters in checkpoint order: projector, fuser, spaces."""
         return named_parameters(self)

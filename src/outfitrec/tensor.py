@@ -190,9 +190,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
@@ -204,18 +201,6 @@ class Tensor:
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g.reshape(old))
-
-        return Tensor._result(data, (self,), backward)
-
-    def transpose_last(self):
-        """Swap the last two axes."""
-        if self.ndim < 2:
-            raise DimensionError(f"transpose_last needs ndim >= 2, got shape {self.shape}")
-        data = self.data.swapaxes(-1, -2)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.swapaxes(-1, -2))
 
         return Tensor._result(data, (self,), backward)
 
@@ -354,12 +339,9 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes.
-
-    A 2-D right operand (a weight) is `linear(a, b^T)`. A right operand
-    with batch axes is multiplied per sample, and each gradient is summed
-    back over the axes its operand was broadcast along.
-    """
+    """Matrix product over the last two axes, broadcasting leading axes;
+    each gradient is summed back over the axes its operand was broadcast
+    along. Learned (d_out, d_in) weights go through `linear` instead."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(
@@ -367,8 +349,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    if b.ndim == 2:
-        return linear(a, b.transpose_last())
     data = np.matmul(a.data, b.data)
 
     def backward(g):

@@ -48,8 +48,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        LossWeights(self.lambda_vsim, self.lambda_tsim, self.lambda_vse,
-                    self.margin)
+        self.weights()
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":

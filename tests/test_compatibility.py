@@ -8,9 +8,9 @@ from outfitrec.compatibility import (LossWeights, loss_vse, loss_vsim,
                                      triplet_loss)
 from outfitrec.data import Item, ItemType
 from outfitrec.errors import DimensionError, DomainError, UnseenTypePairError
-from outfitrec.model import ModelDims, init_model, item_features
+from outfitrec.model import FUSION_KINDS, ModelDims, init_model, item_features
 from outfitrec.optim import grad_check
-from outfitrec.tensor import (Tensor, as_tensor, grouped_projection, matmul,
+from outfitrec.tensor import (Tensor, grouped_projection, linear,
                               no_grad, parameter)
 
 
@@ -20,15 +20,9 @@ def cos(a, b):
 
 def loss_comp(rep_u, rep_p, rep_n, space, margin):
     """Reference: triplet loss after projecting the reps into one type-pair
-    space, one matrix product per rep."""
-    space_t = space.transpose_last()
-
-    def project(rep):
-        rep = as_tensor(rep)
-        out = matmul(rep.reshape(rep.shape[:-1] + (1, rep.shape[-1])), space_t)
-        return out.reshape(out.shape[:-2] + (space.shape[0],))
-
-    return triplet_loss(project(rep_u), project(rep_p), project(rep_n), margin)
+    space, one `linear` map per rep."""
+    return triplet_loss(linear(rep_u, space), linear(rep_p, space),
+                        linear(rep_n, space), margin)
 
 
 def tl(a, p, n, m=0.2):
@@ -189,6 +183,37 @@ class TestPairScore:
         c = make_item(rng, "c", "hats", 2)
         with pytest.raises(UnseenTypePairError):
             pair_score(model, a, c)
+
+    @pytest.mark.parametrize("fusion", FUSION_KINDS)
+    def test_same_type_score_is_exactly_symmetric(self, fusion):
+        """Both orders fuse the pair in one (type, id) order, so the two
+        scores are equal bit for bit, whatever the BLAS kernel."""
+        rng = np.random.default_rng(13)
+        model = make_model(fusion, pairs={("tops", "tops")})
+        a = make_item(rng, "a", "tops", 0)
+        b = make_item(rng, "b", "tops", 0)
+        assert pair_score(model, a, b) == pair_score(model, b, a)
+
+    def test_undescribed_item_raises_domain_error(self):
+        rng = np.random.default_rng(14)
+        model = make_model()
+        a = make_item(rng, "a", "tops", 0)
+        b = Item(id="b", type=ItemType("shoes", 1),
+                 regions=rng.normal(size=(2, 3)), words=np.zeros((0, 4)))
+        for first, second in ((a, b), (b, a)):
+            with pytest.raises(DomainError, match="described"):
+                pair_score(model, first, second)
+
+    @pytest.mark.parametrize("field, shape", [("regions", (3, 3)),
+                                              ("words", (2, 4))])
+    def test_unequal_row_counts_raise_dimension_error(self, field, shape):
+        rng = np.random.default_rng(15)
+        model = make_model()
+        a = make_item(rng, "a", "tops", 0)
+        b = make_item(rng, "b", "shoes", 1)
+        setattr(b, field, rng.normal(size=shape))
+        with pytest.raises(DimensionError, match="word count"):
+            pair_score(model, a, b)
 
 
 class TestTrainingLoss:

@@ -1,7 +1,8 @@
 """The fusers' shape contract: (..., K, d) rows in, the same leading axes out.
 
 Each entry point takes one item, a batch, or any other leading axes on
-one code path; input without a row axis or without rows is refused.
+one code path; input without a row axis or without rows is refused, and
+so is a second input whose leading axes or width differ.
 """
 
 import numpy as np
@@ -60,6 +61,32 @@ def test_a_batch_of_zero_rows_raises_domain_error(case):
     call, _, _ = CASES[case]
     with pytest.raises(DomainError):
         call(ones(3, 0), (3,), None)
+
+
+# (row input's leading axes, other input's leading axes)
+MISMATCHED = {
+    "one_item_with_batch": ((), (3,)),
+    "batch_with_one_item": ((3,), ()),
+    "batch_with_other_batch": ((3,), (2,)),
+}
+
+
+@pytest.mark.parametrize("mismatch", MISMATCHED)
+@pytest.mark.parametrize("case", [c for c in CASES if c != "attend_text"])
+def test_other_input_on_other_leading_axes_raises_dimension_error(case,
+                                                                  mismatch):
+    call, _, _ = CASES[case]
+    rows_lead, other_lead = MISMATCHED[mismatch]
+    with pytest.raises(DimensionError, match="do not match"):
+        call(ones(*rows_lead, K), other_lead, None)
+
+
+@pytest.mark.parametrize("fuse", [
+    fuse_dot_product, lambda rows, text: fuse_stacked(rows, text, STACKED),
+], ids=["dot_product", "stacked"])
+def test_text_of_another_width_raises_dimension_error(fuse):
+    with pytest.raises(DimensionError, match="do not match"):
+        fuse(ones(K), Tensor(np.ones(DG - 1)))
 
 
 @pytest.mark.parametrize("lead", [(3,), (), (2, 3)],

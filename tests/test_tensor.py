@@ -186,8 +186,8 @@ class TestGradients:
     def test_tanh_mul_div(self):
         self._check(lambda p: (p.tanh() * p / (p * p + 2.0)).sum(), (3, 3))
 
-    def test_sum_mean_reshape_transpose(self):
-        self._check(lambda p: (p.transpose_last().reshape(12).mean()
+    def test_sum_mean_reshape(self):
+        self._check(lambda p: (p.reshape(4, 3).reshape(12).mean()
                                + p.sum(axis=0).sum()), (3, 4))
 
     def test_concat_slices(self):
@@ -206,31 +206,29 @@ class TestGradients:
     def test_pool_rows(self):
         self._check(lambda p: (pool_rows(p) * pool_rows(p)).sum(), (5, 3))
 
-    @pytest.mark.parametrize("a_shape, b_shape, transpose_b", [
-        ((3, 4), (5, 6, 4), True),         # 2-D @ batched view: per-sample path
-        ((5, 2, 4), (3, 4), True),         # batched @ transposed 2-D weight
-        ((6, 4), (3, 4), True),            # 2-D @ transposed 2-D weight
-        ((2, 3, 2, 4), (4, 3), False),     # 4-D batched @ 2-D weight
-        ((1, 3, 4), (5, 4, 2), False),     # broadcast batch: per-sample path
+    @pytest.mark.parametrize("a_shape, b_shape, product", [
+        ((3, 4), (5, 4, 6), matmul),       # 2-D @ batched: per-sample product
+        ((5, 2, 4), (3, 4), linear),       # batched @ transposed 2-D weight
+        ((6, 4), (3, 4), linear),          # 2-D @ transposed 2-D weight
+        ((2, 3, 2, 4), (4, 3), matmul),    # 4-D batched @ 2-D
+        ((1, 3, 4), (5, 4, 2), matmul),    # broadcast batch
     ], ids=["weight_at_batched", "batched_at_weight_t", "2d_at_weight_t",
             "4d_at_weight", "broadcast_batch"])
-    def test_matmul_operand_gradients(self, a_shape, b_shape, transpose_b):
+    def test_matmul_operand_gradients(self, a_shape, b_shape, product):
         rng = np.random.default_rng(5)
         a = parameter(rng.normal(size=a_shape))
         b = parameter(rng.normal(size=b_shape))
-
-        def rhs():
-            return b.transpose_last() if transpose_b else b
-
-        c = rng.normal(size=matmul(a, rhs()).shape)
-        loss = lambda: (matmul(a, rhs()) * c).sum()
+        c = rng.normal(size=product(a, b).shape)
+        loss = lambda: (product(a, b) * c).sum()
         report = grad_check(loss, [("a", a), ("b", b)],
                             h_scale=1e-3, rel_tol=1e-4)
         assert report.passed, str(report)
 
-        ref_a, ref_b = per_sample_grads(a.data, rhs().data, c)
+        transpose_b = product is linear
+        ref_a, ref_b = per_sample_grads(
+            a.data, b.data.T if transpose_b else b.data, c)
         if transpose_b:
-            ref_b = ref_b.swapaxes(-1, -2)
+            ref_b = ref_b.T
         # a strided weight gradient once doubled the d=512 Adam step
         for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
             assert got.shape == ref.shape and got.flags.c_contiguous
@@ -249,20 +247,19 @@ class TestLinear:
                             [("x", x), ("w", w)], h_scale=1e-3, rel_tol=1e-4)
         assert report.passed, str(report)
 
-        results = []
-        for product in (lambda: linear(x, w),
-                        lambda: matmul(x, w.transpose_last())):
-            x.zero_grad()
-            w.zero_grad()
-            out = product()
-            (out * c).sum().backward()
-            results.append((out.data, x.grad, w.grad))
-        for got, ref in zip(*results):
-            np.testing.assert_array_equal(got, ref)
+        x.zero_grad()
+        w.zero_grad()
+        out = linear(x, w)
+        (out * c).sum().backward()
+        rows, g = x.data.reshape(-1, 4), c.reshape(-1, 5)
+        np.testing.assert_allclose(out.data, x.data @ w.data.T,
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(x.grad, c @ w.data, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(w.grad, g.T @ rows, rtol=1e-13, atol=0)
         # the weight gradient is one GEMM in the weight's own layout, adopted
         # by the leaf without a copy
-        assert results[0][2].flags.c_contiguous
-        assert results[0][2].base is None
+        assert w.grad.flags.c_contiguous
+        assert w.grad.base is None
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="linear"):
@@ -272,8 +269,9 @@ class TestLinear:
 
     @pytest.mark.parametrize("fusion", FUSION_KINDS)
     def test_training_graph_has_no_weight_transposes(self, fusion):
-        """Every learned map is `linear(x, W)`; a `transpose_last` node in
-        the training graph would copy its weight's gradient into C order."""
+        """Every learned map is `linear(x, W)`, and the type-pair spaces are
+        one `grouped_projection`: no other node reads a weight matrix, so
+        no weight's gradient passes through a transposed copy."""
         dims = ModelDims(d_g=6, d_c=5, h=4, hops=2, mfb_factor=2,
                          region_dim=3, word_dim=4)
         model = init_model(fusion, dims, {("tops", "shoes")}, seed=0)
@@ -282,9 +280,13 @@ class TestLinear:
         loss = training_loss(model, rng.normal(size=(3, 2, 3)),
                              rng.normal(size=(3, 3, 4)), groups,
                              LossWeights())
-        transposes = [n for n in graph_nodes(loss) if n._backward is not None
-                      and "transpose_last" in n._backward.__qualname__]
-        assert transposes == []
+        weights = {id(t) for name, t in model.parameters()
+                   if t.ndim == 2 and not name.endswith(".b_s")}
+        readers = {n._backward.__qualname__.split(".")[0]
+                   for n in graph_nodes(loss)
+                   if any(id(p) in weights for p in n._parents)}
+        assert readers <= {"linear", "grouped_projection"}
+        assert "linear" in readers
 
 
 def per_sample_grads(a, b, g):
@@ -348,22 +350,25 @@ def test_second_backward_adds_one_more_gradient():
 
 
 @pytest.mark.parametrize("make_operands", [
-    # a batched right operand takes the per-sample path; the rest fold
-    lambda r: (Tensor(r.normal(size=(3, 4))),
-               Tensor(r.normal(size=(5, 6, 4))).transpose_last()),
-    lambda r: (Tensor(r.normal(size=(5, 4, 2))).transpose_last(),
-               Tensor(r.normal(size=(3, 4))).transpose_last()),
-    lambda r: (Tensor(r.normal(size=(2, 3, 2, 4))), Tensor(r.normal(size=(4, 3)))),
-    lambda r: (Tensor(r.normal(size=(5, 1, 4))), Tensor(r.normal(size=(4, 3)))),
+    # `linear` folds its batch axes into one GEMM; `matmul` broadcasts them
+    lambda r: (matmul, Tensor(r.normal(size=(3, 4))),
+               Tensor(r.normal(size=(5, 6, 4)).swapaxes(-1, -2))),
+    lambda r: (linear, Tensor(r.normal(size=(5, 4, 2)).swapaxes(-1, -2)),
+               Tensor(r.normal(size=(3, 4)))),
+    lambda r: (matmul, Tensor(r.normal(size=(2, 3, 2, 4))),
+               Tensor(r.normal(size=(4, 3)))),
+    lambda r: (matmul, Tensor(r.normal(size=(5, 1, 4))),
+               Tensor(r.normal(size=(4, 3)))),
 ], ids=["weight_at_batched_view", "batched_view_at_weight_t", "4d_at_weight",
         "row_batch_at_weight"])
 def test_folded_matmul_matches_per_sample_loop(make_operands):
-    a, b = make_operands(np.random.default_rng(6))
-    got = matmul(a, b).data
+    product, a, b = make_operands(np.random.default_rng(6))
+    got = product(a, b).data
+    rhs = b.data.T if product is linear else b.data
     ref = np.zeros(got.shape)
     for idx in np.ndindex(*got.shape[:-2]):
         ref[idx] = np.matmul(a.data[operand_index(idx, a.shape)],
-                             b.data[operand_index(idx, b.shape)])
+                             rhs[operand_index(idx, rhs.shape)])
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
