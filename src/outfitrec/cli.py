@@ -13,27 +13,22 @@ import click
 
 from .data import SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .diagnostics import full_loss_grad_check
-from .errors import (ConsistencyError, DatasetError, DimensionError,
-                     DomainError, SyntheticSpecError, UnseenTypePairError)
+from .errors import OutfitrecError
 from .evaluation import evaluate
 from .model import FUSION_KINDS, load_model, save_model
 from .compatibility import pair_score
 from .training import TrainConfig, train_ensemble
 
 
-# the package's own errors: bad input files, specs or shapes, reported
-# as a one-line usage error instead of a traceback
-_PACKAGE_ERRORS = (SyntheticSpecError, DatasetError, DimensionError,
-                   DomainError, ConsistencyError, UnseenTypePairError)
-
-
 def _package_errors_as_usage(command):
-    """Re-raise the package's own errors from `command` as ClickException."""
+    """Re-raise the package's own errors from `command` (bad input files,
+    specs or shapes, undefined metrics) as ClickException: one usage line
+    instead of a traceback."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except _PACKAGE_ERRORS as exc:
+        except OutfitrecError as exc:
             raise click.ClickException(str(exc)) from exc
     return run
 
@@ -75,7 +70,8 @@ def main(ctx, log_level):
 
 @main.command()
 @click.option("--out", required=True, type=click.Path(), help="output directory")
-@click.option("--seed", default=0, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
 @_spec_options
 @_package_errors_as_usage
 def gen(out, seed, **kwargs):
@@ -183,9 +179,12 @@ def score(data, checkpoint, item_a, item_b):
 @main.command()
 @click.option("--fusion", default="all",
               type=click.Choice(FUSION_KINDS + ("all",)), show_default=True)
-@click.option("--d-g", default=8, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--rel-tol", default=1e-4, show_default=True, type=float)
+@click.option("--d-g", default=8, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--seed", default=0, show_default=True,
+              type=click.IntRange(min=0))
+@click.option("--rel-tol", default=1e-4, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 def gradcheck(fusion, d_g, seed, rel_tol):
     """Finite-difference check of the full training-loss gradient."""
     kinds = FUSION_KINDS if fusion == "all" else (fusion,)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .tensor import Tensor, linear, parameter
+from .tensor import Tensor, linear
 
 
 @dataclass
@@ -16,19 +16,18 @@ class CommonSpaceProjector:
     w_img: Tensor  # (d_g, d_i)
     w_txt: Tensor  # (d_g, d_t)
 
-    @property
-    def d_g(self) -> int:
-        return self.w_img.shape[0]
-
 
 def uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...],
                  fan_in: int, name: str) -> Tensor:
     """Uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], seeded; with no `rng`,
-    zeros allocated without a draw (for a checkpoint to fill)."""
+    zeros allocated without a draw (for a checkpoint to fill). Either way
+    the leaf adopts the fresh C-ordered array without a copy."""
     if rng is None:
-        return Tensor(np.zeros(shape), requires_grad=True, name=name)
-    bound = 1.0 / np.sqrt(fan_in)
-    return parameter(rng.uniform(-bound, bound, size=shape), name=name)
+        values = np.zeros(shape)
+    else:
+        bound = 1.0 / np.sqrt(fan_in)
+        values = rng.uniform(-bound, bound, size=shape)
+    return Tensor(values, requires_grad=True, name=name)
 
 
 def init_projector(rng: np.random.Generator | None, d_g: int, d_i: int,

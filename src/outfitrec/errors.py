@@ -6,31 +6,37 @@ from numbers import Integral, Real
 from typing import get_type_hints
 
 
-class DimensionError(ValueError):
+class OutfitrecError(Exception):
+    """Base of the package's own errors; the CLI reports any of them as one
+    usage line. Each subclass also keeps a builtin base for callers that
+    catch those."""
+
+
+class DimensionError(OutfitrecError, ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-class DomainError(ValueError):
+class DomainError(OutfitrecError, ValueError):
     """Input is outside the mathematical domain of the operation."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(OutfitrecError, RuntimeError):
     """Internal state disagrees with what an operation requires."""
 
 
-class DatasetError(ValueError):
+class DatasetError(OutfitrecError, ValueError):
     """Manifest, blob or question data violates the on-disk contract."""
 
 
-class SyntheticSpecError(ValueError):
+class SyntheticSpecError(OutfitrecError, ValueError):
     """Synthetic generation parameters are infeasible."""
 
 
-class UnseenTypePairError(KeyError):
+class UnseenTypePairError(OutfitrecError, KeyError):
     """No compatibility space was trained for this pair of item types."""
 
 
-class MetricUndefinedError(RuntimeError):
+class MetricUndefinedError(OutfitrecError, RuntimeError):
     """A requested metric has no defined value on the given inputs."""
 
 

@@ -87,6 +87,8 @@ def _build_model(fusion: str, dims: ModelDims,
     """The model's tensors drawn from `rng`, or zeros when it is None."""
     if fusion not in FUSION_KINDS:
         raise ValueError(f"unknown fusion kind {fusion!r}; expected {FUSION_KINDS}")
+    if min(vars(dims).values()) < 1:
+        raise DimensionError(f"dims must be positive, got {vars(dims)}")
     projector = init_projector(rng, dims.d_g, dims.region_dim, dims.word_dim)
     fuser = None
     if fusion == "stacked":
@@ -163,8 +165,6 @@ def load_model(path: str | Path) -> OutfitModel:
             raise DatasetError(f"{path}: unsupported checkpoint version {version!r}")
         dims = ModelDims(**header["dims"])
         check_field_types(dims, DatasetError)
-        if min(vars(dims).values()) < 1:
-            raise DatasetError(f"{path}: dims must be positive, got {vars(dims)}")
         stored = [(m["name"], tuple(m["shape"])) for m in header["params"]]
         # each hop adds parameters, so more hops than listed parameters
         # cannot match; building them one by one could exhaust memory

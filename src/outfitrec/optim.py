@@ -48,9 +48,9 @@ class Adam:
                    self._block)
         self._scratch = (np.empty(size), np.empty(size))
 
-    def step(self, strict: bool = True) -> None:
-        """Apply one update. With strict=False, parameters without a
-        gradient (absent from this step's loss) are left untouched."""
+    def step(self) -> None:
+        """Apply one update. Parameters without a gradient (absent from
+        this step's loss) are left untouched."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -58,10 +58,6 @@ class Adam:
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
-                if strict:
-                    raise ConsistencyError(
-                        f"parameter {p.name or i} has no gradient; "
-                        "run backward() first")
                 continue
             if not p.data.flags.c_contiguous:
                 raise ConsistencyError(

@@ -96,9 +96,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -171,9 +168,6 @@ class Tensor:
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
-
     def __truediv__(self, other):
         other = as_tensor(other)
         data = self.data / other.data
@@ -186,9 +180,6 @@ class Tensor:
                     _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
 
         return Tensor._result(data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self
 
     # -- shape ops ---------------------------------------------------------
 
@@ -494,32 +485,27 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-24) -> Tensor:
     return x / norm
 
 
-def cosine_similarity(x: Tensor, y: Tensor, axis: int = -1) -> Tensor:
-    """Cosine of the angle between `x` and `y` along `axis`."""
-    return cosines([(x, y)], axis)[0]
-
-
 def cosines(pairs: Sequence[tuple[Tensor, Tensor]], axis: int = -1
             ) -> list[Tensor]:
-    """`cosine_similarity` of each (x, y) pair; a tensor that appears in
-    several pairs has its norm computed once."""
-    norms: dict[int, tuple[Tensor, Tensor]] = {}   # id -> (tensor, norm)
+    """The cosine of the angle between x and y along `axis`, for each
+    (x, y) pair; a tensor that appears in several pairs has its norm
+    computed once."""
+    norms: dict[Tensor, Tensor] = {}   # keyed by identity: no Tensor.__eq__
 
     def norm(t: Tensor) -> Tensor:
-        if id(t) not in norms:
+        if t not in norms:
             n = (t * t).sum(axis=axis).sqrt()
             if not np.all(n.data):
-                raise DomainError(
-                    "cosine_similarity of a zero vector is undefined")
-            norms[id(t)] = (t, n)   # holding t keeps its id from being reused
-        return norms[id(t)][1]
+                raise DomainError("cosine of a zero vector is undefined")
+            norms[t] = n
+        return norms[t]
 
     out = []
     for x, y in pairs:
         x, y = as_tensor(x), as_tensor(y)
         if x.shape != y.shape:
             raise DimensionError(
-                f"cosine_similarity shape mismatch: {x.shape} vs {y.shape}")
+                f"cosine shape mismatch: {x.shape} vs {y.shape}")
         dot = (x * y).sum(axis=axis)
         out.append(dot / (norm(x) * norm(y)))
     return out

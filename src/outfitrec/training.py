@@ -10,6 +10,7 @@ import numpy as np
 from .compatibility import LossWeights, training_loss
 from .data import Dataset, FCQuestion, canonical_pair
 from .errors import ConsistencyError, check_field_types
+from .evaluation import fc_auc, fc_scores_and_labels
 from .model import FUSION_KINDS, ModelDims, OutfitModel, init_model
 from .optim import Adam
 
@@ -186,8 +187,6 @@ def _validation_questions(dataset: Dataset, seed: int) -> list[FCQuestion]:
 def train(dataset: Dataset, config: TrainConfig,
           seed: int | None = None) -> tuple[OutfitModel, list[EpochStats]]:
     """Train one model; deterministic in (dataset, config, seed)."""
-    from .evaluation import fc_scores_and_labels, fc_auc
-
     config.validate()
     seed = config.seed if seed is None else seed
     dims = ModelDims(d_g=config.d_g, d_c=config.d_c, h=config.h,
@@ -221,7 +220,7 @@ def train(dataset: Dataset, config: TrainConfig,
                     f"non-finite loss at epoch {epoch} step {step}: {terms}")
             optimizer.zero_grad()
             loss.backward()
-            optimizer.step(strict=False)
+            optimizer.step()
             step_losses.append(value)
             step += 1
         valid_auc = None

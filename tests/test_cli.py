@@ -1,15 +1,17 @@
 """End-to-end command-line workflows on tiny synthetic datasets."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from outfitrec import errors
 from outfitrec.cli import main
 from outfitrec.compatibility import pair_score
 from outfitrec.data import load_dataset
-from outfitrec.model import load_model
+from outfitrec.model import ModelDims, init_model, load_model, save_model
 
 GEN_ARGS = ["--num-types", "4", "--num-styles", "3", "--train-outfits", "20",
             "--valid-outfits", "4", "--fc-questions", "20",
@@ -190,6 +192,33 @@ class TestEval:
                                       "--report", str(tmp_path / "r.json")])
         assert_usage_error(result, str(bad))
 
+    def test_checkpoints_of_two_configurations_are_a_usage_error(
+            self, tmp_path, runner, data_dir):
+        dims = ModelDims(d_g=4, d_c=4, h=4, hops=1, mfb_factor=1,
+                         region_dim=6, word_dim=5)
+        runs = tmp_path / "mixed"
+        runs.mkdir()
+        for run, pairs in enumerate(({("a", "b")}, {("a", "c")})):
+            save_model(init_model("baseline", dims, pairs, seed=0),
+                       runs / f"run{run}.ckpt")
+        result = runner.invoke(main, ["eval", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoints", str(runs),
+                                      "--report", str(tmp_path / "r.json")])
+        assert_usage_error(result, "models disagree on trained type pairs")
+
+    def test_one_label_fc_questions_are_a_usage_error(self, tmp_path, runner,
+                                                      data_dir, run_dir):
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for question in manifest["questions"]["fc"]:
+            question["label"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["eval", "--data", str(manifest_path),
+                                      "--checkpoints", str(run_dir),
+                                      "--report", str(tmp_path / "r.json")])
+        assert_usage_error(result, "AUC undefined")
+
 
 class TestScore:
     def test_prints_pair_score(self, tmp_path, runner, data_dir, run_dir):
@@ -234,6 +263,31 @@ def assert_usage_error(result, message):
     assert result.exit_code != 0
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert "Error:" in result.output and message in result.output
+
+
+def test_every_package_error_is_an_outfitrec_error():
+    """The CLI reports `OutfitrecError` as a usage error, so a new error
+    class outside it would reach the user as a traceback."""
+    classes = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(cls, BaseException)
+               and cls.__module__ == errors.__name__
+               and cls is not errors.OutfitrecError]
+    assert classes
+    for cls in classes:
+        assert issubclass(cls, errors.OutfitrecError), cls.__name__
+
+
+@pytest.mark.parametrize("args, option", [
+    (["gradcheck", "--d-g", "0"], "--d-g"),
+    (["gradcheck", "--seed", "-1"], "--seed"),
+    (["gradcheck", "--rel-tol", "-1"], "--rel-tol"),
+    (["gen", "--seed", "-1"], "--seed"),
+], ids=["gradcheck_d_g", "gradcheck_seed", "gradcheck_rel_tol", "gen_seed"])
+def test_out_of_range_number_is_a_usage_error(tmp_path, runner, args, option):
+    if args[0] == "gen":
+        args = [*args, "--out", str(tmp_path / "x"), *GEN_ARGS]
+    result = runner.invoke(main, args)
+    assert_usage_error(result, option)
 
 
 class TestGradcheckCommand:

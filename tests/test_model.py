@@ -1,5 +1,6 @@
 """Checkpoint format: the pinned byte layout and the load error contract."""
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -126,6 +127,10 @@ def bool_dims(raw):
     return with_header(raw, lambda header: header["dims"].update(mfb_factor=True))
 
 
+def zero_dims(raw):
+    return with_header(raw, lambda header: header["dims"].update(h=0))
+
+
 def trailing_bytes(raw):
     return raw + b"\0" * 4
 
@@ -165,13 +170,20 @@ def snan_payload(raw):
     cut_length_prefix, cut_header, invalid_header, header_without_dims,
     trailing_bytes, cut_inside_float, dims_beyond_memory, omitted_parameter,
     nan_payload, inf_payload, snan_payload, version_true, float_dims,
-    bool_dims],
+    bool_dims, zero_dims],
     ids=lambda f: f.__name__)
 def test_malformed_checkpoint_raises_dataset_error(tmp_path, corrupt):
     path = saved(tmp_path, "stacked")
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(DatasetError):
         load_model(path)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelDims)])
+def test_init_model_rejects_a_zero_dim(field):
+    dims = dataclasses.replace(DIMS, **{field: 0})
+    with pytest.raises(DimensionError, match="dims must be positive"):
+        init_model("coattention", dims, PAIRS, seed=0)
 
 
 def test_hop_count_is_checked_before_the_model_is_built(tmp_path, monkeypatch):

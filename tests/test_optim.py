@@ -96,13 +96,9 @@ def assert_textbook_update(rng, params):
         assert p.data is buf
 
 
-def test_missing_gradient_raises_in_strict_mode():
+def test_parameter_without_gradient_is_skipped():
     p = parameter([1.0], name="w")
-    opt = Adam([p])
-    with pytest.raises(ConsistencyError, match="w"):
-        opt.step()
-    p.zero_grad()
-    opt.step(strict=False)  # skipped, not an error
+    Adam([p]).step()
     np.testing.assert_array_equal(p.data, [1.0])
 
 
@@ -131,8 +127,9 @@ def test_grad_check_constant_loss_reports_zero_gradients():
 
 
 def test_grad_check_flags_wrong_gradient():
-    # detaching one factor halves the tape gradient relative to the true one
+    # a gradient-free view of one factor halves the tape gradient
+    # relative to the true one
     p = parameter([1.0, -2.0])
-    report = grad_check(lambda: (p.detach() * p).sum(), [("p", p)],
+    report = grad_check(lambda: (Tensor(p.data) * p).sum(), [("p", p)],
                         h_scale=1e-3)
     assert not report.passed

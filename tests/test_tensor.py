@@ -11,9 +11,9 @@ from outfitrec.compatibility import LossWeights, training_loss
 from outfitrec.errors import DimensionError, DomainError
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
-from outfitrec.tensor import (Tensor, concat, cosine_similarity, linear,
-                              matmul, parameter, pool_rows, signed_sqrt,
-                              softmax, take_rows)
+from outfitrec.tensor import (Tensor, concat, cosines, linear, matmul,
+                              parameter, pool_rows, signed_sqrt, softmax,
+                              take_rows)
 
 
 def naive_matmul(a, b):
@@ -109,17 +109,17 @@ class TestSoftmax:
 class TestCosine:
     def test_identity(self):
         v = Tensor([1.0, 2.0, -3.0])
-        assert cosine_similarity(v, v).item() == pytest.approx(1.0)
+        assert cosines([(v, v)])[0].item() == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine_similarity(Tensor([1.0, 0.0]),
-                                 Tensor([0.0, 1.0])).item() == pytest.approx(0.0)
-        assert cosine_similarity(Tensor([1.0, 1.0]),
-                                 Tensor([1.0, -1.0])).item() == pytest.approx(0.0)
+        assert cosines([(Tensor([1.0, 0.0]),
+                         Tensor([0.0, 1.0]))])[0].item() == pytest.approx(0.0)
+        assert cosines([(Tensor([1.0, 1.0]),
+                         Tensor([1.0, -1.0]))])[0].item() == pytest.approx(0.0)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            cosine_similarity(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
+            cosines([(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))])
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 100), st.floats(0.01, 100))
@@ -127,11 +127,11 @@ class TestCosine:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=5) + 0.01
         y = rng.normal(size=5) + 0.01
-        c_xy = cosine_similarity(Tensor(x), Tensor(y)).item()
-        c_yx = cosine_similarity(Tensor(y), Tensor(x)).item()
+        c_xy = cosines([(Tensor(x), Tensor(y))])[0].item()
+        c_yx = cosines([(Tensor(y), Tensor(x))])[0].item()
         assert c_xy == pytest.approx(c_yx, abs=1e-12)
         assert abs(c_xy) <= 1.0 + 1e-12
-        scaled = cosine_similarity(Tensor(alpha * x), Tensor(beta * y)).item()
+        scaled = cosines([(Tensor(alpha * x), Tensor(beta * y))])[0].item()
         assert scaled == pytest.approx(c_xy, abs=1e-9)
 
 
@@ -198,7 +198,7 @@ class TestGradients:
 
     def test_cosine(self):
         y = Tensor(np.random.default_rng(2).normal(size=4))
-        self._check(lambda p: cosine_similarity(p, y), (4,))
+        self._check(lambda p: cosines([(p, y)])[0], (4,))
 
     def test_signed_sqrt_away_from_zero(self):
         self._check(lambda p: signed_sqrt(p * p + 1.0).sum(), (3, 2))
