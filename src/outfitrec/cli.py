@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -134,6 +135,12 @@ def train_cmd(data, config, out_dir, **overrides):
     click.echo(f"trained {len(results)} run(s) into {out}")
 
 
+def _run_order(f: Path) -> tuple:
+    """Sorts `run<N>.ckpt` by N, then other `run*.ckpt` names by name."""
+    n = f.stem[len("run"):]
+    return (not n.isdecimal(), int(n) if n.isdecimal() else 0, f.name)
+
+
 @main.command(name="eval")
 @click.option("--data", required=True, type=click.Path(exists=True))
 @click.option("--checkpoints", required=True, type=click.Path(exists=True),
@@ -144,7 +151,8 @@ def eval_cmd(data, checkpoints, report):
     """Evaluate checkpoints on the dataset's FC and FITB questions."""
     dataset = load_dataset(data)
     path = Path(checkpoints)
-    files = sorted(path.glob("run*.ckpt")) if path.is_dir() else [path]
+    files = (sorted(path.glob("run*.ckpt"), key=_run_order) if path.is_dir()
+             else [path])
     if not files:
         raise click.ClickException(f"no checkpoints found under {path}")
     models = [load_model(f) for f in files]
@@ -187,6 +195,9 @@ def score(data, checkpoint, item_a, item_b):
               type=click.FloatRange(min=0, min_open=True))
 def gradcheck(fusion, d_g, seed, rel_tol):
     """Finite-difference check of the full training-loss gradient."""
+    if not math.isfinite(rel_tol):   # FloatRange lets nan and inf through
+        raise click.BadParameter(f"{rel_tol} is not finite",
+                                 param_hint="'--rel-tol'")
     kinds = FUSION_KINDS if fusion == "all" else (fusion,)
     failed = False
     for kind in kinds:

@@ -67,11 +67,6 @@ def loss_vsim(img_u, img_p, img_n, margin: float) -> Tensor:
     return (_hinge(cos_pu, cos_pn, margin) + _hinge(cos_nu, cos_pn, margin)) * 0.5
 
 
-def _roles(x: Tensor, batch: int) -> tuple[Tensor, Tensor, Tensor]:
-    """The anchor, positive and negative rows of a (3B, ...) stack."""
-    return x[:batch], x[batch:2 * batch], x[2 * batch:]
-
-
 def total_loss(comp: Tensor, vsim: Tensor, tsim: Tensor, vse: Tensor,
                weights: LossWeights) -> Tensor:
     return (comp + weights.lambda_vsim * vsim + weights.lambda_tsim * tsim
@@ -91,10 +86,14 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
     space. The batch is the B = sum n_k triplets of all the groups.
 
     `item_features` runs once over the U items. `take_rows` then gathers
-    the 3B role rows of its outputs, anchors first, and sums the gradients
-    of an item that appears in several roles or triplets. Every pair's
-    space projects its rows in one `grouped_projection`, so the graph's
-    size does not grow with the number of type pairs in the batch.
+    its outputs into (3, B, .) role stacks, anchors, positives and
+    negatives, and sums the gradients of an item that appears in several
+    roles or triplets. The groups are concatenated in order, so each type
+    pair's triplets are one column range of the stacks, and one
+    `grouped_projection` projects every range into its pair's space: the
+    graph's size does not grow with the number of type pairs in the batch.
+    Each role view `t[r]` is built once and shared by every loss term, so
+    the terms' gradients meet in one node before they reach `t`.
     """
     items = regions.shape[0]
     if words.shape[0] != items:
@@ -118,23 +117,17 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
             f"{role_items.max()}], outside the batch's {items} items")
     batch = role_items.shape[1]
 
-    fused, img, txt = (take_rows(t, role_items.ravel())
+    fused, img, txt = (take_rows(t, role_items)
                        for t in item_features(model, regions, words))
-    # a type pair's rows in the (3B, .) stacks: anchors, positives, negatives
-    slot = np.arange(3 * batch).reshape(3, batch)
-    ends = np.cumsum([ix.shape[1] for ix in groups])
-    rows = [slot[:, end - ix.shape[1]:end].ravel()
-            for ix, end in zip(groups, ends)]
     proj = grouped_projection(fused, [model.space(*p) for p in pair_groups],
-                              rows)
-    comp = triplet_loss(*_roles(proj, batch), weights.margin).sum() * (1.0 / batch)
+                              [ix.shape[1] for ix in groups])
+    comp = triplet_loss(proj[0], proj[1], proj[2],
+                        weights.margin).sum() * (1.0 / batch)
 
-    img_u, img_p, img_n = _roles(img, batch)
-    txt_u, txt_p, txt_n = _roles(txt, batch)
-    vsim = loss_vsim(img_u, img_p, img_n, weights.margin).mean()
-    tsim = loss_vsim(txt_u, txt_p, txt_n, weights.margin).mean()
-    vse = loss_vse(img_u, img_p, img_n, txt_u, txt_p, txt_n,
-                   weights.margin).mean()
+    imgs, txts = (img[0], img[1], img[2]), (txt[0], txt[1], txt[2])
+    vsim = loss_vsim(*imgs, weights.margin).mean()
+    tsim = loss_vsim(*txts, weights.margin).mean()
+    vse = loss_vse(*imgs, *txts, weights.margin).mean()
     if terms_out is not None:
         terms_out.update(comp=comp.item(), vsim=vsim.item(),
                          tsim=tsim.item(), vse=vse.item())

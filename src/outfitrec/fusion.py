@@ -133,7 +133,7 @@ def _row(v: Tensor) -> Tensor:
 def _attend(scores: Tensor, rows: Tensor, weights_out: list | None) -> Tensor:
     """Softmax of the (..., K) scores, appended to `weights_out` when given,
     and the attention-weighted sum of the (..., K, d) rows: (..., d)."""
-    alpha = softmax(scores, axis=-1)
+    alpha = softmax(scores)
     if weights_out is not None:
         weights_out.append(alpha.data.copy())
     return matmul(_row(alpha), rows).reshape(rows.shape[:-2] + rows.shape[-1:])
@@ -200,7 +200,7 @@ def mfb(x: Tensor, y: Tensor, u: Tensor, v: Tensor, p: int) -> Tensor:
     z = ex * ey
     k = u.shape[0] // p
     pooled = z.reshape(z.shape[:-1] + (k, p)).sum(axis=-1)
-    return l2_normalize(signed_sqrt(pooled), axis=-1)
+    return l2_normalize(signed_sqrt(pooled))
 
 
 def fuse_coattention(regions: Tensor, words: Tensor,

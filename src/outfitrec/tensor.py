@@ -8,7 +8,8 @@ topological order and accumulates gradients into the leaves created with
 broadcast operands are summed back to the operand's shape.
 
 Shapes may carry leading batch axes: matrix operations act on the last
-two axes, reductions and activations on whatever axis is requested.
+two axes, reductions on whatever axis is requested, and softmax, L2
+normalisation and cosines on the last axis.
 """
 
 from __future__ import annotations
@@ -354,15 +355,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def take_rows(x: Tensor, index) -> Tensor:
-    """Rows `index` of `x` along its first axis. Rows may repeat or go
+    """Rows `index` of `x` along its first axis, shaped `index.shape +
+    x.shape[1:]` for an integer index of any shape. Rows may repeat or go
     unused; backward sums the gradients of a repeated row with one
     `np.bincount` over the flat `row * width + col` positions."""
     x = as_tensor(x)
     index = np.asarray(index)
-    if (x.ndim < 1 or index.ndim != 1
-            or not np.issubdtype(index.dtype, np.integer)):
+    if x.ndim < 1 or not np.issubdtype(index.dtype, np.integer):
         raise DimensionError(
-            f"take_rows needs a 1-D integer index into an array with rows, "
+            f"take_rows needs an integer index into an array with rows, "
             f"got index shape {index.shape} ({index.dtype}) and x {x.shape}")
     rows = x.shape[0]
     if index.size and (index.min() < 0 or index.max() >= rows):
@@ -374,7 +375,7 @@ def take_rows(x: Tensor, index) -> Tensor:
     def backward(g):
         if x.requires_grad:
             width = int(np.prod(x.shape[1:]))
-            flat = (index[:, None] * width + np.arange(width)).ravel()
+            flat = (index[..., None] * width + np.arange(width)).ravel()
             summed = np.bincount(flat, weights=g.ravel(),
                                  minlength=rows * width)
             x._accumulate(summed.reshape(x.shape))
@@ -382,65 +383,59 @@ def take_rows(x: Tensor, index) -> Tensor:
     return Tensor._result(data, (x,), backward)
 
 
-def is_partition(index_sets: Sequence[np.ndarray], n: int) -> bool:
-    """Whether the index arrays together hold each of 0..n-1 exactly once."""
-    flat = np.concatenate([np.empty(0, np.intp), *map(np.ravel, index_sets)])
-    return flat.size == n and np.array_equal(np.sort(flat), np.arange(n))
-
-
 def grouped_projection(x: Tensor, weights: Sequence[Tensor],
-                       row_sets: Sequence[np.ndarray]) -> Tensor:
-    """Rows `row_sets[k]` of the 2-D `x` projected by `weights[k]`:
-    `out[rows] = x[rows] @ weights[k]^T`, every weight (d_out, d_in).
+                       sizes: Sequence[int]) -> Tensor:
+    """The next `sizes[k]` columns of the (R, B, d_in) stack `x` projected
+    by the (d_out, d_in) `weights[k]`: `out[:, cols] = x[:, cols] @ w_k^T`.
 
-    The row sets must partition x's rows. Forward and backward are one
-    GEMM per weight in each direction, and rows are written by index.
+    Forward and backward are one GEMM per weight in each direction, over
+    the range's R * sizes[k] rows in role-major order.
     """
     x = as_tensor(x)
-    rows = [np.asarray(r, dtype=np.intp) for r in row_sets]
-    if x.ndim != 2 or len(weights) != len(rows) or not weights:
+    if x.ndim != 3 or len(weights) != len(sizes) or not weights:
         raise DimensionError(
-            f"grouped_projection needs a 2-D x and one row set per weight, "
-            f"got {x.shape}, {len(weights)} weights, {len(rows)} row sets")
-    d_out = weights[0].shape[0]
-    if any(w.shape != (d_out, x.shape[1]) for w in weights):
+            f"grouped_projection needs an (R, B, d_in) x and one column count "
+            f"per weight, got {x.shape} and {len(weights)}, {len(sizes)}")
+    (stack, cols, d_in), d_out = x.shape, weights[0].shape[0]
+    if any(w.shape != (d_out, d_in) for w in weights):
         raise DimensionError(
             f"grouped_projection weights {[w.shape for w in weights]} do not "
-            f"all map {x.shape[1]} to {d_out}")
-    if not is_partition(rows, x.shape[0]):
-        raise DomainError(
-            f"row sets hold {sum(r.size for r in rows)} indices and must "
-            f"partition the {x.shape[0]} rows of x")
-    data = np.empty((x.shape[0], d_out))
-    for w, r in zip(weights, rows):
-        data[r] = x.data[r] @ w.data.T
+            f"all map {d_in} to {d_out}")
+    if min(sizes) < 0 or sum(sizes) != cols:
+        raise DomainError(f"column counts {list(sizes)} must be "
+                          f"non-negative and sum to the {cols} columns of x")
+    spans = [slice(end - n, end) for n, end in zip(sizes, np.cumsum(sizes))]
+    xs = [x.data[:, s].reshape(-1, d_in) for s in spans]   # role-major rows
+    data = np.empty((stack, cols, d_out))
+    for w, s, x_k in zip(weights, spans, xs):
+        data[:, s] = (x_k @ w.data.T).reshape(stack, -1, d_out)
 
     def backward(g):
         gx = np.empty(x.shape) if x.requires_grad else None
-        for w, r in zip(weights, rows):
-            g_r = g[r]
+        for w, s, x_k in zip(weights, spans, xs):
+            g_k = g[:, s].reshape(-1, d_out)
             if gx is not None:
-                gx[r] = g_r @ w.data
+                gx[:, s] = (g_k @ w.data).reshape(stack, -1, d_in)
             if w.requires_grad:
-                w._accumulate(g_r.T @ x.data[r])
+                w._accumulate(g_k.T @ x_k)
         if gx is not None:
             x._accumulate(gx)
 
     return Tensor._result(data, (x, *weights), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis` (max-subtraction)."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis (max-subtraction)."""
     x = as_tensor(x)
-    if x.data.size == 0 or x.data.shape[axis] == 0:
+    if x.data.size == 0 or x.data.shape[-1] == 0:
         raise DomainError("softmax of empty input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if x.requires_grad:
-            inner = (g * data).sum(axis=axis, keepdims=True)
+            inner = (g * data).sum(axis=-1, keepdims=True)
             x._accumulate((g - inner) * data)
 
     return Tensor._result(data, (x,), backward)
@@ -461,40 +456,39 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return Tensor._result(data, ts, backward)
 
 
-def signed_sqrt(x: Tensor, eps: float = 1e-8) -> Tensor:
-    """Smoothed signed square root: x * (x^2 + eps)^(-1/4).
+def signed_sqrt(x: Tensor) -> Tensor:
+    """Smoothed signed square root: x * (x^2 + 1e-8)^(-1/4).
 
     Matches sign(x)*sqrt(|x|) away from zero but stays differentiable
     everywhere, which keeps finite-difference gradient checks tight.
     """
     x = as_tensor(x)
-    u = x.data ** 2 + eps
+    u = x.data ** 2 + 1e-8
     data = x.data * u ** -0.25
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(g * (0.5 * x.data ** 2 + eps) * u ** -1.25)
+            x._accumulate(g * (0.5 * x.data ** 2 + 1e-8) * u ** -1.25)
 
     return Tensor._result(data, (x,), backward)
 
 
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-24) -> Tensor:
-    """Scale rows to unit L2 norm; a vanishing row maps to (near) zero."""
+def l2_normalize(x: Tensor) -> Tensor:
+    """Scale the last axis to unit L2 norm; a vanishing one maps to ~0."""
     x = as_tensor(x)
-    norm = ((x * x).sum(axis=axis, keepdims=True) + eps).sqrt()
+    norm = ((x * x).sum(axis=-1, keepdims=True) + 1e-24).sqrt()
     return x / norm
 
 
-def cosines(pairs: Sequence[tuple[Tensor, Tensor]], axis: int = -1
-            ) -> list[Tensor]:
-    """The cosine of the angle between x and y along `axis`, for each
+def cosines(pairs: Sequence[tuple[Tensor, Tensor]]) -> list[Tensor]:
+    """The cosine of the angle between x and y along the last axis, for each
     (x, y) pair; a tensor that appears in several pairs has its norm
     computed once."""
     norms: dict[Tensor, Tensor] = {}   # keyed by identity: no Tensor.__eq__
 
     def norm(t: Tensor) -> Tensor:
         if t not in norms:
-            n = (t * t).sum(axis=axis).sqrt()
+            n = (t * t).sum(axis=-1).sqrt()
             if not np.all(n.data):
                 raise DomainError("cosine of a zero vector is undefined")
             norms[t] = n
@@ -506,7 +500,7 @@ def cosines(pairs: Sequence[tuple[Tensor, Tensor]], axis: int = -1
         if x.shape != y.shape:
             raise DimensionError(
                 f"cosine shape mismatch: {x.shape} vs {y.shape}")
-        dot = (x * y).sum(axis=axis)
+        dot = (x * y).sum(axis=-1)
         out.append(dot / (norm(x) * norm(y)))
     return out
 

@@ -11,6 +11,7 @@ from outfitrec import errors
 from outfitrec.cli import main
 from outfitrec.compatibility import pair_score
 from outfitrec.data import load_dataset
+from outfitrec.evaluation import evaluate
 from outfitrec.model import ModelDims, init_model, load_model, save_model
 
 GEN_ARGS = ["--num-types", "4", "--num-styles", "3", "--train-outfits", "20",
@@ -172,6 +173,29 @@ class TestEval:
         assert 0.0 <= report["fitb_accuracy_vote"] <= 1.0
         assert "FC AUC mean" in result.output
 
+    def test_per_run_lists_follow_the_run_number(self, tmp_path, runner,
+                                                 data_dir):
+        """run2 sorts before run10 although "run10" < "run2" as text."""
+        ds = load_dataset(data_dir / "manifest.json")
+        dims = ModelDims(d_g=4, d_c=4, h=4, hops=1, mfb_factor=1,
+                         region_dim=6, word_dim=5)
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        aucs = []
+        for run, seed in ((2, 0), (10, 1)):
+            model = init_model("baseline", dims, ds.trained_type_pairs(), seed)
+            save_model(model, runs / f"run{run}.ckpt")
+            aucs.append(evaluate(ds, [load_model(runs / f"run{run}.ckpt")])
+                        .fc_auc_per_run[0])
+        assert aucs[0] != aucs[1]
+        report_path = tmp_path / "r.json"
+        result = runner.invoke(main, ["eval", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoints", str(runs),
+                                      "--report", str(report_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(report_path.read_text())["fc_auc_per_run"] == aucs
+
     def test_missing_checkpoints_fail(self, tmp_path, runner, data_dir):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -281,13 +305,17 @@ def test_every_package_error_is_an_outfitrec_error():
     (["gradcheck", "--d-g", "0"], "--d-g"),
     (["gradcheck", "--seed", "-1"], "--seed"),
     (["gradcheck", "--rel-tol", "-1"], "--rel-tol"),
+    (["gradcheck", "--rel-tol", "nan"], "--rel-tol"),
+    (["gradcheck", "--rel-tol", "inf"], "--rel-tol"),
     (["gen", "--seed", "-1"], "--seed"),
-], ids=["gradcheck_d_g", "gradcheck_seed", "gradcheck_rel_tol", "gen_seed"])
+], ids=["gradcheck_d_g", "gradcheck_seed", "gradcheck_rel_tol",
+        "gradcheck_rel_tol_nan", "gradcheck_rel_tol_inf", "gen_seed"])
 def test_out_of_range_number_is_a_usage_error(tmp_path, runner, args, option):
     if args[0] == "gen":
         args = [*args, "--out", str(tmp_path / "x"), *GEN_ARGS]
     result = runner.invoke(main, args)
     assert_usage_error(result, option)
+    assert result.exit_code == 2
 
 
 class TestGradcheckCommand:

@@ -309,36 +309,35 @@ def graph_nodes(root):
 
 class TestGroupedProjection:
     """`grouped_projection` against a loop of single-space `loss_comp`s:
-    two spaces with unequal groups over a (3B, d) role stack."""
+    three spaces with unequal column ranges of a (3, B, d) role stack."""
 
     B, D, D_C = 5, 4, 3
-    GROUPS = [np.array([0, 3, 4]), np.array([1, 2])]
+    SIZES = [3, 0, 2]   # an empty range: a space with no triplets
 
     def operands(self, seed):
         rng = np.random.default_rng(seed)
-        reps = parameter(rng.normal(size=(3 * self.B, self.D)))
+        reps = parameter(rng.normal(size=(3, self.B, self.D)))
         spaces = [parameter(rng.normal(size=(self.D_C, self.D)))
-                  for _ in self.GROUPS]
-        rows = [np.concatenate([ix, ix + self.B, ix + 2 * self.B])
-                for ix in self.GROUPS]
-        return reps, spaces, rows
+                  for _ in self.SIZES]
+        return reps, spaces
 
     def test_matches_per_group_loss_comp(self):
-        reps, spaces, rows = self.operands(20)
-        proj = grouped_projection(reps, spaces, rows)
-        b = self.B
-        got = triplet_loss(proj[:b], proj[b:2 * b], proj[2 * b:], 0.2).data
-        for ix, space in zip(self.GROUPS, spaces):
-            roles = [Tensor(reps.data[ix + r * b]) for r in range(3)]
+        reps, spaces = self.operands(20)
+        proj = grouped_projection(reps, spaces, self.SIZES)
+        got = triplet_loss(proj[0], proj[1], proj[2], 0.2).data
+        ends = np.cumsum(self.SIZES)
+        for n, end, space in zip(self.SIZES, ends, spaces):
+            cols = slice(end - n, end)
+            roles = [Tensor(reps.data[r, cols]) for r in range(3)]
             want = loss_comp(*roles, space, 0.2).data
-            np.testing.assert_allclose(got[ix], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[cols], want, rtol=0, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
-        reps, spaces, rows = self.operands(21)
-        weights = np.random.default_rng(22).normal(size=(3 * self.B, self.D_C))
+        reps, spaces = self.operands(21)
+        weights = np.random.default_rng(22).normal(size=(3, self.B, self.D_C))
 
         def loss():
-            proj = grouped_projection(reps, spaces, rows)
+            proj = grouped_projection(reps, spaces, self.SIZES)
             return (proj * proj * weights).sum()
 
         params = [("reps", reps)] + [(f"space{k}", w)
@@ -346,13 +345,10 @@ class TestGroupedProjection:
         report = grad_check(loss, params, h_scale=1e-3, rel_tol=1e-4)
         assert report.passed, str(report)
 
-    @pytest.mark.parametrize("rows", [
-        [np.array([0, 1]), np.array([1, 2])],
-        [np.array([0, 1]), np.array([2, 3])],
-        [np.array([0]), np.array([2])],
-    ], ids=["overlap", "out_of_range", "gap"])
-    def test_row_sets_must_partition(self, rows):
-        x = Tensor(np.ones((3, 2)))
+    @pytest.mark.parametrize("sizes", [[1, 1], [2, 2], [4, -1]],
+                             ids=["short", "long", "negative"])
+    def test_column_counts_must_cover_the_batch(self, sizes):
+        x = Tensor(np.ones((3, 3, 2)))
         spaces = [Tensor(np.eye(2)), Tensor(np.eye(2))]
-        with pytest.raises(DomainError, match="partition"):
-            grouped_projection(x, spaces, rows)
+        with pytest.raises(DomainError, match="column counts"):
+            grouped_projection(x, spaces, sizes)

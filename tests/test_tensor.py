@@ -11,9 +11,9 @@ from outfitrec.compatibility import LossWeights, training_loss
 from outfitrec.errors import DimensionError, DomainError
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
-from outfitrec.tensor import (Tensor, concat, cosines, linear, matmul,
-                              parameter, pool_rows, signed_sqrt, softmax,
-                              take_rows)
+from outfitrec.tensor import (Tensor, concat, cosines, grouped_projection,
+                              linear, matmul, parameter, pool_rows,
+                              signed_sqrt, softmax, take_rows)
 
 
 def naive_matmul(a, b):
@@ -159,7 +159,7 @@ class TestElementwise:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(3, 4)) * 100)
-        for out in (x.tanh(), x.relu(), softmax(x, axis=-1), signed_sqrt(x)):
+        for out in (x.tanh(), x.relu(), softmax(x), signed_sqrt(x)):
             assert np.all(np.isfinite(out.data))
 
 
@@ -179,7 +179,7 @@ class TestGradients:
         self._check(lambda p: (matmul(p, w) * matmul(p, w)).sum(), (5, 4))
 
     def test_softmax(self):
-        self._check(lambda p: (softmax(p, axis=-1)
+        self._check(lambda p: (softmax(p)
                                * Tensor(np.arange(6.0).reshape(2, 3))).sum(),
                     (2, 3))
 
@@ -324,7 +324,11 @@ def graph_nodes(root):
     lambda p, q: concat([p, q], axis=0).sum(),
     lambda p, q: p.sum() + q.sum(),
     lambda p, q: take_rows(concat([p, q], axis=0), [3, 1, 0, 2]).sum(),
-], ids=["add", "reshape", "concat", "sum", "take_rows"])
+    lambda p, q: grouped_projection(
+        concat([p, q], axis=0).reshape(2, 2, 3), [Tensor(np.eye(3))] * 2,
+        [1, 1]).sum(),
+], ids=["add", "reshape", "concat", "sum", "take_rows",
+        "grouped_projection"])
 def test_gradient_buffers_are_private(make_loss):
     p = parameter(np.arange(6.0).reshape(2, 3))
     q = parameter(-np.arange(6.0).reshape(2, 3))
@@ -382,6 +386,7 @@ def test_indexing_is_basic_only(key):
 
 class TestTakeRows:
     INDEX = np.array([2, 0, 2, 2, 4])   # row 2 three times; rows 1 and 3 unused
+    STACK = np.array([[1, 4], [4, 0], [3, 2]])   # (3, 2); row 4 twice
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -402,10 +407,27 @@ class TestTakeRows:
         np.add.at(ref, self.INDEX, g)
         np.testing.assert_array_equal(p.grad, ref)
 
+    def test_2d_index_gathers_a_stack(self):
+        """A (3, 2) index gives a (3, 2, ...) stack; its backward matches
+        `np.add.at` bit for bit and finite differences."""
+        rng = np.random.default_rng(9)
+        p = parameter(rng.normal(size=(5, 2, 3)))
+        g = rng.normal(size=self.STACK.shape + (2, 3))
+        out = take_rows(p, self.STACK)
+        assert out.shape == (3, 2, 2, 3)
+        np.testing.assert_array_equal(out.data, p.data[self.STACK])
+        (out * g).sum().backward()
+        ref = np.zeros(p.shape)
+        np.add.at(ref, self.STACK, g)
+        np.testing.assert_array_equal(p.grad, ref)
+        loss = lambda: (take_rows(p, self.STACK).tanh() * g).sum()
+        report = grad_check(loss, [("p", p)], h_scale=1e-3, rel_tol=1e-4)
+        assert report.passed, str(report)
+
     @pytest.mark.parametrize("index", [
-        np.array([[0, 1]]), np.array([0, 5]), np.array([-1]),
-        np.array([0.0, 1.0]),
-    ], ids=["2d", "past_end", "negative", "float"])
+        np.array([0, 5]), np.array([-1]), np.array([0.0, 1.0]),
+        np.array([[0, 1], [2, 5]]),
+    ], ids=["past_end", "negative", "float", "past_end_2d"])
     def test_malformed_index_rejected(self, index):
         with pytest.raises(DimensionError, match="take_rows"):
             take_rows(parameter(np.zeros((5, 3))), index)
