@@ -1,6 +1,6 @@
 """Multimodal outfit compatibility with attention-based fusion."""
 
-from .compatibility import (LossWeights, loss_vse, loss_vsim, pair_score,
+from .compatibility import (COMP, SIM, VSE, LossWeights, hinges, pair_score,
                             pair_scores, total_loss, training_loss,
                             triplet_loss)
 from .data import (Dataset, Dims, FCQuestion, FITBQuestion, Item, ItemType,

@@ -2,9 +2,9 @@
 
 The total loss combines a compatibility term in the type-pair space with
 visual-semantic, visual-similarity and textual-similarity terms in the
-common space, all built from the margin-based triplet loss over cosine
-similarity. Loss functions accept a leading batch axis and return the
-batch vector; batch reduction happens in `training_loss`.
+common space. Each term is a table of the (negative, positive) cosine
+pairs it compares; `hinges` reads them from the `role_cosines` table of a
+triplet batch's role stacks and returns each triplet's mean margin hinge.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, canonical_pair
-from .errors import DimensionError, DomainError
+from .errors import ConfigError, DimensionError, DomainError
 from .model import OutfitModel, item_features
-from .tensor import Tensor, cosines, grouped_projection, no_grad, take_rows
+from .tensor import (Tensor, concat, grouped_projection, no_grad,
+                     role_cosines, take_rows)
 
 
 @dataclass
@@ -28,43 +29,35 @@ class LossWeights:
 
     def __post_init__(self):
         if self.margin <= 0:
-            raise ValueError(f"margin must be positive, got {self.margin}")
+            raise ConfigError(f"margin must be positive, got {self.margin}")
         for name in ("lambda_vsim", "lambda_tsim", "lambda_vse"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+                raise ConfigError(f"{name} must be non-negative")
 
 
-def _hinge(cos_negative: Tensor, cos_positive: Tensor, margin: float) -> Tensor:
-    return (cos_negative - cos_positive + margin).relu()
+# ((i, j) negative, (i, j) positive) entries of a role-cosine table, with
+# roles 0 = anchor, 1 = positive, 2 = negative. comp: the anchor nearer the
+# positive; vsim, tsim: the two same-type items nearer each other than the
+# anchor; vse: each image nearer its own text than the other two.
+COMP = [((0, 2), (0, 1))]
+SIM = [((1, 0), (1, 2)), ((2, 0), (1, 2))]
+VSE = [((i, j), (i, i)) for i in range(3) for j in range(3) if j != i]
+
+
+def hinges(cos: Tensor, table, margin: float) -> Tensor:
+    """Each triplet's mean of max(0, cos[negative] - cos[positive] + margin)
+    over the entries of `table`, read from the (3, 3, ...) table `cos`."""
+    flat = np.array(table) @ np.array([3, 1])   # (entries, 2) of 9 rows
+    pick = take_rows(cos.reshape((9,) + cos.shape[2:]), flat.T)
+    return (pick[0] - pick[1] + margin).relu().mean(axis=0)
 
 
 def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
                  margin: float) -> Tensor:
     """max(0, f(anchor, negative) - f(anchor, positive) + margin), f = cosine."""
-    return _hinge(*cosines([(anchor, negative), (anchor, positive)]), margin)
-
-
-def loss_vse(img_u, img_p, img_n, txt_u, txt_p, txt_n,
-             margin: float) -> Tensor:
-    """Each image closer to its own description than to the other two."""
-    imgs, txts = (img_u, img_p, img_n), (txt_u, txt_p, txt_n)
-    ij = [(i, j) for i in range(3) for j in range(3)]
-    cos = dict(zip(ij, cosines([(imgs[i], txts[j]) for i, j in ij])))
-    total = None
-    for i in range(3):
-        a, b = (j for j in range(3) if j != i)
-        per_image = (_hinge(cos[i, a], cos[i, i], margin)
-                     + _hinge(cos[i, b], cos[i, i], margin)) * 0.5
-        total = per_image if total is None else total + per_image
-    return total * (1.0 / 3.0)
-
-
-def loss_vsim(img_u, img_p, img_n, margin: float) -> Tensor:
-    """Same-type images (or texts) closer to each other than to the
-    cross-type one."""
-    cos_pu, cos_pn, cos_nu = cosines(
-        [(img_p, img_u), (img_p, img_n), (img_n, img_u)])
-    return (_hinge(cos_pu, cos_pn, margin) + _hinge(cos_nu, cos_pn, margin)) * 0.5
+    roles = concat([anchor, positive, negative], axis=0).reshape(
+        (3,) + anchor.shape)
+    return hinges(role_cosines(roles, roles), COMP, margin)
 
 
 def total_loss(comp: Tensor, vsim: Tensor, tsim: Tensor, vse: Tensor,
@@ -92,8 +85,7 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
     pair's triplets are one column range of the stacks, and one
     `grouped_projection` projects every range into its pair's space: the
     graph's size does not grow with the number of type pairs in the batch.
-    Each role view `t[r]` is built once and shared by every loss term, so
-    the terms' gradients meet in one node before they reach `t`.
+    Each loss term is one `hinges` over one `role_cosines` table.
     """
     items = regions.shape[0]
     if words.shape[0] != items:
@@ -115,19 +107,15 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
         raise DomainError(
             f"pair groups name item rows in [{role_items.min()}, "
             f"{role_items.max()}], outside the batch's {items} items")
-    batch = role_items.shape[1]
 
     fused, img, txt = (take_rows(t, role_items)
                        for t in item_features(model, regions, words))
     proj = grouped_projection(fused, [model.space(*p) for p in pair_groups],
                               [ix.shape[1] for ix in groups])
-    comp = triplet_loss(proj[0], proj[1], proj[2],
-                        weights.margin).sum() * (1.0 / batch)
-
-    imgs, txts = (img[0], img[1], img[2]), (txt[0], txt[1], txt[2])
-    vsim = loss_vsim(*imgs, weights.margin).mean()
-    tsim = loss_vsim(*txts, weights.margin).mean()
-    vse = loss_vse(*imgs, *txts, weights.margin).mean()
+    comp = hinges(role_cosines(proj, proj), COMP, weights.margin).mean()
+    vsim = hinges(role_cosines(img, img), SIM, weights.margin).mean()
+    tsim = hinges(role_cosines(txt, txt), SIM, weights.margin).mean()
+    vse = hinges(role_cosines(img, txt), VSE, weights.margin).mean()
     if terms_out is not None:
         terms_out.update(comp=comp.item(), vsim=vsim.item(),
                          tsim=tsim.item(), vse=vse.item())

@@ -181,7 +181,7 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise DatasetError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != MANIFEST_FORMAT:
         raise DatasetError(f"{path}: not an {MANIFEST_FORMAT} manifest")
-    if _int(manifest.get("version"), "manifest version") != MANIFEST_VERSION:
+    if _typed(manifest.get("version"), int, "manifest version") != MANIFEST_VERSION:
         raise DatasetError(f"{path}: unsupported version {manifest['version']}; "
                            "regenerate the dataset with `outfitrec gen`")
     try:
@@ -192,38 +192,44 @@ def load_dataset(manifest_path: str | Path) -> Dataset:
         raise DatasetError(f"{path}: malformed manifest: {exc!r}") from exc
 
 
-def _int(value, what: str) -> int:
-    """`value` if it is a JSON integer (a bool is not), else DatasetError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DatasetError(f"{what} must be an integer, got {value!r}")
+def _typed(value, kind: type, what: str):
+    """`value` if it is a JSON `kind`, int or str (a bool is neither), else
+    DatasetError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DatasetError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
     return value
 
 
 def _parse_manifest(manifest: dict, path: Path) -> Dataset:
     base = path.parent
     d = manifest["dims"]
-    dims = Dims(**{k: _int(d[k], f"dims {k!r}") for k in
+    dims = Dims(**{k: _typed(d[k], int, f"dims {k!r}") for k in
                    ("num_regions", "num_words", "region_dim", "word_dim")})
     if min(dims.num_regions, dims.region_dim, dims.word_dim) < 1 or dims.num_words < 0:
         raise DatasetError(f"{path}: invalid dims {d}")
 
     types: list[ItemType] = []
     for t in manifest["types"]:
-        type_id = _int(t["id"], f"type {t['name']!r} id")
-        if any(t["name"] == u.name or type_id == u.id for u in types):
+        name = _typed(t["name"], str, "type name")
+        type_id = _typed(t["id"], int, f"type {name!r} id")
+        if any(name == u.name or type_id == u.id for u in types):
             raise DatasetError(
-                f"type {t['name']!r} (id {type_id}) repeats a name or an id")
-        types.append(ItemType(name=t["name"], id=type_id))
+                f"type {name!r} (id {type_id}) repeats a name or an id")
+        types.append(ItemType(name=name, id=type_id))
     by_name = {t.name: t for t in types}
 
     entries: dict[str, tuple[ItemType, str | None]] = {}
     for meta in manifest["items"]:
-        item_id = meta["id"]
+        item_id = _typed(meta["id"], str, "item id")
         if item_id in entries:
             raise DatasetError(f"duplicate item id {item_id!r}")
-        if meta["type"] not in by_name:
-            raise DatasetError(f"item {item_id!r} has unknown type {meta['type']!r}")
-        entries[item_id] = (by_name[meta["type"]], meta.get("description"))
+        type_name = _typed(meta["type"], str, f"item {item_id!r} type")
+        if type_name not in by_name:
+            raise DatasetError(f"item {item_id!r} has unknown type {type_name!r}")
+        description = meta.get("description")
+        if description is not None:
+            _typed(description, str, f"item {item_id!r} description")
+        entries[item_id] = (by_name[type_name], description)
     regions = _read_features(base / "regions.f32", (
         len(entries), dims.num_regions, dims.region_dim))
     described = sum(d is not None for _, d in entries.values())
@@ -237,32 +243,30 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
         for (item_id, (item_type, description)), rows
         in zip(entries.items(), regions)}
 
+    def check_ids(ids, where):
+        for i in ids:
+            if _typed(i, str, f"{where} item reference") not in items:
+                raise DatasetError(f"{where} references missing item {i!r}")
+
     outfits: dict[str, list[Outfit]] = {s: [] for s in SPLITS}
     seen_outfits: set[str] = set()
     for meta in manifest["outfits"]:
-        oid, split = meta["id"], meta["split"]
+        oid, split = _typed(meta["id"], str, "outfit id"), meta["split"]
         if split not in SPLITS:
             raise DatasetError(f"outfit {oid!r} has unknown split {split!r}")
         if oid in seen_outfits:
             raise DatasetError(f"outfit {oid!r} appears in more than one split")
         seen_outfits.add(oid)
         members = tuple(meta["items"])
+        check_ids(members, f"outfit {oid!r}")
         if len(members) < 2 or len(set(members)) != len(members):
             raise DatasetError(f"outfit {oid!r} needs >= 2 distinct items")
-        for i in members:
-            if i not in items:
-                raise DatasetError(f"outfit {oid!r} references missing item {i!r}")
         outfits[split].append(Outfit(id=oid, items=members))
-
-    def check_ids(ids, where):
-        for i in ids:
-            if i not in items:
-                raise DatasetError(f"{where} references missing item {i!r}")
 
     fc = []
     for q in manifest["questions"]["fc"]:
         check_ids(q["items"], "FC question")
-        if _int(q["label"], "FC label") not in (0, 1):
+        if _typed(q["label"], int, "FC label") not in (0, 1):
             raise DatasetError(f"FC label must be 0 or 1, got {q['label']!r}")
         fc.append(FCQuestion(items=tuple(q["items"]), label=q["label"]))
     fitb = []
@@ -270,7 +274,7 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
         check_ids(list(q["partial"]) + list(q["candidates"]), "FITB question")
         if len(q["candidates"]) != 4:
             raise DatasetError("FITB question must have exactly 4 candidates")
-        if not 0 <= _int(q["answer"], "FITB answer") <= 3:
+        if not 0 <= _typed(q["answer"], int, "FITB answer") <= 3:
             raise DatasetError(f"FITB answer index out of range: {q['answer']!r}")
         fitb.append(FITBQuestion(partial=tuple(q["partial"]),
                                  candidates=tuple(q["candidates"]),

@@ -28,6 +28,10 @@ class DatasetError(OutfitrecError, ValueError):
     """Manifest, blob or question data violates the on-disk contract."""
 
 
+class ConfigError(OutfitrecError, ValueError):
+    """A training config, loss weight or model kind is out of range."""
+
+
 class SyntheticSpecError(OutfitrecError, ValueError):
     """Synthetic generation parameters are infeasible."""
 

@@ -27,8 +27,8 @@ import numpy as np
 from .data import canonical_pair, read_f32
 from .embedding import (CommonSpaceProjector, init_projector,
                         project_regions, project_words, uniform_init)
-from .errors import (DatasetError, DimensionError, UnseenTypePairError,
-                     check_field_types)
+from .errors import (ConfigError, DatasetError, DimensionError,
+                     UnseenTypePairError, check_field_types)
 from .fusion import (CoAttentionParams, StackedAttentionParams,
                      fuse_coattention, fuse_dot_product, fuse_stacked,
                      init_coattention_params, init_stacked_params)
@@ -86,7 +86,7 @@ def _build_model(fusion: str, dims: ModelDims,
                  rng: np.random.Generator | None) -> OutfitModel:
     """The model's tensors drawn from `rng`, or zeros when it is None."""
     if fusion not in FUSION_KINDS:
-        raise ValueError(f"unknown fusion kind {fusion!r}; expected {FUSION_KINDS}")
+        raise ConfigError(f"unknown fusion kind {fusion!r}; expected {FUSION_KINDS}")
     if min(vars(dims).values()) < 1:
         raise DimensionError(f"dims must be positive, got {vars(dims)}")
     projector = init_projector(rng, dims.d_g, dims.region_dim, dims.word_dim)

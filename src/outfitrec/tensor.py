@@ -9,7 +9,7 @@ broadcast operands are summed back to the operand's shape.
 
 Shapes may carry leading batch axes: matrix operations act on the last
 two axes, reductions on whatever axis is requested, and softmax, L2
-normalisation and cosines on the last axis.
+normalisation and the role-cosine table on the last axis.
 """
 
 from __future__ import annotations
@@ -480,29 +480,33 @@ def l2_normalize(x: Tensor) -> Tensor:
     return x / norm
 
 
-def cosines(pairs: Sequence[tuple[Tensor, Tensor]]) -> list[Tensor]:
-    """The cosine of the angle between x and y along the last axis, for each
-    (x, y) pair; a tensor that appears in several pairs has its norm
-    computed once."""
-    norms: dict[Tensor, Tensor] = {}   # keyed by identity: no Tensor.__eq__
+def role_cosines(a: Tensor, b: Tensor) -> Tensor:
+    """The (R, R, ...) table `out[i, j] = cos(a[i], b[j])` of two (R, ..., d)
+    stacks: `(x * y).sum(-1) / (|x| * |y|)` along the last axis, with each
+    stack's norms computed once (once in all when `a is b`)."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.ndim < 2 or a.shape != b.shape:
+        raise DimensionError(f"role_cosines needs two (R, ..., d) stacks of "
+                             f"one shape, got {a.shape} and {b.shape}")
+    norm_a = np.sqrt((a.data * a.data).sum(axis=-1))
+    norm_b = norm_a if b is a else np.sqrt((b.data * b.data).sum(axis=-1))
+    if not (np.all(norm_a) and np.all(norm_b)):
+        raise DomainError("cosine of a zero vector is undefined")
+    den = norm_a[:, None] * norm_b[None]
+    data = (a.data[:, None] * b.data[None]).sum(axis=-1) / den
 
-    def norm(t: Tensor) -> Tensor:
-        if t not in norms:
-            n = (t * t).sum(axis=-1).sqrt()
-            if not np.all(n.data):
-                raise DomainError("cosine of a zero vector is undefined")
-            norms[t] = n
-        return norms[t]
+    def backward(g):
+        # d cos(x, y)/dx = y / (|x| |y|) - cos(x, y) x / |x|^2, contracted
+        # over the R roles without forming an (R, R, ..., d) product
+        g_dot, g_cos = g / den, g * data
+        if a.requires_grad:
+            a._accumulate(np.einsum("ij...,j...d->i...d", g_dot, b.data)
+                          - (g_cos.sum(1) / norm_a ** 2)[..., None] * a.data)
+        if b.requires_grad:
+            b._accumulate(np.einsum("ij...,i...d->j...d", g_dot, a.data)
+                          - (g_cos.sum(0) / norm_b ** 2)[..., None] * b.data)
 
-    out = []
-    for x, y in pairs:
-        x, y = as_tensor(x), as_tensor(y)
-        if x.shape != y.shape:
-            raise DimensionError(
-                f"cosine shape mismatch: {x.shape} vs {y.shape}")
-        dot = (x * y).sum(axis=-1)
-        out.append(dot / (norm(x) * norm(y)))
-    return out
+    return Tensor._result(data, (a, b), backward)
 
 
 def pool_rows(x: Tensor) -> Tensor:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .compatibility import LossWeights, training_loss
 from .data import Dataset, FCQuestion, canonical_pair
-from .errors import ConsistencyError, check_field_types
+from .errors import ConfigError, ConsistencyError, check_field_types
 from .evaluation import fc_auc, fc_scores_and_labels
 from .model import FUSION_KINDS, ModelDims, OutfitModel, init_model
 from .optim import Adam
@@ -36,19 +36,19 @@ class TrainConfig:
     runs: int = 5
 
     def validate(self) -> None:
-        check_field_types(self, ValueError)
+        check_field_types(self, ConfigError)
         if self.fusion not in FUSION_KINDS:
-            raise ValueError(f"fusion must be one of {FUSION_KINDS}")
+            raise ConfigError(f"fusion must be one of {FUSION_KINDS}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ConfigError("epochs must be >= 0")
         for name in ("batch_size", "hops", "mfb_factor",
                      "d_g", "d_c", "h", "runs"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise ConfigError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         self.weights()
 
     @classmethod
@@ -56,7 +56,7 @@ class TrainConfig:
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**raw)
         cfg.validate()
         return cfg

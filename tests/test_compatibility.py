@@ -1,9 +1,9 @@
-"""Triplet losses, total-loss assembly and pairwise scoring."""
+"""Hinge-table losses, total-loss assembly and pairwise scoring."""
 
 import numpy as np
 import pytest
 
-from outfitrec.compatibility import (LossWeights, loss_vse, loss_vsim,
+from outfitrec.compatibility import (SIM, VSE, LossWeights, hinges,
                                      pair_score, total_loss, training_loss,
                                      triplet_loss)
 from outfitrec.data import Item, ItemType
@@ -11,7 +11,7 @@ from outfitrec.errors import DimensionError, DomainError, UnseenTypePairError
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model, item_features
 from outfitrec.optim import grad_check
 from outfitrec.tensor import (Tensor, grouped_projection, linear,
-                              no_grad, parameter)
+                              no_grad, parameter, role_cosines)
 
 
 def cos(a, b):
@@ -27,6 +27,18 @@ def loss_comp(rep_u, rep_p, rep_n, space, margin):
 
 def tl(a, p, n, m=0.2):
     return triplet_loss(Tensor(a), Tensor(p), Tensor(n), m).item()
+
+
+def vsim(u, p, n, m):
+    """The vsim (or tsim) term of one anchor/positive/negative triplet."""
+    roles = Tensor(np.stack([u, p, n]))
+    return hinges(role_cosines(roles, roles), SIM, m).item()
+
+
+def vse(imgs, txts, m):
+    """The vse term of one triplet's three images and three texts."""
+    return hinges(role_cosines(Tensor(np.stack(imgs)), Tensor(np.stack(txts))),
+                  VSE, m).item()
 
 
 class TestTripletLoss:
@@ -58,8 +70,7 @@ class TestSimilarityLosses:
         rng = np.random.default_rng(1)
         imgs = rng.normal(size=(3, 4))
         t = rng.normal(size=4)
-        val = loss_vse(*(Tensor(i) for i in imgs),
-                       Tensor(t), Tensor(t), Tensor(t), margin=0.2).item()
+        val = vse(imgs, [t, t, t], 0.2)
         assert val == pytest.approx(0.2, abs=1e-12)
 
     def test_vse_matches_six_term_oracle(self):
@@ -74,15 +85,14 @@ class TestSimilarityLosses:
         expected = (term(iu, tu, tp) + term(iu, tu, tn)
                     + term(ip, tp, tu) + term(ip, tp, tn)
                     + term(in_, tn, tu) + term(in_, tn, tp)) / 6.0
-        got = loss_vse(Tensor(iu), Tensor(ip), Tensor(in_),
-                       Tensor(tu), Tensor(tp), Tensor(tn), margin=m).item()
+        got = vse([iu, ip, in_], [tu, tp, tn], m)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_vsim_symmetric_in_same_type_pair(self):
         rng = np.random.default_rng(3)
         u, p, n = rng.normal(size=(3, 5))
-        a = loss_vsim(Tensor(u), Tensor(p), Tensor(n), margin=0.2).item()
-        b = loss_vsim(Tensor(u), Tensor(n), Tensor(p), margin=0.2).item()
+        a = vsim(u, p, n, 0.2)
+        b = vsim(u, n, p, 0.2)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_vsim_matches_two_term_oracle(self):
@@ -91,7 +101,7 @@ class TestSimilarityLosses:
         m = 0.2
         expected = (max(0.0, cos(p, u) - cos(p, n) + m)
                     + max(0.0, cos(n, u) - cos(n, p) + m)) / 2.0
-        got = loss_vsim(Tensor(u), Tensor(p), Tensor(n), margin=m).item()
+        got = vsim(u, p, n, m)
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -261,6 +271,19 @@ class TestTrainingLoss:
         assert ops_one == ops_three
         assert leaves_three == leaves_one + 2   # the two extra spaces
 
+    @pytest.mark.parametrize("fusion, bound", [
+        ("baseline", 94), ("dot_product", 104), ("stacked", 131),
+        ("coattention", 168)])
+    def test_graph_node_count_is_bounded(self, fusion, bound):
+        """Each loss term is one `role_cosines` table read by one `hinges`;
+        building one node chain per cosine, as before, took 151 more."""
+        regions, words = self.items(np.random.default_rng(16), 5)
+        groups = {("shoes", "tops"): np.array([[0, 1, 2], [1, 2, 3],
+                                               [2, 3, 4]])}
+        loss = training_loss(make_model(fusion), regions, words, groups,
+                             LossWeights())
+        assert len(graph_nodes(loss)) <= bound
+
     def test_matches_per_triplet_oracle(self):
         rng = np.random.default_rng(14)
         model = make_model("coattention",
@@ -275,25 +298,27 @@ class TestTrainingLoss:
         terms = {}
         got = training_loss(model, regions, words, groups, w, terms_out=terms)
 
-        comp = vsim = tsim = vse = 0.0
+        comp = v_sim = t_sim = v_se = 0.0
         with no_grad():
-            # recompute per triplet with the single-pair loss functions
+            # recompute per triplet with the single-triplet loss terms
             for pair, rows in groups.items():
                 for triplet in rows.T:
                     feats = [item_features(model, regions[i], words[i])
                              for i in triplet]
                     reps, imgs, txts = zip(*feats)
+                    imgs = [t.data for t in imgs]
+                    txts = [t.data for t in txts]
                     comp += loss_comp(*reps, model.space(*pair),
                                       w.margin).item()
-                    vsim += loss_vsim(*imgs, w.margin).item()
-                    tsim += loss_vsim(*txts, w.margin).item()
-                    vse += loss_vse(*imgs, *txts, w.margin).item()
-        comp, vsim, tsim, vse = (v / 4.0 for v in (comp, vsim, tsim, vse))
-        expected = comp + w.lambda_vsim * vsim + w.lambda_tsim * tsim \
-            + w.lambda_vse * vse
+                    v_sim += vsim(*imgs, w.margin)
+                    t_sim += vsim(*txts, w.margin)
+                    v_se += vse(imgs, txts, w.margin)
+        comp, v_sim, t_sim, v_se = (v / 4.0 for v in (comp, v_sim, t_sim, v_se))
+        expected = comp + w.lambda_vsim * v_sim + w.lambda_tsim * t_sim \
+            + w.lambda_vse * v_se
         assert got.item() == pytest.approx(expected, abs=1e-10)
         assert terms["comp"] == pytest.approx(comp, abs=1e-10)
-        assert terms["vse"] == pytest.approx(vse, abs=1e-10)
+        assert terms["vse"] == pytest.approx(v_se, abs=1e-10)
 
 
 def graph_nodes(root):

@@ -1,5 +1,6 @@
 """Dataset model, on-disk round-trips and the synthetic generator."""
 
+import copy
 import json
 import struct
 import warnings
@@ -184,6 +185,43 @@ def test_manifest_integers_are_strict(tmp_path, edit):
         load_dataset(manifest)
 
 
+def renumber_item_a(meta):
+    """Item "a" becomes the number 7, in the item list and every reference."""
+    meta["items"][0]["id"] = 7
+    for entry in meta["outfits"] + meta["questions"]["fc"]:
+        entry["items"] = [7 if i == "a" else i for i in entry["items"]]
+
+
+def renumber_type_tops(meta):
+    """Type "tops" becomes the number 0, in the type list and its items."""
+    meta["types"][0]["name"] = 0
+    meta["items"][0]["type"] = 0
+
+
+@pytest.mark.parametrize("edit", [
+    renumber_type_tops,
+    renumber_item_a,
+    lambda meta: meta["items"][1].update(type=["shoes"]),
+    lambda meta: meta["items"][0].update(description=5),
+    lambda meta: meta["outfits"][0].update(id=1),
+    lambda meta: meta["outfits"][0].update(items=["a", ["b"]]),
+    lambda meta: meta["questions"]["fc"][0].update(items=["a", 2]),
+    lambda meta: meta["questions"]["fitb"].append(
+        {"partial": [None], "candidates": ["b", "c", "b", "c"], "answer": 0}),
+], ids=["type_name", "item_id", "item_type", "description", "outfit_id",
+        "outfit_item", "fc_item", "fitb_item"])
+def test_manifest_names_are_strings(tmp_path, edit):
+    """The type-name, item-id, description and outfit-id edits used to
+    load; a number as a type name then failed training with a TypeError
+    where type names are ordered."""
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    meta = json.loads(manifest.read_text())
+    edit(meta)
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match="must be a JSON str"):
+        load_dataset(manifest)
+
+
 def test_non_object_manifest_raises_dataset_error(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("[]")
@@ -243,7 +281,8 @@ def test_mutated_manifest_raises_only_package_errors(fuzz_base, data):
         if edit == "delete":
             del parent[key]
         elif edit == "retype":
-            parent[key] = data.draw(FUZZ_VALUES, label="value")
+            # a copy: a later edit must not mutate FUZZ_VALUES' own lists
+            parent[key] = copy.deepcopy(data.draw(FUZZ_VALUES, label="value"))
         else:
             parent[key] = data.draw(st.sampled_from(
                 [[parent[key]], {"value": parent[key]}]), label="wrapper")

@@ -133,3 +133,34 @@ def test_grad_check_flags_wrong_gradient():
     report = grad_check(lambda: (Tensor(p.data) * p).sum(), [("p", p)],
                         h_scale=1e-3)
     assert not report.passed
+
+
+
+def nan_gradient(p):
+    """`p.sum()` on a tape whose backward writes NaN into `p`'s gradient."""
+    return Tensor._result(p.data.sum(), (p,),
+                          lambda g: p._accumulate(np.full(p.shape, np.nan)))
+
+
+def test_grad_check_fails_on_nan_gradient():
+    # the NaN block comes second: a plain max() over the blocks keeps the
+    # first of (finite, NaN) and would report the finite error
+    p = parameter([1.0, 2.0])
+    q = parameter([3.0])
+    report = grad_check(lambda: (q * q).sum() + nan_gradient(p),
+                        [("q", q), ("p", p)])
+    assert np.isnan(report.per_block["p"])
+    assert np.isnan(report.max_rel_error)
+    assert not report.passed
+
+
+def test_grad_check_fails_on_nan_loss_at_a_perturbed_point():
+    p = parameter([1.0, 0.0])
+
+    def loss():
+        value = (p * p).sum()
+        return value * np.nan if p.data[1] > 0 else value
+
+    report = grad_check(loss, [("p", p)])
+    assert np.isnan(report.per_block["p"])
+    assert not report.passed

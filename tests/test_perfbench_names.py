@@ -43,3 +43,33 @@ def test_step_clock_finds_batch_assembly_and_the_adam_step():
     params = list(inspect.signature(training._batch_arrays).parameters)
     assert params == ["dataset", "triplets"]
     assert callable(getattr(optim.Adam, "step", None))
+
+
+# Every package call in `perfbench/run.py`, as (module, function, the
+# parameters its positional arguments must bind to, in run.py's order).
+RUN_CALLS = [
+    ("evaluation", "fitb_answer", ["question", "model", "dataset", "reps"]),
+    ("evaluation", "fc_scores_and_labels", ["dataset", "questions", "model"]),
+    ("evaluation", "compute_representations",
+     ["model", "dataset", "item_ids"]),
+    ("evaluation", "evaluate", ["dataset", "models"]),
+    ("data", "filter_questions", ["fc", "fitb", "dataset"]),
+    ("data", "generate_synthetic", ["spec", "seed"]),
+    ("data", "save_dataset", ["dataset", "out_dir"]),
+    ("data", "load_dataset", ["manifest_path"]),
+    ("training", "train", ["dataset", "config"]),
+    ("model", "save_model", ["model", "path"]),
+    ("model", "load_model", ["path"]),
+]
+
+
+@pytest.mark.parametrize("module_name, function, params", RUN_CALLS,
+                         ids=[f"{m}.{f}" for m, f, _ in RUN_CALLS])
+def test_run_call_binds_each_argument_to_its_parameter(module_name, function,
+                                                       params):
+    """A new required parameter or a changed argument order would break
+    only the benchmark run; binding run.py's arguments catches both."""
+    target = getattr(importlib.import_module(f"outfitrec.{module_name}"),
+                     function)
+    bound = inspect.signature(target).bind(*params)
+    assert bound.arguments == dict(zip(params, params))

@@ -11,8 +11,8 @@ from outfitrec.compatibility import LossWeights, training_loss
 from outfitrec.errors import DimensionError, DomainError
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
-from outfitrec.tensor import (Tensor, concat, cosines, grouped_projection,
-                              linear, matmul, parameter, pool_rows,
+from outfitrec.tensor import (Tensor, concat, grouped_projection, linear,
+                              matmul, parameter, pool_rows, role_cosines,
                               signed_sqrt, softmax, take_rows)
 
 
@@ -106,33 +106,62 @@ class TestSoftmax:
         np.testing.assert_allclose(base, shifted, atol=1e-9)
 
 
-class TestCosine:
+def cos_table(a, b):
+    return role_cosines(Tensor(a), Tensor(b)).data
+
+
+class TestRoleCosines:
     def test_identity(self):
-        v = Tensor([1.0, 2.0, -3.0])
-        assert cosines([(v, v)])[0].item() == pytest.approx(1.0)
+        v = np.array([[1.0, 2.0, -3.0]])
+        assert cos_table(v, v)[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosines([(Tensor([1.0, 0.0]),
-                         Tensor([0.0, 1.0]))])[0].item() == pytest.approx(0.0)
-        assert cosines([(Tensor([1.0, 1.0]),
-                         Tensor([1.0, -1.0]))])[0].item() == pytest.approx(0.0)
+        assert cos_table([[1.0, 0.0], [1.0, 1.0]],
+                         [[0.0, 1.0], [1.0, -1.0]])[[0, 1], [0, 1]] \
+            == pytest.approx([0.0, 0.0])
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DomainError):
-            cosines([(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))])
+    def test_every_entry_is_the_per_pair_cosine_bit_for_bit(self):
+        """Entry (i, j, b) is the cosine of a[i, b] and b[j, b] computed on
+        its own, with the same products and sums."""
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(2, 3, 4, 37))   # past numpy's 8-wide unroll
+        for x_stack, y_stack in ((a, a), (a, b)):
+            got = cos_table(x_stack, y_stack)
+            assert got.shape == (3, 3, 4)
+            for i, j, k in np.ndindex(got.shape):
+                x, y = x_stack[i, k], y_stack[j, k]
+                want = (x * y).sum() / (np.sqrt((x * x).sum())
+                                        * np.sqrt((y * y).sum()))
+                assert got[i, j, k] == want
+
+    @pytest.mark.parametrize("same", [True, False], ids=["a_is_b", "a_not_b"])
+    def test_zero_row_rejected(self, same):
+        a = np.ones((3, 2, 4))
+        a[2, 1] = 0.0
+        b = a if same else np.ones((3, 2, 4))
+        with pytest.raises(DomainError, match="zero vector"):
+            role_cosines(Tensor(a), Tensor(b))
+        with pytest.raises(DomainError, match="zero vector"):
+            role_cosines(Tensor(b), Tensor(a))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 2, 4), (3, 2, 5)), ((3, 2, 4), (2, 2, 4)), ((3, 2, 4), (3, 4)),
+        ((4,), (4,))], ids=["width", "roles", "batch", "one_dim"])
+    def test_shape_mismatch_rejected(self, a_shape, b_shape):
+        with pytest.raises(DimensionError, match="role_cosines"):
+            role_cosines(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.01, 100), st.floats(0.01, 100))
     def test_symmetry_bound_and_scale_invariance(self, seed, alpha, beta):
         rng = np.random.default_rng(seed)
-        x = rng.normal(size=5) + 0.01
-        y = rng.normal(size=5) + 0.01
-        c_xy = cosines([(Tensor(x), Tensor(y))])[0].item()
-        c_yx = cosines([(Tensor(y), Tensor(x))])[0].item()
-        assert c_xy == pytest.approx(c_yx, abs=1e-12)
-        assert abs(c_xy) <= 1.0 + 1e-12
-        scaled = cosines([(Tensor(alpha * x), Tensor(beta * y))])[0].item()
-        assert scaled == pytest.approx(c_xy, abs=1e-9)
+        x = rng.normal(size=(2, 5)) + 0.01
+        c = cos_table(x, x)
+        assert c[0, 1] == pytest.approx(c[1, 0], abs=1e-12)
+        assert np.all(np.abs(c) <= 1.0 + 1e-12)
+        scaled = cos_table(np.stack([alpha * x[0], beta * x[1]]),
+                           np.stack([beta * x[1], alpha * x[0]]))
+        assert scaled[0, 0] == pytest.approx(c[0, 1], abs=1e-9)
 
 
 class TestElementwise:
@@ -196,9 +225,18 @@ class TestGradients:
             return (c[1:] * c[:2]).sum() + (c[0, ::2] * c[2, 1::2]).sum()
         self._check(loss, (3, 2))
 
-    def test_cosine(self):
-        y = Tensor(np.random.default_rng(2).normal(size=4))
-        self._check(lambda p: cosines([(p, y)])[0], (4,))
+    def test_role_cosines_of_one_stack(self):
+        w = Tensor(np.random.default_rng(2).normal(size=(3, 3, 2)))
+        self._check(lambda p: (role_cosines(p, p) * w).sum(), (3, 2, 4))
+
+    def test_role_cosines_of_two_stacks(self):
+        rng = np.random.default_rng(3)
+        p = parameter(rng.normal(size=(3, 2, 4)))
+        q = parameter(rng.normal(size=(3, 2, 4)))
+        w = Tensor(rng.normal(size=(3, 3, 2)))
+        report = grad_check(lambda: (role_cosines(p, q) * w).sum(),
+                            [("p", p), ("q", q)], h_scale=1e-3, rel_tol=1e-4)
+        assert report.passed, str(report)
 
     def test_signed_sqrt_away_from_zero(self):
         self._check(lambda p: signed_sqrt(p * p + 1.0).sum(), (3, 2))
@@ -327,8 +365,10 @@ def graph_nodes(root):
     lambda p, q: grouped_projection(
         concat([p, q], axis=0).reshape(2, 2, 3), [Tensor(np.eye(3))] * 2,
         [1, 1]).sum(),
+    # a zero-weighted table: its gradients add nothing to the sums' ones
+    lambda p, q: p.sum() + q.sum() + role_cosines(p, q).sum() * 0.0,
 ], ids=["add", "reshape", "concat", "sum", "take_rows",
-        "grouped_projection"])
+        "grouped_projection", "role_cosines"])
 def test_gradient_buffers_are_private(make_loss):
     p = parameter(np.arange(6.0).reshape(2, 3))
     q = parameter(-np.arange(6.0).reshape(2, 3))

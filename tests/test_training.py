@@ -8,6 +8,7 @@ import scipy.stats
 
 from outfitrec.data import (Dataset, Dims, Item, ItemType, Outfit,
                             SyntheticSpec, generate_synthetic)
+from outfitrec.errors import ConfigError
 from outfitrec.model import init_model, ModelDims
 from outfitrec.training import (TrainConfig, sample_triplets, train,
                                 train_ensemble)
@@ -79,6 +80,22 @@ class TestTrainConfig:
 
     def test_integer_valued_float_fields_accepted(self):
         assert TrainConfig.from_dict({"margin": 1}).margin == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("margin", 0.0), ("batch_size", 0), ("fusion", "nope"),
+        ("epochs", 1.5)])
+    def test_bad_config_raises_a_package_error(self, field, value):
+        """The CLI reports package errors as usage errors; `ConfigError` is
+        also a ValueError for callers that catch that."""
+        ds = handmade_dataset([[("a", "tops"), ("b", "shoes")]])
+        with pytest.raises(ConfigError, match=field):
+            train(ds, dataclasses.replace(TINY_CONFIG, **{field: value}))
+
+    def test_unknown_fusion_kind_raises_a_package_error(self):
+        dims = ModelDims(d_g=2, d_c=2, h=2, hops=1, mfb_factor=1,
+                         region_dim=2, word_dim=2)
+        with pytest.raises(ConfigError, match="'nope'"):
+            init_model("nope", dims, {("a", "b")}, seed=0)
 
 
 class TestSampleTriplets:
