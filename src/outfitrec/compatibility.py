@@ -9,11 +9,13 @@ triplet batch's role stacks and returns each triplet's mean margin hinge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .data import Dataset, canonical_pair
+from .data import Dataset
 from .errors import ConfigError, DimensionError, DomainError
 from .model import OutfitModel, item_features
 from .tensor import (Tensor, concat, grouped_projection, no_grad,
@@ -28,11 +30,14 @@ class LossWeights:
     margin: float = 0.2
 
     def __post_init__(self):
-        if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin}")
+        if not (math.isfinite(self.margin) and self.margin > 0):
+            raise ConfigError(
+                f"margin must be positive and finite, got {self.margin}")
         for name in ("lambda_vsim", "lambda_tsim", "lambda_vse"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{name} must be non-negative and finite, got {value}")
 
 
 # ((i, j) negative, (i, j) positive) entries of a role-cosine table, with
@@ -142,20 +147,49 @@ def pair_scores(model: OutfitModel, dataset: Dataset,
                 reps: dict[str, np.ndarray],
                 pairs: list[tuple[str, str]]) -> np.ndarray:
     """`score_from_reps` for a list of item-id pairs, NaN where a pair has
-    no trained space. Each type pair projects its distinct items once."""
+    no trained space.
+
+    The list's distinct ids become rows of one stack of reps, and each
+    pair a (row, row) entry of a (P, 2) array. Each item's type is its
+    rank among the sorted type names, so a pair's canonical type pair is
+    the min and max of its two ranks, and one stable argsort groups the
+    pairs by type pair. Each trained type pair projects its distinct rows
+    once, in first-seen order over its pairs.
+
+    Raises DomainError for an id that has no entry in `reps`.
+    """
     scores = np.full(len(pairs), np.nan)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for k, (a, b) in enumerate(pairs):
-        key = canonical_pair(dataset.items[a].type.name, dataset.items[b].type.name)
-        groups.setdefault(key, []).append(k)
-    for key, ks in groups.items():
-        if key not in model.spaces:
+    if not pairs:
+        return scores
+    flat = list(chain.from_iterable(pairs))
+    ids = list(dict.fromkeys(flat))
+    row = dict(zip(ids, range(len(ids))))
+    ends = np.fromiter(map(row.__getitem__, flat), dtype=np.intp,
+                       count=len(flat)).reshape(len(pairs), 2)
+    try:
+        stack = np.stack([reps[i] for i in ids])
+    except KeyError as e:
+        raise DomainError(f"item {e.args[0]!r} has no representation; only "
+                          "described items are scored") from None
+    types = [dataset.items[i].type.name for i in ids]
+    names = sorted(set(types))
+    rank_of = {t: r for r, t in enumerate(names)}
+    ranks = np.array([rank_of[t] for t in types], dtype=np.intp)[ends]
+    lo, hi = ranks.min(axis=1), ranks.max(axis=1)
+    key = lo * len(names) + hi
+    order = np.argsort(key, kind="stable")
+    for ks in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        space = model.spaces.get((names[lo[ks[0]]], names[hi[ks[0]]]))
+        if space is None:
             continue
-        ids = list(dict.fromkeys(i for k in ks for i in pairs[k]))
-        row = {item: r for r, item in enumerate(ids)}
-        scores[ks] = _space_cosines(
-            model.spaces[key].data, np.stack([reps[i] for i in ids]),
-            [row[pairs[k][0]] for k in ks], [row[pairs[k][1]] for k in ks])
+        rows, first, inverse = np.unique(ends[ks].ravel(), return_index=True,
+                                         return_inverse=True)
+        seen = np.argsort(first)   # distinct rows in first-seen order
+        pos = np.empty_like(seen)
+        pos[seen] = np.arange(len(seen))
+        local = pos[inverse].reshape(-1, 2)
+        scores[ks] = _space_cosines(space.data, stack[rows[seen]],
+                                    local[:, 0], local[:, 1])
     return scores
 
 

@@ -82,19 +82,33 @@ def fitb_answers(questions: list[FITBQuestion], model: OutfitModel,
     scores.
 
     Untrained type pairs are skipped. None when no candidate has a single
-    scorable pair. Ties break toward the lowest index.
+    scorable pair. Ties break toward the lowest index. One `pair_scores`
+    call scores every (candidate, partial item) pair; the questions of
+    one (candidates, partial) shape are then one (q, c, p) block, totalled
+    over its last axis.
     """
     pairs = [(cand, other) for q in questions
              for cand in q.candidates for other in q.partial]
     scores = pair_scores(model, dataset, reps, pairs)
-    outcomes, start = [], 0
-    for q in questions:
+    shapes: dict[tuple[int, int], list[int]] = {}
+    starts, start = [], 0
+    for qi, q in enumerate(questions):
         shape = (len(q.candidates), len(q.partial))
-        block = scores[start:start + shape[0] * shape[1]].reshape(shape)
-        start += block.size
-        totals = np.nan_to_num(block).sum(axis=1)
-        outcomes.append(None if np.isnan(block).all()
-                        else (int(np.argmax(totals)), totals))
+        shapes.setdefault(shape, []).append(qi)
+        starts.append(start)
+        start += shape[0] * shape[1]
+    starts = np.array(starts, dtype=np.intp)
+    outcomes: list[tuple[int, np.ndarray] | None] = [None] * len(questions)
+    for (c, p), qs in shapes.items():
+        if not c * p:
+            continue   # no pair at all: every such question is None
+        block = scores[starts[qs, None] + np.arange(c * p)].reshape(-1, c, p)
+        totals = np.nan_to_num(block).sum(axis=-1)
+        unscored = np.isnan(block).all(axis=(1, 2))
+        for qi, choice, total, none in zip(qs, totals.argmax(axis=-1).tolist(),
+                                           totals, unscored.tolist()):
+            if not none:
+                outcomes[qi] = (choice, total)
     return outcomes
 
 

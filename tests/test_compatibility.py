@@ -7,7 +7,8 @@ from outfitrec.compatibility import (SIM, VSE, LossWeights, hinges,
                                      pair_score, total_loss, training_loss,
                                      triplet_loss)
 from outfitrec.data import Item, ItemType
-from outfitrec.errors import DimensionError, DomainError, UnseenTypePairError
+from outfitrec.errors import (ConfigError, DimensionError, DomainError,
+                             UnseenTypePairError)
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model, item_features
 from outfitrec.optim import grad_check
 from outfitrec.tensor import (Tensor, grouped_projection, linear,
@@ -147,6 +148,15 @@ class TestTotalLoss:
             LossWeights(margin=0.0)
         with pytest.raises(ValueError):
             LossWeights(lambda_vse=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("margin", float("nan")), ("margin", float("inf")),
+        ("lambda_vse", float("inf")), ("lambda_vse", float("nan")),
+        ("lambda_vsim", float("nan")), ("lambda_tsim", float("-inf")),
+    ])
+    def test_non_finite_weights_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be .*finite"):
+            LossWeights(**{field: value})
 
 
 def make_model(fusion="baseline", pairs=(("tops", "shoes"),), seed=0):

@@ -4,7 +4,6 @@ import copy
 import json
 import struct
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest

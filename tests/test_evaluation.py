@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from outfitrec.data import (FCQuestion, FITBQuestion, SyntheticSpec,
-                            generate_synthetic)
+                            canonical_pair, generate_synthetic)
 from outfitrec.errors import DomainError, MetricUndefinedError
 from outfitrec.evaluation import (compute_representations, evaluate, fc_auc,
-                                  fc_scores_and_labels, fitb_answer, vote)
-from outfitrec.compatibility import pair_scores, score_from_reps
+                                  fc_scores_and_labels, fitb_answer,
+                                  fitb_answers, vote)
+from outfitrec.compatibility import (_space_cosines, pair_scores,
+                                     score_from_reps)
 from outfitrec.model import ModelDims, init_model
 from outfitrec.tensor import Tensor
 from outfitrec.training import TrainConfig, train
@@ -126,6 +128,137 @@ class TestPairScores:
         model2 = dataclasses.replace(model, spaces=zeroed)
         with pytest.raises(DomainError):
             pair_scores(model2, ds, reps, [ds.fc_questions[0].items[:2]])
+
+
+def reference_pair_scores(model, dataset, reps, pairs):
+    """The per-group loop `pair_scores` replaced: pairs grouped by
+    `canonical_pair` in a dict, and per trained group a row dict of its
+    distinct ids in first-seen order and one `np.stack` of their reps."""
+    scores = np.full(len(pairs), np.nan)
+    groups = {}
+    for k, (a, b) in enumerate(pairs):
+        key = canonical_pair(dataset.items[a].type.name,
+                             dataset.items[b].type.name)
+        groups.setdefault(key, []).append(k)
+    for key, ks in groups.items():
+        if key not in model.spaces:
+            continue
+        ids = list(dict.fromkeys(i for k in ks for i in pairs[k]))
+        row = {item: r for r, item in enumerate(ids)}
+        scores[ks] = _space_cosines(
+            model.spaces[key].data, np.stack([reps[i] for i in ids]),
+            [row[pairs[k][0]] for k in ks], [row[pairs[k][1]] for k in ks])
+    return scores
+
+
+def reference_fitb_answers(questions, model, dataset, reps):
+    """The per-question loop `fitb_answers` replaced, over
+    `reference_pair_scores`."""
+    pairs = [(cand, other) for q in questions
+             for cand in q.candidates for other in q.partial]
+    scores = reference_pair_scores(model, dataset, reps, pairs)
+    outcomes, start = [], 0
+    for q in questions:
+        shape = (len(q.candidates), len(q.partial))
+        block = scores[start:start + shape[0] * shape[1]].reshape(shape)
+        start += block.size
+        totals = np.nan_to_num(block).sum(axis=1)
+        outcomes.append(None if np.isnan(block).all()
+                        else (int(np.argmax(totals)), totals))
+    return outcomes
+
+
+class TestScoringBitIdentity:
+    """`pair_scores` and `fitb_answers` give the reference loops' exact
+    bits: the same rows reach each type pair's GEMM in the same order, and
+    each candidate is totalled by the same reduction."""
+
+    def items_of_type(self, ds, name):
+        return [i for i, item in ds.items.items() if item.type.name == name]
+
+    def test_fc_pairs_match_reference(self):
+        ds, model, reps = fixture_model_and_reps(seed=15, fusion="stacked")
+        pruned = dict(model.spaces)
+        del pruned[sorted(pruned)[0]]
+        model = dataclasses.replace(model, spaces=pruned)
+        pairs = [p for q in ds.fc_questions for p in combinations(q.items, 2)]
+        pairs += [(b, a) for a, b in pairs[:40]] + pairs[:10]
+        want = reference_pair_scores(model, ds, reps, pairs)
+        assert 0 < np.isnan(want).sum() < len(pairs)   # an untrained pair
+        got = pair_scores(model, ds, reps, pairs)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_fitb_totals_match_reference(self):
+        ds, model, reps = fixture_model_and_reps(seed=19)
+        base = ds.fitb_questions[:6]
+        long_partial = tuple(i for t in sorted({it.type.name for it in
+                                                ds.items.values()})
+                             for i in self.items_of_type(ds, t)[:4])
+        lone = self.items_of_type(ds, "type00")
+        questions = [
+            *base[:3],
+            dataclasses.replace(base[3], partial=base[3].partial[:1]),
+            dataclasses.replace(base[4], partial=long_partial),
+            FITBQuestion(partial=tuple(lone[:2]),
+                         candidates=tuple(lone[2:6]), answer=0),
+            dataclasses.replace(base[5], partial=()),
+            base[5],
+        ]
+        assert len(long_partial) >= 8
+        want = reference_fitb_answers(questions, model, ds, reps)
+        got = fitb_answers(questions, model, ds, reps)
+        assert [o is None for o in got] == [o is None for o in want]
+        assert got[5] is None and got[6] is None   # no pair; no partial
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g[0] == w[0]
+                assert g[1].tobytes() == w[1].tobytes()
+        # a sequential (bincount-style) total differs from `.sum` here,
+        # so this case would catch a switch to one
+        block = np.nan_to_num(reference_pair_scores(
+            model, ds, reps, [(c, o) for c in questions[4].candidates
+                              for o in long_partial]))
+        seq = np.bincount(np.repeat(np.arange(4), len(long_partial)),
+                          weights=block)
+        assert seq.tobytes() != got[4][1].tobytes()
+
+    def test_no_questions_and_no_pairs(self):
+        ds, model, reps = fixture_model_and_reps(seed=17)
+        assert fitb_answers([], model, ds, reps) == []
+        assert pair_scores(model, ds, reps, []).shape == (0,)
+
+
+class TestUnrepresentedItem:
+    """Every scoring entry point names the item that has no rep."""
+
+    def fixture(self):
+        ds = generate_synthetic(
+            dataclasses.replace(SPEC, undescribed_frac=0.3), seed=18)
+        dims = ModelDims(d_g=8, d_c=8, h=8, hops=2, mfb_factor=2,
+                         region_dim=6, word_dim=5)
+        model = init_model("baseline", dims, ds.trained_type_pairs(), seed=0)
+        reps = compute_representations(model, ds, list(ds.items))
+        bare = next(i for i, item in ds.items.items() if not item.described)
+        return ds, model, reps, bare
+
+    def test_pair_scores(self):
+        ds, model, reps, bare = self.fixture()
+        other = next(iter(reps))
+        with pytest.raises(DomainError, match=repr(bare)):
+            pair_scores(model, ds, reps, [(other, bare)])
+
+    def test_fc_scores_and_labels(self):
+        ds, model, reps, bare = self.fixture()
+        q = FCQuestion(items=(*list(reps)[:2], bare), label=1)
+        with pytest.raises(DomainError, match=repr(bare)):
+            fc_scores_and_labels(ds, [q], model)
+
+    def test_fitb_answer(self):
+        ds, model, reps, bare = self.fixture()
+        q = FITBQuestion(partial=tuple(list(reps)[:2]),
+                         candidates=(bare, *list(reps)[2:5]), answer=0)
+        with pytest.raises(DomainError, match=repr(bare)):
+            fitb_answer(q, model, ds, reps)
 
 
 class TestFcAuc:

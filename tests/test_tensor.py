@@ -1,7 +1,5 @@
 """Tensor primitives against independent oracles and their invariants."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
