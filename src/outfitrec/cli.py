@@ -23,13 +23,14 @@ from .training import TrainConfig, train_ensemble
 
 def _package_errors_as_usage(command):
     """Re-raise the package's own errors from `command` (bad input files,
-    specs or shapes, undefined metrics) as ClickException: one usage line
-    instead of a traceback."""
+    specs or shapes, undefined metrics) and OSErrors (unreadable inputs,
+    unwritable output paths) as ClickException: one usage line instead of
+    a traceback."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except OutfitrecError as exc:
+        except (OutfitrecError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
     return run
 

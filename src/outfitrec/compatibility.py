@@ -53,8 +53,9 @@ def hinges(cos: Tensor, table, margin: float) -> Tensor:
     """Each triplet's mean of max(0, cos[negative] - cos[positive] + margin)
     over the entries of `table`, read from the (3, 3, ...) table `cos`."""
     flat = np.array(table) @ np.array([3, 1])   # (entries, 2) of 9 rows
-    pick = take_rows(cos.reshape((9,) + cos.shape[2:]), flat.T)
-    return (pick[0] - pick[1] + margin).relu().mean(axis=0)
+    rows = cos.reshape((9,) + cos.shape[2:])
+    negative, positive = (take_rows(rows, ix) for ix in flat.T)
+    return (negative - positive + margin).relu().mean(axis=0)
 
 
 def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor,

@@ -153,7 +153,10 @@ def save_model(model: OutfitModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> OutfitModel:
     """Malformed files, non-finite values included, raise DatasetError;
     misshapen parameters raise DimensionError."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"cannot read checkpoint {path}: {exc}") from exc
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise DatasetError(f"{path}: not an outfitrec checkpoint")
     off = len(CHECKPOINT_MAGIC) + 8

@@ -14,6 +14,7 @@ normalisation and the role-cosine table on the last axis.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Sequence
@@ -66,6 +67,8 @@ class Tensor:
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"],
                 backward: Callable[[np.ndarray], None]) -> "Tensor":
+        """Record `backward` only when some parent requires a gradient, so
+        the closure of a one-parent op may assume that its parent does."""
         out = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -163,11 +166,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1.0
-
     def __sub__(self, other):
-        return self + (-as_tensor(other))
+        return self + as_tensor(other) * -1.0
 
     def __truediv__(self, other):
         other = as_tensor(other)
@@ -191,27 +191,7 @@ class Tensor:
         data = self.data.reshape(shape)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(old))
-
-        return Tensor._result(data, (self,), backward)
-
-    def __getitem__(self, key):
-        """Basic indexing (ints and slices) as a view; backward writes `g`
-        into one zero buffer."""
-        keys = key if isinstance(key, tuple) else (key,)
-        basic = (slice, int, np.integer, type(Ellipsis))
-        if not all(isinstance(k, basic) and not isinstance(k, bool)
-                   for k in keys):
-            raise DimensionError(
-                f"Tensor indexing takes ints and slices, got {key!r}")
-        data = self.data[key]
-
-        def backward(g):
-            if self.requires_grad:
-                buf = np.zeros(self.shape)
-                buf[key] = g
-                self._accumulate(buf)
+            self._accumulate(g.reshape(old))
 
         return Tensor._result(data, (self,), backward)
 
@@ -221,8 +201,6 @@ class Tensor:
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
-            if not self.requires_grad:
-                return
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape))
@@ -230,7 +208,9 @@ class Tensor:
         return Tensor._result(data, (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False):
-        n = self.data.size if axis is None else self.data.shape[axis]
+        axes = (range(self.ndim) if axis is None
+                else axis if isinstance(axis, tuple) else (axis,))
+        n = math.prod(self.shape[a] for a in axes)
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- elementwise nonlinearities ---------------------------------------
@@ -239,8 +219,7 @@ class Tensor:
         data = np.tanh(self.data)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - data ** 2))
+            self._accumulate(g * (1.0 - data ** 2))
 
         return Tensor._result(data, (self,), backward)
 
@@ -248,8 +227,7 @@ class Tensor:
         data = np.maximum(self.data, 0.0)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > 0.0))
+            self._accumulate(g * (self.data > 0.0))
 
         return Tensor._result(data, (self,), backward)
 
@@ -259,8 +237,7 @@ class Tensor:
         data = np.sqrt(self.data)
 
         def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * 0.5 / np.maximum(data, 1e-300))
+            self._accumulate(g * 0.5 / np.maximum(data, 1e-300))
 
         return Tensor._result(data, (self,), backward)
 
@@ -373,12 +350,10 @@ def take_rows(x: Tensor, index) -> Tensor:
     data = x.data[index]
 
     def backward(g):
-        if x.requires_grad:
-            width = int(np.prod(x.shape[1:]))
-            flat = (index[..., None] * width + np.arange(width)).ravel()
-            summed = np.bincount(flat, weights=g.ravel(),
-                                 minlength=rows * width)
-            x._accumulate(summed.reshape(x.shape))
+        width = int(np.prod(x.shape[1:]))
+        flat = (index[..., None] * width + np.arange(width)).ravel()
+        summed = np.bincount(flat, weights=g.ravel(), minlength=rows * width)
+        x._accumulate(summed.reshape(x.shape))
 
     return Tensor._result(data, (x,), backward)
 
@@ -434,9 +409,8 @@ def softmax(x: Tensor) -> Tensor:
     data = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        if x.requires_grad:
-            inner = (g * data).sum(axis=-1, keepdims=True)
-            x._accumulate((g - inner) * data)
+        inner = (g * data).sum(axis=-1, keepdims=True)
+        x._accumulate((g - inner) * data)
 
     return Tensor._result(data, (x,), backward)
 
@@ -467,8 +441,7 @@ def signed_sqrt(x: Tensor) -> Tensor:
     data = x.data * u ** -0.25
 
     def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * (0.5 * x.data ** 2 + 1e-8) * u ** -1.25)
+        x._accumulate(g * (0.5 * x.data ** 2 + 1e-8) * u ** -1.25)
 
     return Tensor._result(data, (x,), backward)
 

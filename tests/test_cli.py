@@ -83,6 +83,14 @@ class TestGen:
                                       *args])
         assert_usage_error(result, message)
 
+    def test_out_path_that_is_a_file_is_a_usage_error(self, tmp_path,
+                                                      runner):
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = runner.invoke(main, ["gen", "--out", str(out), *GEN_ARGS])
+        assert_usage_error(result, str(out))
+        assert result.exit_code == 1
+
 
 class TestTrain:
     def test_writes_config_checkpoints_and_metrics(self, run_dir):
@@ -157,6 +165,16 @@ class TestTrain:
                                       "--out-dir", str(tmp_path / "x")])
         assert_usage_error(result, "manifest")
 
+    def test_out_dir_that_is_a_file_is_a_usage_error(self, tmp_path, runner,
+                                                      data_dir):
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = runner.invoke(main, ["train", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--out-dir", str(out)])
+        assert_usage_error(result, str(out))
+        assert result.exit_code == 1
+
 
 class TestEval:
     def test_report_is_written_and_parseable(self, tmp_path, runner,
@@ -216,6 +234,26 @@ class TestEval:
                                       "--report", str(tmp_path / "r.json")])
         assert_usage_error(result, str(bad))
 
+    def test_directory_named_like_a_checkpoint_is_a_usage_error(
+            self, tmp_path, runner, data_dir):
+        bad = tmp_path / "runs" / "run9.ckpt"
+        bad.mkdir(parents=True)
+        result = runner.invoke(main, ["eval", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoints", str(bad.parent),
+                                      "--report", str(tmp_path / "r.json")])
+        assert_usage_error(result, str(bad))
+
+    def test_report_in_a_missing_directory_is_a_usage_error(
+            self, tmp_path, runner, data_dir, run_dir):
+        report_path = tmp_path / "missing" / "r.json"
+        result = runner.invoke(main, ["eval", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoints", str(run_dir),
+                                      "--report", str(report_path)])
+        assert_usage_error(result, str(report_path))
+        assert result.exit_code == 1
+
     def test_checkpoints_of_two_configurations_are_a_usage_error(
             self, tmp_path, runner, data_dir):
         dims = ModelDims(d_g=4, d_c=4, h=4, hops=1, mfb_factor=1,
@@ -269,6 +307,13 @@ class TestScore:
         assert result.exit_code != 0
         assert "unknown item id" in result.output
 
+    def test_checkpoint_directory_is_a_usage_error(self, runner, data_dir,
+                                                   run_dir):
+        result = runner.invoke(main, ["score", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoint", str(run_dir),
+                                      "-a", "x", "-b", "y"])
+        assert_usage_error(result, str(run_dir))
 
     def test_truncated_feature_file_is_a_usage_error(self, runner, data_dir,
                                                      run_dir):

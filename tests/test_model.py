@@ -179,6 +179,16 @@ def test_malformed_checkpoint_raises_dataset_error(tmp_path, corrupt):
         load_model(path)
 
 
+@pytest.mark.parametrize("name, make", [
+    ("missing.ckpt", lambda path: None),
+    ("run9.ckpt", lambda path: path.mkdir())], ids=["missing", "directory"])
+def test_unreadable_checkpoint_raises_dataset_error(tmp_path, name, make):
+    path = tmp_path / name
+    make(path)
+    with pytest.raises(DatasetError, match="cannot read checkpoint"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelDims)])
 def test_init_model_rejects_a_zero_dim(field):
     dims = dataclasses.replace(DIMS, **{field: 0})

@@ -190,6 +190,14 @@ class TestElementwise:
             assert np.all(np.isfinite(out.data))
 
 
+@pytest.mark.parametrize("axis", [(0, 1), (-1, -2)],
+                         ids=["leading", "trailing"])
+def test_mean_over_axis_tuple_matches_numpy(axis):
+    x = np.random.default_rng(9).normal(size=(2, 3, 4))
+    np.testing.assert_allclose(Tensor(x).mean(axis=axis).data,
+                               np.mean(x, axis=axis), rtol=1e-15, atol=0)
+
+
 class TestGradients:
     """Tape gradients of each differentiable primitive vs central FD
     at h = 1e-3 * max(1, |p|), rel err < 1e-4 (smooth compositions)."""
@@ -217,10 +225,18 @@ class TestGradients:
         self._check(lambda p: (p.reshape(4, 3).reshape(12).mean()
                                + p.sum(axis=0).sum()), (3, 4))
 
+    def test_mean_over_axis_tuples(self):
+        w, v = Tensor(np.arange(4.0)), Tensor(np.array([1.0, -2.0]))
+        self._check(lambda p: (p.mean(axis=(0, 1)).tanh() * w).sum()
+                    + (p.mean(axis=(-1, -2)).tanh() * v).sum(), (2, 3, 4))
+
     def test_concat_slices(self):
         def loss(p):
-            c = concat([p, p * 2.0], axis=-1)
-            return (c[1:] * c[:2]).sum() + (c[0, ::2] * c[2, 1::2]).sum()
+            c = concat([p, p * 2.0], axis=-1)   # (3, 4)
+            flat = c.reshape(12)   # c[0, ::2] and c[2, 1::2] below
+            return ((take_rows(c, [1, 2]) * take_rows(c, [0, 1])).sum()
+                    + (take_rows(flat, [0, 2])
+                       * take_rows(flat, [9, 11])).sum())
         self._check(loss, (3, 2))
 
     def test_role_cosines_of_one_stack(self):
@@ -412,14 +428,6 @@ def test_folded_matmul_matches_per_sample_loop(make_operands):
         ref[idx] = np.matmul(a.data[operand_index(idx, a.shape)],
                              rhs[operand_index(idx, rhs.shape)])
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-@pytest.mark.parametrize("key", [np.array([0, 1]), [0, 1], True,
-                                 (slice(None), np.array([0]))],
-                         ids=["array", "list", "bool", "mixed"])
-def test_indexing_is_basic_only(key):
-    with pytest.raises(DimensionError, match="ints and slices"):
-        Tensor(np.zeros((2, 3)))[key]
 
 
 class TestTakeRows:
