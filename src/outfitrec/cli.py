@@ -79,6 +79,8 @@ def main(ctx, log_level):
 def gen(out, seed, **kwargs):
     """Generate a synthetic planted-signal dataset with FC/FITB questions."""
     spec = SyntheticSpec(**kwargs)
+    spec.validate()
+    Path(out).mkdir(parents=True, exist_ok=True)   # fail before the work
     dataset = generate_synthetic(spec, seed)
     manifest = save_dataset(dataset, out)
     click.echo(f"wrote {manifest} ({len(dataset.items)} items, "
@@ -150,6 +152,8 @@ def _run_order(f: Path) -> tuple:
 @_package_errors_as_usage
 def eval_cmd(data, checkpoints, report):
     """Evaluate checkpoints on the dataset's FC and FITB questions."""
+    if not Path(report).parent.is_dir():   # fail before the work
+        raise click.ClickException(f"cannot write {report}: no such directory")
     dataset = load_dataset(data)
     path = Path(checkpoints)
     files = (sorted(path.glob("run*.ckpt"), key=_run_order) if path.is_dir()

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import (Tensor, as_tensor, concat, l2_normalize, linear,
-                     matmul, signed_sqrt, softmax)
+from .tensor import (Tensor, as_tensor, concat, linear, matmul, mfb_pool,
+                     softmax)
 from .embedding import uniform_init
 
 
@@ -185,22 +185,17 @@ def attend_text(words: Tensor, params: ConvAttentionParams,
 def mfb(x: Tensor, y: Tensor, u: Tensor, v: Tensor, p: int) -> Tensor:
     """Factorized bilinear pooling of two feature sets.
 
-    Expand both inputs to p*k dims, merge with elementwise multiplication,
-    sum-pool consecutive groups of p back to k, then apply signed square
-    root and L2 normalization. Leading axes broadcast, so a single vector
-    can merge against a whole row matrix.
+    Expand both inputs to p*k dims, then `mfb_pool`: merge with
+    elementwise multiplication, sum-pool consecutive groups of p back to k,
+    then apply signed square root and L2 normalization. Leading axes
+    broadcast, so a single vector can merge against a whole row matrix.
     """
     u, v = as_tensor(u), as_tensor(v)
     if u.shape[0] != v.shape[0] or u.shape[0] % p != 0:
         raise DimensionError(
             f"expand maps disagree or are not divisible by p={p}: "
             f"{u.shape} vs {v.shape}")
-    ex = linear(x, u)
-    ey = linear(y, v)
-    z = ex * ey
-    k = u.shape[0] // p
-    pooled = z.reshape(z.shape[:-1] + (k, p)).sum(axis=-1)
-    return l2_normalize(signed_sqrt(pooled))
+    return mfb_pool(linear(x, u), linear(y, v), p)
 
 
 def fuse_coattention(regions: Tensor, words: Tensor,

@@ -8,8 +8,8 @@ topological order and accumulates gradients into the leaves created with
 broadcast operands are summed back to the operand's shape.
 
 Shapes may carry leading batch axes: matrix operations act on the last
-two axes, reductions on whatever axis is requested, and softmax, L2
-normalisation and the role-cosine table on the last axis.
+two axes, reductions on whatever axis is requested, and softmax, the MFB
+pooling tail and the role-cosine table on the last axis.
 """
 
 from __future__ import annotations
@@ -150,8 +150,6 @@ class Tensor:
 
         return Tensor._result(data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = as_tensor(other)
         data = self.data * other.data
@@ -169,19 +167,6 @@ class Tensor:
     def __sub__(self, other):
         return self + as_tensor(other) * -1.0
 
-    def __truediv__(self, other):
-        other = as_tensor(other)
-        data = self.data / other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
-
-        return Tensor._result(data, (self, other), backward)
-
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
@@ -197,21 +182,21 @@ class Tensor:
 
     # -- reductions --------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        data = self.data.sum(axis=axis)
 
         def backward(g):
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.shape))
 
         return Tensor._result(data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
+    def mean(self, axis=None):
         axes = (range(self.ndim) if axis is None
                 else axis if isinstance(axis, tuple) else (axis,))
         n = math.prod(self.shape[a] for a in axes)
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        return self.sum(axis=axis) * (1.0 / n)
 
     # -- elementwise nonlinearities ---------------------------------------
 
@@ -228,16 +213,6 @@ class Tensor:
 
         def backward(g):
             self._accumulate(g * (self.data > 0.0))
-
-        return Tensor._result(data, (self,), backward)
-
-    def sqrt(self):
-        if np.any(self.data < 0.0):
-            raise DomainError("sqrt of negative value")
-        data = np.sqrt(self.data)
-
-        def backward(g):
-            self._accumulate(g * 0.5 / np.maximum(data, 1e-300))
 
         return Tensor._result(data, (self,), backward)
 
@@ -430,27 +405,35 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return Tensor._result(data, ts, backward)
 
 
-def signed_sqrt(x: Tensor) -> Tensor:
-    """Smoothed signed square root: x * (x^2 + 1e-8)^(-1/4).
+def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
+    """The pooling tail of factorized bilinear pooling as one node: the
+    product `x * y` (broadcasting), summed over consecutive groups of `p`
+    along the last axis, the smoothed signed square root `s = z (z^2 +
+    1e-8)^(-1/4)` (differentiable at 0, so finite-difference checks stay
+    tight) and `s` scaled to unit L2 norm (a vanishing one maps to ~0).
 
-    Matches sign(x)*sqrt(|x|) away from zero but stays differentiable
-    everywhere, which keeps finite-difference gradient checks tight.
+    Backward keeps no product-wide array and adds its terms in the order
+    of the op-by-op graph (divide, square, sum, root) it replaced, whose
+    gradients it reproduces bit for bit.
     """
-    x = as_tensor(x)
-    u = x.data ** 2 + 1e-8
-    data = x.data * u ** -0.25
+    x, y = as_tensor(x), as_tensor(y)
+    z = x.data * y.data
+    pooled = z.reshape(z.shape[:-1] + (z.shape[-1] // p, p)).sum(axis=-1)
+    s = pooled * (pooled ** 2 + 1e-8) ** -0.25
+    norm = np.sqrt((s * s).sum(axis=-1, keepdims=True) + 1e-24)
+    data = s / norm
 
     def backward(g):
-        x._accumulate(g * (0.5 * x.data ** 2 + 1e-8) * u ** -1.25)
+        c = (-g * s / norm ** 2).sum(axis=-1, keepdims=True) * 0.5 / norm
+        g_s = g / norm + c * s + c * s   # one term per factor of `s * s`
+        g_z = np.repeat(g_s * (0.5 * pooled ** 2 + 1e-8)
+                        * (pooled ** 2 + 1e-8) ** -1.25, p, axis=-1)
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(g_z * y.data, x.shape))
+        if y.requires_grad:
+            y._accumulate(_unbroadcast(g_z * x.data, y.shape))
 
-    return Tensor._result(data, (x,), backward)
-
-
-def l2_normalize(x: Tensor) -> Tensor:
-    """Scale the last axis to unit L2 norm; a vanishing one maps to ~0."""
-    x = as_tensor(x)
-    norm = ((x * x).sum(axis=-1, keepdims=True) + 1e-24).sqrt()
-    return x / norm
+    return Tensor._result(data, (x, y), backward)
 
 
 def role_cosines(a: Tensor, b: Tensor) -> Tensor:

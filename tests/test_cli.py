@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from outfitrec import errors
+from outfitrec import cli, errors
 from outfitrec.cli import main
 from outfitrec.compatibility import pair_score
 from outfitrec.data import load_dataset
@@ -85,6 +85,15 @@ class TestGen:
 
     def test_out_path_that_is_a_file_is_a_usage_error(self, tmp_path,
                                                       runner):
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = runner.invoke(main, ["gen", "--out", str(out), *GEN_ARGS])
+        assert_usage_error(result, str(out))
+        assert result.exit_code == 1
+
+    def test_out_path_is_checked_before_generating(self, tmp_path, runner,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "generate_synthetic", fail_if_called)
         out = tmp_path / "taken"
         out.write_text("")
         result = runner.invoke(main, ["gen", "--out", str(out), *GEN_ARGS])
@@ -254,6 +263,18 @@ class TestEval:
         assert_usage_error(result, str(report_path))
         assert result.exit_code == 1
 
+    def test_report_directory_is_checked_before_loading(
+            self, tmp_path, runner, data_dir, run_dir, monkeypatch):
+        for name in ("load_dataset", "load_model", "evaluate"):
+            monkeypatch.setattr(cli, name, fail_if_called)
+        report_path = tmp_path / "missing" / "r.json"
+        result = runner.invoke(main, ["eval", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--checkpoints", str(run_dir),
+                                      "--report", str(report_path)])
+        assert_usage_error(result, str(report_path))
+        assert result.exit_code == 1
+
     def test_checkpoints_of_two_configurations_are_a_usage_error(
             self, tmp_path, runner, data_dir):
         dims = ModelDims(d_g=4, d_c=4, h=4, hops=1, mfb_factor=1,
@@ -325,6 +346,10 @@ class TestScore:
                                       str(run_dir / "run0.ckpt"),
                                       "-a", "x", "-b", "y"])
         assert_usage_error(result, "regions.f32")
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("the command did its work before checking its output")
 
 
 def assert_usage_error(result, message):

@@ -283,7 +283,7 @@ class TestTrainingLoss:
 
     @pytest.mark.parametrize("fusion, bound", [
         ("baseline", 90), ("dot_product", 100), ("stacked", 127),
-        ("coattention", 164)])
+        ("coattention", 146)])
     def test_graph_node_count_is_bounded(self, fusion, bound):
         """Each loss term is one `role_cosines` table read by one `hinges`;
         building one node chain per cosine, as before, took 151 more."""
