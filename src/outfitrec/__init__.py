@@ -16,7 +16,7 @@ from .fusion import (attend_text, fuse_coattention, fuse_dot_product,
 from .model import (FUSION_KINDS, ModelDims, OutfitModel, init_model,
                     item_features, load_model, save_model)
 from .optim import Adam, GradCheckReport, grad_check
-from .tensor import (Tensor, concat, linear, matmul, mfb_pool,
+from .tensor import (Tensor, attention_pool, concat, linear, mfb_pool,
                      named_parameters, no_grad, parameter, pool_rows, softmax)
 from .training import (EpochStats, TrainConfig, TripletSpec, sample_triplets,
                        train, train_ensemble)

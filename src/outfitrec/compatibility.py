@@ -185,7 +185,9 @@ def pair_scores(model: OutfitModel, dataset: Dataset,
             continue
         rows, first, inverse = np.unique(ends[ks].ravel(), return_index=True,
                                          return_inverse=True)
-        seen = np.argsort(first)   # distinct rows in first-seen order
+        # first-seen, not sorted: some OpenBLAS kernels give a GEMM row
+        # other bits at another row position (tests/test_blas_kernels.py)
+        seen = np.argsort(first)
         pos = np.empty_like(seen)
         pos[seen] = np.arange(len(seen))
         local = pos[inverse].reshape(-1, 2)

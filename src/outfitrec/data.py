@@ -233,6 +233,9 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
     regions = _read_features(base / "regions.f32", (
         len(entries), dims.num_regions, dims.region_dim))
     described = sum(d is not None for _, d in entries.values())
+    if described and not dims.num_words:
+        raise DatasetError(f"{path}: dims 'num_words' is 0, but {described} "
+                           f"items are described")
     words = iter(_read_features(base / "words.f32", (
         described, dims.num_words, dims.word_dim)))
     items = {

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import (Tensor, as_tensor, concat, linear, matmul, mfb_pool,
-                     softmax)
+from .tensor import (Tensor, as_tensor, attention_pool, concat, linear,
+                     mfb_pool, softmax)
 from .embedding import uniform_init
 
 
@@ -136,7 +136,7 @@ def _attend(scores: Tensor, rows: Tensor, weights_out: list | None) -> Tensor:
     alpha = softmax(scores)
     if weights_out is not None:
         weights_out.append(alpha.data.copy())
-    return matmul(_row(alpha), rows).reshape(rows.shape[:-2] + rows.shape[-1:])
+    return attention_pool(alpha, rows)
 
 
 # -- fusers -------------------------------------------------------------------
@@ -191,10 +191,8 @@ def mfb(x: Tensor, y: Tensor, u: Tensor, v: Tensor, p: int) -> Tensor:
     broadcast, so a single vector can merge against a whole row matrix.
     """
     u, v = as_tensor(u), as_tensor(v)
-    if u.shape[0] != v.shape[0] or u.shape[0] % p != 0:
-        raise DimensionError(
-            f"expand maps disagree or are not divisible by p={p}: "
-            f"{u.shape} vs {v.shape}")
+    if u.shape[0] != v.shape[0]:
+        raise DimensionError(f"expand maps disagree: {u.shape} vs {v.shape}")
     return mfb_pool(linear(x, u), linear(y, v), p)
 
 

@@ -7,9 +7,10 @@ topological order and accumulates gradients into the leaves created with
 ``requires_grad=True``. Operations broadcast like numpy, and gradients of
 broadcast operands are summed back to the operand's shape.
 
-Shapes may carry leading batch axes: matrix operations act on the last
-two axes, reductions on whatever axis is requested, and softmax, the MFB
-pooling tail and the role-cosine table on the last axis.
+Shapes may carry leading batch axes: `linear` maps the last axis,
+`attention_pool` sums rows over the second-to-last, reductions act on
+whatever axis is requested, and softmax, the MFB pooling tail and the
+role-cosine table act on the last axis.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
+from numbers import Integral
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -282,28 +284,25 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return Tensor._result(data, (x, w), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, broadcasting leading axes;
-    each gradient is summed back over the axes its operand was broadcast
-    along. Learned (d_out, d_in) weights go through `linear` instead."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(
-            f"matmul needs ndim >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
+def attention_pool(alpha: Tensor, rows: Tensor) -> Tensor:
+    """The (..., d) sums of (..., K, d) rows weighted by (..., K) `alpha` of
+    the same leading axes: `np.matmul` of `alpha` as (..., 1, K) rows."""
+    alpha, rows = as_tensor(alpha), as_tensor(rows)
+    if rows.ndim < 2 or alpha.shape != rows.shape[:-1]:
+        raise DimensionError(f"attention_pool needs (..., K) weights and "
+                             f"(..., K, d) rows, got {alpha.shape}, {rows.shape}")
+    a = alpha.data.reshape(alpha.shape[:-1] + (1, alpha.shape[-1]))
+    data = np.matmul(a, rows.data).reshape(rows.shape[:-2] + rows.shape[-1:])
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(
-                _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape))
-        if b.requires_grad:
-            b._accumulate(
-                _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape))
+        g = g.reshape(a.shape[:-1] + g.shape[-1:])
+        if alpha.requires_grad:
+            g_a = np.matmul(g, rows.data.swapaxes(-1, -2))
+            alpha._accumulate(g_a.reshape(alpha.shape))
+        if rows.requires_grad:
+            rows._accumulate(np.matmul(a.swapaxes(-1, -2), g))
 
-    return Tensor._result(data, (a, b), backward)
+    return Tensor._result(data, (alpha, rows), backward)
 
 
 def take_rows(x: Tensor, index) -> Tensor:
@@ -414,9 +413,15 @@ def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
 
     Backward keeps no product-wide array and adds its terms in the order
     of the op-by-op graph (divide, square, sum, root) it replaced, whose
-    gradients it reproduces bit for bit.
+    gradients it reproduces bit for bit. DomainError: `p` is not an integer
+    >= 1. DimensionError: the widths differ or do not divide by `p`.
     """
     x, y = as_tensor(x), as_tensor(y)
+    if isinstance(p, bool) or not isinstance(p, Integral) or p < 1:
+        raise DomainError(f"mfb_pool needs an integer factor p >= 1, got {p!r}")
+    if x.ndim < 1 or x.shape[-1:] != y.shape[-1:] or x.shape[-1] % p:
+        raise DimensionError(f"mfb_pool widths of {x.shape} and {y.shape} "
+                             f"must agree and divide by p={p}")
     z = x.data * y.data
     pooled = z.reshape(z.shape[:-1] + (z.shape[-1] // p, p)).sum(axis=-1)
     s = pooled * (pooled ** 2 + 1e-8) ** -0.25

@@ -282,8 +282,8 @@ class TestTrainingLoss:
         assert leaves_three == leaves_one + 2   # the two extra spaces
 
     @pytest.mark.parametrize("fusion, bound", [
-        ("baseline", 90), ("dot_product", 100), ("stacked", 127),
-        ("coattention", 146)])
+        ("baseline", 90), ("dot_product", 98), ("stacked", 123),
+        ("coattention", 140)])
     def test_graph_node_count_is_bounded(self, fusion, bound):
         """Each loss term is one `role_cosines` table read by one `hinges`;
         building one node chain per cosine, as before, took 151 more."""

@@ -130,6 +130,18 @@ def test_words_blob_without_description_rejected(tmp_path):
         load_dataset(manifest)
 
 
+def test_described_items_without_word_rows_rejected(tmp_path):
+    """A manifest whose items have descriptions but zero word rows each
+    fails at load, not later at the first attention over the words."""
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    meta = json.loads(manifest.read_text())
+    meta["dims"]["num_words"] = 0
+    manifest.write_text(json.dumps(meta))
+    (tmp_path / "words.f32").write_bytes(b"")
+    with pytest.raises(DatasetError, match="num_words"):
+        load_dataset(manifest)
+
+
 @pytest.mark.parametrize("drop", [
     lambda meta: meta.pop("dims"),
     lambda meta: meta["types"][0].pop("name"),

@@ -222,6 +222,23 @@ class TestScoringBitIdentity:
                           weights=block)
         assert seq.tobytes() != got[4][1].tobytes()
 
+    @pytest.mark.parametrize("fusion", ["baseline", "stacked"])
+    def test_full_size_fc_pairs_match_reference(self, fusion):
+        """All 12000 FC pairs of `SyntheticSpec()` at d=32: with enough
+        rows per type pair, some OpenBLAS kernels give a GEMM row other
+        bits at another position, which the small fixtures cannot show."""
+        ds = generate_synthetic(SyntheticSpec(), seed=1)
+        dims = ModelDims(d_g=32, d_c=32, h=32, hops=2, mfb_factor=2,
+                         region_dim=ds.dims.region_dim,
+                         word_dim=ds.dims.word_dim)
+        model = init_model(fusion, dims, ds.trained_type_pairs(), seed=0)
+        pairs = [p for q in ds.fc_questions for p in combinations(q.items, 2)]
+        reps = compute_representations(model, ds, [i for p in pairs for i in p])
+        got = pair_scores(model, ds, reps, pairs)
+        want = reference_pair_scores(model, ds, reps, pairs)
+        assert len(pairs) == 12000
+        assert np.array_equal(got, want), f"{(got != want).sum()} scores differ"
+
     def test_no_questions_and_no_pairs(self):
         ds, model, reps = fixture_model_and_reps(seed=17)
         assert fitb_answers([], model, ds, reps) == []

@@ -12,66 +12,12 @@ from hypothesis import strategies as st
 from outfitrec import tensor
 from outfitrec.compatibility import LossWeights, training_loss
 from outfitrec.errors import DimensionError, DomainError
+from outfitrec.fusion import mfb
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
-from outfitrec.tensor import (Tensor, concat, grouped_projection, linear,
-                              matmul, mfb_pool, parameter, pool_rows,
-                              role_cosines, softmax, take_rows)
-
-
-def naive_matmul(a, b):
-    """Triple-loop matrix product oracle."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for l in range(k):
-                s += a[i, l] * b[l, j]
-            out[i, j] = s
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        v = np.arange(3.0).reshape(3, 1)
-        out = matmul(Tensor(np.eye(3)), Tensor(v))
-        np.testing.assert_array_equal(out.data, v)
-
-    def test_hand_2x2(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0], [1.0]])
-        np.testing.assert_array_equal(matmul(a, b).data, [[3.0], [7.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(5, 7))
-        b = rng.normal(size=(7, 3))
-        np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data,
-                                   naive_matmul(a, b), rtol=0, atol=1e-12)
-
-    def test_random_shapes_up_to_16(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            n, k, m = rng.integers(1, 17, size=3)
-            a = rng.normal(size=(n, k))
-            b = rng.normal(size=(k, m))
-            np.testing.assert_allclose(matmul(Tensor(a), Tensor(b)).data,
-                                       naive_matmul(a, b), rtol=0, atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 2\)"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-
-    def test_batched_broadcast(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 3, 5))
-        w = rng.normal(size=(5, 2))
-        out = matmul(Tensor(a), Tensor(w)).data
-        for i in range(4):
-            np.testing.assert_allclose(out[i], naive_matmul(a[i], w), atol=1e-12)
+from outfitrec.tensor import (Tensor, attention_pool, concat,
+                              grouped_projection, linear, mfb_pool, parameter,
+                              pool_rows, role_cosines, softmax, take_rows)
 
 
 class TestSoftmax:
@@ -226,6 +172,69 @@ class TestMfbPool:
         out = mfb_pool(Tensor(np.zeros((2, 4))), Tensor(np.ones((2, 4))), 2)
         np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda x, w: mfb_pool(x, x, 4), DimensionError),
+        (lambda x, w: mfb_pool(x, x, 0), DomainError),
+        (lambda x, w: mfb_pool(x, x, 1.5), DomainError),
+        (lambda x, w: mfb_pool(x, Tensor(np.ones((2, 4))), 2), DimensionError),
+        (lambda x, w: mfb(x, x, w, w, 0), DomainError),
+        (lambda x, w: mfb(x, x, w, w, -2), DomainError),
+        (lambda x, w: mfb(x, x, w, w, 4), DimensionError),
+    ], ids=["width_not_divisible", "p_zero", "p_float", "widths_differ",
+            "mfb_p_zero", "mfb_p_negative", "mfb_width_not_divisible"])
+    def test_bad_factor_or_widths_rejected(self, call, error):
+        """The factor rule lives in `mfb_pool`; `fusion.mfb` reaches it."""
+        x, w = Tensor(np.ones((2, 6))), Tensor(np.ones((6, 6)))
+        with pytest.raises(error, match="mfb_pool"):
+            call(x, w)
+
+
+class TestAttentionPool:
+    SHAPES = [(6, 4), (5, 6, 4), (2, 3, 6, 4)]   # 0, 1 and 2 leading axes
+    IDS = ["no_lead", "one_lead", "two_lead"]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=IDS)
+    def test_gradients_match_finite_differences(self, shape):
+        rng = np.random.default_rng(13)
+        alpha = parameter(rng.normal(size=shape[:-1]))
+        rows = parameter(rng.normal(size=shape))
+        c = rng.normal(size=shape[:-2] + shape[-1:])
+        report = grad_check(lambda: (attention_pool(alpha, rows) * c).sum(),
+                            [("alpha", alpha), ("rows", rows)],
+                            h_scale=1e-3, rel_tol=1e-4)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("shape", SHAPES + [
+        (8, 6, 32), (128, 8, 32), (44, 8, 1024), (351, 8, 64)])
+    def test_bit_equal_to_row_matrix_products(self, shape):
+        """Forward and both gradients are the `np.matmul` products of the
+        (..., 1, K) weight row that the training graph always used; an
+        einsum version gives other bits on these shapes."""
+        rng = np.random.default_rng(14)
+        alpha = parameter(rng.dirichlet(np.ones(shape[-2]), size=shape[:-2]))
+        rows = parameter(rng.normal(size=shape))
+        g = rng.normal(size=shape[:-2] + shape[-1:])
+        out = attention_pool(alpha, rows)
+        (out * g).sum().backward()
+
+        a = alpha.data.reshape(shape[:-2] + (1, shape[-2]))
+        g_row = g.reshape(shape[:-2] + (1, shape[-1]))
+        want_alpha = np.matmul(g_row, rows.data.swapaxes(-1, -2))
+        np.testing.assert_array_equal(
+            out.data, np.matmul(a, rows.data).reshape(g.shape))
+        np.testing.assert_array_equal(alpha.grad,
+                                      want_alpha.reshape(alpha.shape))
+        np.testing.assert_array_equal(rows.grad,
+                                      np.matmul(a.swapaxes(-1, -2), g_row))
+
+    @pytest.mark.parametrize("alpha_shape, rows_shape", [
+        ((3,), (3,)), ((2, 4), (2, 3, 5)), ((4,), (2, 4, 5)),
+        ((2, 1, 4), (2, 4, 5))], ids=["1d_rows", "k", "batch", "extra_axis"])
+    def test_shape_mismatch_rejected(self, alpha_shape, rows_shape):
+        with pytest.raises(DimensionError, match="attention_pool"):
+            attention_pool(Tensor(np.ones(alpha_shape)),
+                           Tensor(np.ones(rows_shape)))
+
 
 @pytest.mark.parametrize("axis", [(0, 1), (-1, -2)],
                          ids=["leading", "trailing"])
@@ -245,10 +254,6 @@ class TestGradients:
         report = grad_check(lambda: make_loss(p), [("p", p)],
                             h_scale=1e-3, rel_tol=1e-4)
         assert report.passed, str(report)
-
-    def test_matmul(self):
-        w = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        self._check(lambda p: (matmul(p, w) * matmul(p, w)).sum(), (5, 4))
 
     def test_softmax(self):
         self._check(lambda p: (softmax(p)
@@ -310,29 +315,22 @@ class TestGradients:
     def test_pool_rows(self):
         self._check(lambda p: (pool_rows(p) * pool_rows(p)).sum(), (5, 3))
 
-    @pytest.mark.parametrize("a_shape, b_shape, product", [
-        ((3, 4), (5, 4, 6), matmul),       # 2-D @ batched: per-sample product
-        ((5, 2, 4), (3, 4), linear),       # batched @ transposed 2-D weight
-        ((6, 4), (3, 4), linear),          # 2-D @ transposed 2-D weight
-        ((2, 3, 2, 4), (4, 3), matmul),    # 4-D batched @ 2-D
-        ((1, 3, 4), (5, 4, 2), matmul),    # broadcast batch
-    ], ids=["weight_at_batched", "batched_at_weight_t", "2d_at_weight_t",
-            "4d_at_weight", "broadcast_batch"])
-    def test_matmul_operand_gradients(self, a_shape, b_shape, product):
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((5, 2, 4), (3, 4)),       # batched @ transposed 2-D weight
+        ((6, 4), (3, 4)),          # 2-D @ transposed 2-D weight
+    ], ids=["batched_at_weight_t", "2d_at_weight_t"])
+    def test_matmul_operand_gradients(self, a_shape, b_shape):
         rng = np.random.default_rng(5)
         a = parameter(rng.normal(size=a_shape))
         b = parameter(rng.normal(size=b_shape))
-        c = rng.normal(size=product(a, b).shape)
-        loss = lambda: (product(a, b) * c).sum()
+        c = rng.normal(size=linear(a, b).shape)
+        loss = lambda: (linear(a, b) * c).sum()
         report = grad_check(loss, [("a", a), ("b", b)],
                             h_scale=1e-3, rel_tol=1e-4)
         assert report.passed, str(report)
 
-        transpose_b = product is linear
-        ref_a, ref_b = per_sample_grads(
-            a.data, b.data.T if transpose_b else b.data, c)
-        if transpose_b:
-            ref_b = ref_b.T
+        ref_a, ref_b = per_sample_grads(a.data, b.data.T, c)
+        ref_b = ref_b.T
         # a strided weight gradient once doubled the d=512 Adam step
         for got, ref in ((a.grad, ref_a), (b.grad, ref_b)):
             assert got.shape == ref.shape and got.flags.c_contiguous
@@ -463,8 +461,10 @@ def graph_nodes(root):
     # a zero-weighted table: its gradients add nothing to the sums' ones
     lambda p, q: p.sum() + q.sum() + role_cosines(p, q).sum() * 0.0,
     lambda p, q: p.sum() + q.sum() + mfb_pool(p, q, 3).sum() * 0.0,
+    lambda p, q: (p.sum() + q.sum()
+                  + attention_pool(p, q.reshape(2, 3, 1)).sum() * 0.0),
 ], ids=["add", "reshape", "concat", "sum", "take_rows",
-        "grouped_projection", "role_cosines", "mfb_pool"])
+        "grouped_projection", "role_cosines", "mfb_pool", "attention_pool"])
 def test_gradient_buffers_are_private(make_loss):
     p = parameter(np.arange(6.0).reshape(2, 3))
     q = parameter(-np.arange(6.0).reshape(2, 3))
@@ -490,25 +490,16 @@ def test_second_backward_adds_one_more_gradient():
 
 
 @pytest.mark.parametrize("make_operands", [
-    # `linear` folds its batch axes into one GEMM; `matmul` broadcasts them
-    lambda r: (matmul, Tensor(r.normal(size=(3, 4))),
-               Tensor(r.normal(size=(5, 6, 4)).swapaxes(-1, -2))),
-    lambda r: (linear, Tensor(r.normal(size=(5, 4, 2)).swapaxes(-1, -2)),
+    # `linear` folds the batch axes of a strided view into one GEMM
+    lambda r: (Tensor(r.normal(size=(5, 4, 2)).swapaxes(-1, -2)),
                Tensor(r.normal(size=(3, 4)))),
-    lambda r: (matmul, Tensor(r.normal(size=(2, 3, 2, 4))),
-               Tensor(r.normal(size=(4, 3)))),
-    lambda r: (matmul, Tensor(r.normal(size=(5, 1, 4))),
-               Tensor(r.normal(size=(4, 3)))),
-], ids=["weight_at_batched_view", "batched_view_at_weight_t", "4d_at_weight",
-        "row_batch_at_weight"])
+], ids=["batched_view_at_weight_t"])
 def test_folded_matmul_matches_per_sample_loop(make_operands):
-    product, a, b = make_operands(np.random.default_rng(6))
-    got = product(a, b).data
-    rhs = b.data.T if product is linear else b.data
+    a, b = make_operands(np.random.default_rng(6))
+    got = linear(a, b).data
     ref = np.zeros(got.shape)
     for idx in np.ndindex(*got.shape[:-2]):
-        ref[idx] = np.matmul(a.data[operand_index(idx, a.shape)],
-                             rhs[operand_index(idx, rhs.shape)])
+        ref[idx] = np.matmul(a.data[operand_index(idx, a.shape)], b.data.T)
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
