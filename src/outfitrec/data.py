@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -136,12 +136,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
-        "dims": {
-            "num_regions": dataset.dims.num_regions,
-            "num_words": dataset.dims.num_words,
-            "region_dim": dataset.dims.region_dim,
-            "word_dim": dataset.dims.word_dim,
-        },
+        "dims": vars(dataset.dims),
         "types": [{"id": t.id, "name": t.name} for t in dataset.types],
         "items": [{"id": item.id, "type": item.type.name,
                    "description": item.description} for item in items],
@@ -203,8 +198,8 @@ def _typed(value, kind: type, what: str):
 def _parse_manifest(manifest: dict, path: Path) -> Dataset:
     base = path.parent
     d = manifest["dims"]
-    dims = Dims(**{k: _typed(d[k], int, f"dims {k!r}") for k in
-                   ("num_regions", "num_words", "region_dim", "word_dim")})
+    dims = Dims(**{f.name: _typed(d[f.name], int, f"dims {f.name!r}")
+                   for f in fields(Dims)})
     if min(dims.num_regions, dims.region_dim, dims.word_dim) < 1 or dims.num_words < 0:
         raise DatasetError(f"{path}: invalid dims {d}")
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import (Tensor, as_tensor, attention_pool, concat, linear,
-                     mfb_pool, softmax)
+from .tensor import Tensor, attention_pool, concat, linear, mfb_pool, softmax
 from .embedding import uniform_init
 
 
@@ -110,10 +109,9 @@ def init_coattention_params(rng: np.random.Generator | None, d_g: int,
 
 def _check_rows(x: Tensor, what: str,
                 other: tuple[int, ...] | None = None) -> Tensor:
-    """`x` as a tensor of (..., K, d) rows. Fewer than 2 axes, or an
+    """`x`, a tensor of (..., K, d) rows. Fewer than 2 axes, or an
     (..., d) shape other than that of the `other` input when it is given,
     raise DimensionError; K == 0 raises DomainError."""
-    x = as_tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"{what} expects (..., K, d) rows, got shape {x.shape}")
     if other is not None and x.shape[:-2] + x.shape[-1:] != other:
@@ -145,27 +143,25 @@ def _attend(scores: Tensor, rows: Tensor, weights_out: list | None) -> Tensor:
 def fuse_dot_product(regions: Tensor, text: Tensor,
                      weights_out: list | None = None) -> Tensor:
     """Parameter-free visual attention from tanh'd dot products."""
-    t = as_tensor(text)
-    x = _check_rows(regions, "dot-product attention", t.shape)
-    scores = (x.tanh() * _row(t.tanh())).sum(axis=-1)        # (..., N)
+    x = _check_rows(regions, "dot-product attention", text.shape)
+    scores = (x.tanh() * _row(text.tanh())).sum(axis=-1)     # (..., N)
     ctx = _attend(scores, x, weights_out)
-    return concat([ctx, t], axis=-1)
+    return concat([ctx, text], axis=-1)
 
 
 def fuse_stacked(regions: Tensor, text: Tensor,
                  params: StackedAttentionParams,
                  weights_out: list | None = None) -> Tensor:
     """R hops of additive attention with an accumulating query vector."""
-    t = as_tensor(text)
-    x = _check_rows(regions, "stacked attention", t.shape)
-    query = t
+    x = _check_rows(regions, "stacked attention", text.shape)
+    query = text
     for hop in params.hops:
         proj_x = linear(x, hop.w_v)                           # (..., N, h)
         proj_q = linear(query, hop.w_t) + hop.b_s.reshape(-1)  # (..., h)
         hidden = (proj_x + _row(proj_q)).tanh()               # (..., N, h)
         scores = linear(hidden, hop.w_p).reshape(hidden.shape[:-1])
         query = query + _attend(scores, x, weights_out)
-    return concat([query, t], axis=-1)
+    return concat([query, text], axis=-1)
 
 
 def conv_attention_scores(rows: Tensor, params: ConvAttentionParams) -> Tensor:
@@ -188,11 +184,9 @@ def mfb(x: Tensor, y: Tensor, u: Tensor, v: Tensor, p: int) -> Tensor:
     Expand both inputs to p*k dims, then `mfb_pool`: merge with
     elementwise multiplication, sum-pool consecutive groups of p back to k,
     then apply signed square root and L2 normalization. Leading axes
-    broadcast, so a single vector can merge against a whole row matrix.
+    broadcast, so a single vector can merge against a whole row matrix;
+    `mfb_pool` rejects expanded widths that differ or do not divide by p.
     """
-    u, v = as_tensor(u), as_tensor(v)
-    if u.shape[0] != v.shape[0]:
-        raise DimensionError(f"expand maps disagree: {u.shape} vs {v.shape}")
     return mfb_pool(linear(x, u), linear(y, v), p)
 
 

@@ -5,7 +5,8 @@ operation records its input nodes and a backward closure on the node it
 produces; ``Tensor.backward()`` walks that graph once in reverse
 topological order and accumulates gradients into the leaves created with
 ``requires_grad=True``. Operations broadcast like numpy, and gradients of
-broadcast operands are summed back to the operand's shape.
+broadcast operands are summed back to the operand's shape. Ops take
+Tensors; only `+` and `*` also wrap a plain number or array.
 
 Shapes may carry leading batch axes: `linear` maps the last axis,
 `attention_pool` sums rows over the second-to-last, reductions act on
@@ -167,7 +168,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return self + as_tensor(other) * -1.0
+        return self + other * -1.0
 
     # -- shape ops ---------------------------------------------------------
 
@@ -264,7 +265,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     `w`'s gradient, `g^T x` over all rows, is one GEMM written straight into
     `w`'s own layout, so the leaf adopts it without a copy.
     """
-    x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 1 or w.ndim != 2:
         raise DimensionError(
             f"linear needs an ndim >= 1 input and a 2-D weight, "
@@ -287,7 +287,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 def attention_pool(alpha: Tensor, rows: Tensor) -> Tensor:
     """The (..., d) sums of (..., K, d) rows weighted by (..., K) `alpha` of
     the same leading axes: `np.matmul` of `alpha` as (..., 1, K) rows."""
-    alpha, rows = as_tensor(alpha), as_tensor(rows)
     if rows.ndim < 2 or alpha.shape != rows.shape[:-1]:
         raise DimensionError(f"attention_pool needs (..., K) weights and "
                              f"(..., K, d) rows, got {alpha.shape}, {rows.shape}")
@@ -310,7 +309,6 @@ def take_rows(x: Tensor, index) -> Tensor:
     x.shape[1:]` for an integer index of any shape. Rows may repeat or go
     unused; backward sums the gradients of a repeated row with one
     `np.bincount` over the flat `row * width + col` positions."""
-    x = as_tensor(x)
     index = np.asarray(index)
     if x.ndim < 1 or not np.issubdtype(index.dtype, np.integer):
         raise DimensionError(
@@ -340,7 +338,6 @@ def grouped_projection(x: Tensor, weights: Sequence[Tensor],
     Forward and backward are one GEMM per weight in each direction, over
     the range's R * sizes[k] rows in role-major order.
     """
-    x = as_tensor(x)
     if x.ndim != 3 or len(weights) != len(sizes) or not weights:
         raise DimensionError(
             f"grouped_projection needs an (R, B, d_in) x and one column count "
@@ -375,7 +372,6 @@ def grouped_projection(x: Tensor, weights: Sequence[Tensor],
 
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis (max-subtraction)."""
-    x = as_tensor(x)
     if x.data.size == 0 or x.data.shape[-1] == 0:
         raise DomainError("softmax of empty input")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
@@ -390,7 +386,7 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
+    ts = list(tensors)
     data = np.concatenate([t.data for t in ts], axis=axis)
     sizes = [t.data.shape[axis] for t in ts]
     splits = np.cumsum(sizes)[:-1]
@@ -416,7 +412,6 @@ def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
     gradients it reproduces bit for bit. DomainError: `p` is not an integer
     >= 1. DimensionError: the widths differ or do not divide by `p`.
     """
-    x, y = as_tensor(x), as_tensor(y)
     if isinstance(p, bool) or not isinstance(p, Integral) or p < 1:
         raise DomainError(f"mfb_pool needs an integer factor p >= 1, got {p!r}")
     if x.ndim < 1 or x.shape[-1:] != y.shape[-1:] or x.shape[-1] % p:
@@ -445,7 +440,6 @@ def role_cosines(a: Tensor, b: Tensor) -> Tensor:
     """The (R, R, ...) table `out[i, j] = cos(a[i], b[j])` of two (R, ..., d)
     stacks: `(x * y).sum(-1) / (|x| * |y|)` along the last axis, with each
     stack's norms computed once (once in all when `a is b`)."""
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or a.shape != b.shape:
         raise DimensionError(f"role_cosines needs two (R, ..., d) stacks of "
                              f"one shape, got {a.shape} and {b.shape}")
@@ -472,7 +466,6 @@ def role_cosines(a: Tensor, b: Tensor) -> Tensor:
 
 def pool_rows(x: Tensor) -> Tensor:
     """Mean over the second-to-last axis (rows of a feature matrix)."""
-    x = as_tensor(x)
     if x.ndim < 2:
         raise DimensionError(f"pool_rows needs ndim >= 2, got shape {x.shape}")
     if x.shape[-2] == 0:

@@ -74,8 +74,6 @@ class TripletSpec:
     anchor: str
     positive: str
     negative: str
-    type_u: str
-    type_v: str
 
 
 @dataclass
@@ -98,15 +96,13 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
     items = dataset.items
     co_occur: dict[str, set[str]] = {}
     pools: dict[str, list[str]] = {}
-    pool_seen: set[str] = set()
     ordered_pairs: list[tuple[str, str]] = []
     for outfit in dataset.outfits.get("train", []):
         members = [i for i in outfit.items if items[i].described]
         for a in members:
-            co_occur.setdefault(a, set()).update(m for m in members if m != a)
-            if a not in pool_seen:
-                pool_seen.add(a)
+            if a not in co_occur:
                 pools.setdefault(items[a].type.name, []).append(a)
+            co_occur.setdefault(a, set()).update(m for m in members if m != a)
         for a in members:
             for b in members:
                 if a != b:
@@ -117,8 +113,7 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
     skipped = 0
     for k in order:
         a, b = ordered_pairs[int(k)]
-        type_v = items[b].type.name
-        pool = pools[type_v]
+        pool = pools[items[b].type.name]
         banned = co_occur[a]
         negative = None
         # rejection sampling stays uniform over the eligible set
@@ -133,8 +128,7 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
                 skipped += 1
                 continue
             negative = eligible[int(rng.integers(len(eligible)))]
-        triplets.append(TripletSpec(anchor=a, positive=b, negative=negative,
-                                    type_u=items[a].type.name, type_v=type_v))
+        triplets.append(TripletSpec(anchor=a, positive=b, negative=negative))
     return triplets, skipped
 
 
@@ -157,7 +151,9 @@ def _batch_arrays(dataset: Dataset, triplets: list[TripletSpec]
     role_rows = np.array([row[i] for i in ids], dtype=np.intp).reshape(3, -1)
     groups: dict[tuple[str, str], list[int]] = {}
     for b, t in enumerate(triplets):
-        groups.setdefault(canonical_pair(t.type_u, t.type_v), []).append(b)
+        key = canonical_pair(dataset.items[t.anchor].type.name,
+                             dataset.items[t.positive].type.name)
+        groups.setdefault(key, []).append(b)
     pair_groups = {k: role_rows[:, v] for k, v in groups.items()}
     return regions, words, pair_groups
 

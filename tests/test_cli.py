@@ -185,6 +185,19 @@ class TestTrain:
         assert result.exit_code == 1
 
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, runner,
+                                             data_dir):
+        """`TrainConfig.validate` owns the seed rule, so a negative seed is
+        exit status 1, not a click range's 2."""
+        result = runner.invoke(main, ["train", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--out-dir", str(tmp_path / "x"),
+                                      "--seed", "-1"])
+        assert_usage_error(result, "seed must be >= 0")
+        assert result.exit_code == 1
+        assert len(result.output.splitlines()) == 1
+
+
 class TestEval:
     def test_report_is_written_and_parseable(self, tmp_path, runner,
                                              data_dir, run_dir):
@@ -327,6 +340,27 @@ class TestScore:
                                       "-a", "nope", "-b", "nope2"])
         assert result.exit_code != 0
         assert "unknown item id" in result.output
+
+    def test_undescribed_item_is_a_usage_error(self, tmp_path, runner):
+        out = tmp_path / "data"
+        result = runner.invoke(main, ["gen", "--out", str(out), "--seed", "5",
+                                      *GEN_ARGS, "--undescribed-frac", "0.5"])
+        assert result.exit_code == 0, result.output
+        ds = load_dataset(out / "manifest.json")
+        a = next(i for i, item in ds.items.items() if not item.described)
+        b = next(i for i, item in ds.items.items() if item.described)
+        dims = ModelDims(d_g=4, d_c=4, h=4, hops=1, mfb_factor=1,
+                         region_dim=6, word_dim=5)
+        save_model(init_model("baseline", dims, ds.trained_type_pairs(), 0),
+                   tmp_path / "run0.ckpt")
+        result = runner.invoke(main, ["score", "--data",
+                                      str(out / "manifest.json"),
+                                      "--checkpoint",
+                                      str(tmp_path / "run0.ckpt"),
+                                      "-a", a, "-b", b])
+        assert_usage_error(result, f"item {a!r} has no description")
+        assert result.exit_code == 1
+        assert len(result.output.splitlines()) == 1
 
     def test_checkpoint_directory_is_a_usage_error(self, runner, data_dir,
                                                    run_dir):

@@ -249,6 +249,20 @@ class TestTrainingLoss:
         with pytest.raises(DomainError, match="outside the batch's 5 items"):
             training_loss(model, regions, words, groups, LossWeights())
 
+    def test_unequal_item_counts_rejected(self):
+        model = make_model()
+        rng = np.random.default_rng(13)
+        regions, words = self.items(rng, 3)[0], self.items(rng, 2)[1]
+        groups = {("shoes", "tops"): np.array([[0], [1], [2]])}
+        with pytest.raises(DimensionError, match="3 items but words hold 2"):
+            training_loss(model, regions, words, groups, LossWeights())
+
+    def test_empty_batch_rejected(self):
+        model = make_model()
+        regions, words = self.items(np.random.default_rng(13), 3)
+        with pytest.raises(DomainError, match="at least one triplet"):
+            training_loss(model, regions, words, {}, LossWeights())
+
     @pytest.mark.parametrize("group", [
         np.array([0, 1, 2]), np.array([[0, 1], [1, 2]]),
         np.array([[0.0], [1.0], [2.0]]),
@@ -379,6 +393,17 @@ class TestGroupedProjection:
                                      for k, w in enumerate(spaces)]
         report = grad_check(loss, params, h_scale=1e-3, rel_tol=1e-4)
         assert report.passed, str(report)
+
+    @pytest.mark.parametrize("x_shape, w_shapes", [
+        ((3, 2), [(2, 2)]), ((1, 3, 3, 2), [(2, 2)]),
+        ((3, 3, 2), [(2, 2), (3, 2)]), ((3, 3, 2), [(2, 2), (2, 3)]),
+    ], ids=["2d_x", "4d_x", "weights_differ_out", "weights_differ_in"])
+    def test_malformed_stack_or_weights_rejected(self, x_shape, w_shapes):
+        x = Tensor(np.ones(x_shape))
+        spaces = [Tensor(np.ones(shape)) for shape in w_shapes]
+        sizes = [x_shape[1] - len(spaces) + 1] + [1] * (len(spaces) - 1)
+        with pytest.raises(DimensionError, match="grouped_projection"):
+            grouped_projection(x, spaces, sizes)
 
     @pytest.mark.parametrize("sizes", [[1, 1], [2, 2], [4, -1]],
                              ids=["short", "long", "negative"])

@@ -233,6 +233,34 @@ def test_manifest_names_are_strings(tmp_path, edit):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta["items"].append(dict(meta["items"][0])),
+     "duplicate item id 'a'"),
+    (lambda meta: meta["outfits"].append(
+        dict(meta["outfits"][0], split="valid")), "more than one split"),
+    (lambda meta: meta["questions"]["fc"][0].update(label=2),
+     "FC label must be 0 or 1"),
+    (lambda meta: meta["questions"]["fitb"].append(
+        {"partial": ["a"], "candidates": ["b", "c", "b", "c"], "answer": 4}),
+     "FITB answer index out of range"),
+], ids=["duplicate_item", "outfit_in_two_splits", "fc_label_2",
+        "fitb_answer_4"])
+def test_inconsistent_manifest_rejected(tmp_path, edit, message):
+    manifest = save_dataset(tiny_dataset(), tmp_path)
+    meta = json.loads(manifest.read_text())
+    edit(meta)
+    manifest.write_text(json.dumps(meta))
+    with pytest.raises(DatasetError, match=message):
+        load_dataset(manifest)
+
+
+@pytest.mark.parametrize("name", ["absent.json", "subdir"])
+def test_unreadable_manifest_raises_dataset_error(tmp_path, name):
+    (tmp_path / "subdir").mkdir()
+    with pytest.raises(DatasetError, match="cannot read manifest"):
+        load_dataset(tmp_path / name)
+
+
 def test_non_object_manifest_raises_dataset_error(tmp_path):
     manifest = tmp_path / "manifest.json"
     manifest.write_text("[]")
@@ -355,6 +383,19 @@ class TestSyntheticGenerator:
         # validate() directly: generating a one-item-outfit spec would hang
         spec = dataclasses.replace(self.SPEC, **{field: value})
         with pytest.raises(SyntheticSpecError, match=field):
+            spec.validate()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"num_words": 1}, "signal_rows 2 > num_words 1"),
+        ({"num_types": 2}, "outfit_size exceeds number of types"),
+        ({"train_outfits": 0}, "train_outfits must be positive"),
+        ({"word_dim": 0}, "word_dim must be positive"),
+    ], ids=["signal_rows_past_words", "outfit_size_past_types",
+            "zero_train_outfits", "zero_word_dim"])
+    def test_inconsistent_counts_fail_validation(self, changes, message):
+        import dataclasses
+        spec = dataclasses.replace(self.SPEC, **changes)
+        with pytest.raises(SyntheticSpecError, match=message):
             spec.validate()
 
     @pytest.mark.parametrize("field, value", [

@@ -52,6 +52,12 @@ def test_projection_dim_mismatch():
         project_regions(Tensor(np.zeros((2, 7))), proj)
 
 
+def test_word_projection_dim_mismatch():
+    proj = init_projector(np.random.default_rng(4), d_g=4, d_i=3, d_t=6)
+    with pytest.raises(DimensionError, match="word dim 3"):
+        project_words(Tensor(np.zeros((2, 3))), proj)
+
+
 class TestPoolAverage:
     def test_single_row_is_identity(self):
         row = np.array([[1.0, -2.0, 0.5]])
@@ -82,3 +88,7 @@ class TestPoolAverage:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             pool_rows(Tensor(np.zeros((0, 3))))
+
+    def test_single_vector_rejected(self):
+        with pytest.raises(DimensionError, match="pool_rows needs ndim >= 2"):
+            pool_rows(Tensor(np.zeros(3)))

@@ -412,6 +412,36 @@ class TestEvaluate:
         with pytest.raises(MetricUndefinedError):
             evaluate(ds, [model, other])
 
+    def unscorable_question(self, ds, model):
+        """A FITB question with one partial item, and `model` without the
+        space of that item's type and the candidates' shared type."""
+        q = ds.fitb_questions[0]
+        types = {ds.items[i].type.name for i in q.candidates}
+        assert len(types) == 1
+        pair = canonical_pair(ds.items[q.partial[0]].type.name, *types)
+        pruned = {k: v for k, v in model.spaces.items() if k != pair}
+        assert len(pruned) == len(model.spaces) - 1
+        return (FITBQuestion(partial=q.partial[:1], candidates=q.candidates,
+                             answer=q.answer),
+                dataclasses.replace(model, spaces=pruned))
+
+    def test_vote_skips_a_question_without_a_trained_pair(self):
+        ds, model, _ = fixture_model_and_reps(seed=13)
+        question, pruned = self.unscorable_question(ds, model)
+        ds.fitb_questions.append(question)
+        report = evaluate(ds, [pruned] * 2)
+        assert report.fitb_unanswerable >= 1 and report.fitb_answered >= 1
+        assert (report.fitb_answered + report.fitb_unanswerable
+                == len(ds.fitb_questions))
+        assert report.fitb_accuracy_vote == report.fitb_accuracy_per_run[0]
+
+    def test_no_answerable_fitb_question_rejected(self):
+        ds, model, _ = fixture_model_and_reps(seed=14)
+        question, pruned = self.unscorable_question(ds, model)
+        ds.fitb_questions = [question]
+        with pytest.raises(MetricUndefinedError, match="no answerable FITB"):
+            evaluate(ds, [pruned])
+
     def test_no_models_rejected(self):
         ds = generate_synthetic(SPEC, seed=12)
         with pytest.raises(MetricUndefinedError):

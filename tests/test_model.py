@@ -189,6 +189,18 @@ def test_unreadable_checkpoint_raises_dataset_error(tmp_path, name, make):
         load_model(path)
 
 
+def test_parameter_of_another_shape_raises_dimension_error(tmp_path):
+    """The header lists proj.w_img as (3, 2), the model needs (2, 3): the
+    byte count matches, the shape does not."""
+    path = saved(tmp_path, "stacked")
+    header, payload = split(path.read_bytes())
+    assert header["params"][0] == {"name": "proj.w_img", "shape": [2, 3]}
+    header["params"][0]["shape"] = [3, 2]
+    path.write_bytes(join(json.dumps(header).encode(), payload))
+    with pytest.raises(DimensionError, match="'proj.w_img' has shape"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelDims)])
 def test_init_model_rejects_a_zero_dim(field):
     dims = dataclasses.replace(DIMS, **{field: 0})

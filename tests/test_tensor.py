@@ -420,6 +420,31 @@ def test_every_tape_op_is_reached_by_a_training_graph():
     assert not recorders - reached, sorted(recorders - reached)
 
 
+def as_tensor_callers(tree, scope=""):
+    """Qualified names of the scopes under `tree` that call `as_tensor`."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= as_tensor_callers(node, f"{scope}{node.name}.")
+        elif any(isinstance(n, ast.Call)
+                 and "as_tensor" in (getattr(n.func, "id", None),
+                                     getattr(n.func, "attr", None))
+                 for n in ast.walk(node)):
+            found.add(scope.rstrip(".") or "<module>")
+    return found
+
+
+def test_numpy_becomes_a_tensor_only_at_the_model_entry():
+    """Tape ops take Tensors. `as_tensor` runs only where numpy enters the
+    model (`item_features`) and where `+` and `*` take a plain number."""
+    calls = {(path.name, name)
+             for path in Path(tensor.__file__).parent.glob("*.py")
+             for name in as_tensor_callers(ast.parse(path.read_text()))}
+    assert calls == {("tensor.py", "Tensor.__add__"),
+                     ("tensor.py", "Tensor.__mul__"),
+                     ("model.py", "item_features")}
+
+
 def per_sample_grads(a, b, g):
     """Loop oracle for the operand gradients of `a @ b` with upstream `g`:
     one product per batch index, summed into each operand's broadcast slot."""

@@ -8,7 +8,8 @@ import scipy.stats
 
 from outfitrec.data import (Dataset, Dims, Item, ItemType, Outfit,
                             SyntheticSpec, generate_synthetic)
-from outfitrec.errors import ConfigError
+from outfitrec import training
+from outfitrec.errors import ConfigError, ConsistencyError
 from outfitrec.model import init_model, ModelDims
 from outfitrec.training import (TrainConfig, sample_triplets, train,
                                 train_ensemble)
@@ -98,6 +99,21 @@ class TestTrainConfig:
             init_model("nope", dims, {("a", "b")}, seed=0)
 
 
+class RecordingRng:
+    """A seeded generator that records the bound of each `integers` draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.bounds = []
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+    def integers(self, n):
+        self.bounds.append(n)
+        return self.rng.integers(n)
+
+
 class TestSampleTriplets:
     def test_sampled_triplets_satisfy_constraints(self):
         ds = generate_synthetic(SMALL_SPEC, seed=0)
@@ -109,7 +125,8 @@ class TestSampleTriplets:
                 co_occur.setdefault(a, set()).update(o.items)
         for t in triplets:
             assert t.positive in co_occur[t.anchor]
-            assert ds.items[t.negative].type.name == t.type_v
+            assert (ds.items[t.negative].type.name
+                    == ds.items[t.positive].type.name)
             assert t.negative not in co_occur[t.anchor]
             assert t.negative != t.anchor
             for item_id in (t.anchor, t.positive, t.negative):
@@ -145,6 +162,21 @@ class TestSampleTriplets:
         observed = np.array([counts[f"d{i}"] for i in range(5)])
         assert observed.sum() == 3000
         assert scipy.stats.chisquare(observed).pvalue > 0.01
+
+    def test_last_eligible_negative_is_drawn_from_the_list(self):
+        """Anchor "a" shares an outfit with 64 of the 65 shoes, so 16
+        rejected draws are likely; the list draw then has one eligible
+        shoe, "z", and draws from a range of 1."""
+        outfits = [[("a", "tops"), (f"b{i}", "shoes")] for i in range(64)]
+        outfits.append([("c", "tops"), ("z", "shoes")])
+        ds = handmade_dataset(outfits)
+        rng = RecordingRng(5)
+        triplets, skipped = sample_triplets(ds, rng)
+        assert skipped == 0
+        from_a = [t for t in triplets if t.anchor == "a"]
+        assert len(from_a) == 64
+        assert all(t.negative == "z" for t in from_a)
+        assert 1 in rng.bounds   # the eligible-list draw ran
 
     def test_undescribed_items_never_sampled(self):
         spec = dataclasses.replace(SMALL_SPEC, undescribed_frac=0.4)
@@ -189,6 +221,31 @@ class TestTrainLoop:
         _, history = train(ds, TINY_CONFIG, seed=1)
         assert history[0].valid_auc is not None
         assert 0.0 <= history[0].valid_auc <= 1.0
+
+    def test_one_valid_outfit_gives_no_validation_auc(self):
+        ds = handmade_dataset([[("a", "tops"), ("b", "shoes")],
+                               [("c", "tops"), ("d", "shoes")],
+                               [("e", "tops"), ("f", "shoes")]])
+        ds.outfits["valid"] = [ds.outfits["train"].pop()]
+        _, history = train(ds, TINY_CONFIG, seed=0)
+        assert history[0].step_losses
+        assert history[0].valid_auc is None
+
+    def test_no_trainable_type_pair_raises(self):
+        ds = handmade_dataset([[("a", "tops"), ("b", "shoes")]])
+        ds.outfits["valid"], ds.outfits["train"] = ds.outfits["train"], []
+        with pytest.raises(ConsistencyError, match="no trainable type pairs"):
+            train(ds, TINY_CONFIG)
+
+    def test_non_finite_loss_raises(self, monkeypatch):
+        ds = generate_synthetic(SMALL_SPEC, seed=8)
+        real = training.training_loss
+        monkeypatch.setattr(
+            training, "training_loss",
+            lambda *args, **kwargs: real(*args, **kwargs) * float("nan"))
+        with pytest.raises(ConsistencyError,
+                           match="non-finite loss at epoch 0 step 0"):
+            train(ds, TINY_CONFIG, seed=1)
 
 
 class TestEnsemble:
