@@ -5,8 +5,10 @@ On disk a dataset is a directory of three files: `manifest.json` (version
 `regions.f32`, every item's (num_regions, region_dim) matrix, and
 `words.f32`, the (num_words, word_dim) matrix of every described item, both
 in manifest order. Feature files are little-endian float32, row-major, 4
-bytes per value and no header. They are widened to float64 in memory; the
-save/load round-trip is bit-exact at the float32 payload level.
+bytes per value and no header. A `Dataset` keeps the same two arrays,
+widened to float64, as its feature store, maps each item to its row and
+word row, and gives each `Item` views of its rows; the save/load
+round-trip is bit-exact at the float32 payload level.
 
 Also provides a deterministic synthetic generator that plants a
 style-derived signal into a small subset of each item's region and word
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, SyntheticSpecError, check_field_types
+from .errors import (DatasetError, DimensionError, DomainError,
+                     SyntheticSpecError, check_field_types)
 
 MANIFEST_FORMAT = "outfitrec-dataset"
 MANIFEST_VERSION = 2
@@ -76,14 +79,55 @@ class Dims:
     word_dim: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    items: dict[str, Item]
+    """Items, outfits and questions over one float64 feature store.
+
+    `entries` maps each item id, in manifest order, to its type and
+    description (None when undescribed). `regions` (I, N, d_i) holds every
+    item's rows in that order and `words` (I_d, M, d_t) the described
+    items' rows; both are kept as passed, and `dims` are their shapes.
+    `row[id]` is an item's row of `regions`, `word_row[row]` its row of
+    `words` (-1 when undescribed), and `items[id]` views its rows (an
+    undescribed item's `words` is empty, (0, d_t)).
+    """
+    entries: InitVar[dict[str, tuple[ItemType, str | None]]]
+    regions: np.ndarray
+    words: np.ndarray
     types: list[ItemType]
-    dims: Dims
     outfits: dict[str, list[Outfit]]           # keyed by split
     fc_questions: list[FCQuestion] = field(default_factory=list)
     fitb_questions: list[FITBQuestion] = field(default_factory=list)
+
+    def __post_init__(self, entries) -> None:
+        (_, n, d_i), (_, m, d_t) = self.regions.shape, self.words.shape
+        self.dims = Dims(num_regions=n, num_words=m, region_dim=d_i, word_dim=d_t)
+        described = np.array([d is not None for _, d in entries.values()], bool)
+        if len(self.regions) != len(entries) or len(self.words) != described.sum():
+            raise DimensionError(f"feature stores of {len(self.regions)} and "
+                                 f"{len(self.words)} rows for {len(entries)} "
+                                 f"items, {described.sum()} described")
+        self.row = dict(zip(entries, range(len(entries))))
+        self.word_row = np.where(described, np.cumsum(described) - 1, -1)
+        no_words = np.zeros((0, d_t))
+        self.items = {
+            item_id: Item(id=item_id, type=item_type, regions=rows,
+                          words=self.words[w] if w >= 0 else no_words,
+                          description=description)
+            for (item_id, (item_type, description)), rows, w
+            in zip(entries.items(), self.regions, self.word_row.tolist())}
+
+    def features(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """The (len(ids), N, d_i) regions and (len(ids), M, d_t) words of
+        described items, gathered from the store by one index each; an
+        undescribed item raises DomainError."""
+        rows = np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp,
+                           count=len(ids))
+        word_rows = self.word_row[rows]
+        if (word_rows < 0).any():
+            raise DomainError(f"item {ids[int(np.argmin(word_rows))]!r} has "
+                              "no description, so no word rows")
+        return self.regions[rows], self.words[word_rows]
 
     def trained_type_pairs(self) -> set[tuple[str, str]]:
         """Unordered type pairs co-occurring among described train items."""
@@ -127,19 +171,16 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
     """Write manifest.json, regions.f32 and words.f32; returns manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    items = list(dataset.items.values())
-    (out / "regions.f32").write_bytes(b"".join(
-        np.asarray(item.regions, dtype="<f4").tobytes() for item in items))
-    (out / "words.f32").write_bytes(b"".join(
-        np.asarray(item.words, dtype="<f4").tobytes()
-        for item in items if item.described))
+    (out / "regions.f32").write_bytes(dataset.regions.astype("<f4").tobytes())
+    (out / "words.f32").write_bytes(dataset.words.astype("<f4").tobytes())
     manifest = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
         "dims": vars(dataset.dims),
         "types": [{"id": t.id, "name": t.name} for t in dataset.types],
         "items": [{"id": item.id, "type": item.type.name,
-                   "description": item.description} for item in items],
+                   "description": item.description}
+                  for item in dataset.items.values()],
         "outfits": [
             {"id": o.id, "split": split, "items": list(o.items)}
             for split in SPLITS for o in dataset.outfits.get(split, [])
@@ -231,19 +272,12 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
     if described and not dims.num_words:
         raise DatasetError(f"{path}: dims 'num_words' is 0, but {described} "
                            f"items are described")
-    words = iter(_read_features(base / "words.f32", (
-        described, dims.num_words, dims.word_dim)))
-    items = {
-        item_id: Item(id=item_id, type=item_type, regions=rows,
-                      words=(next(words) if description is not None
-                             else np.zeros((0, dims.word_dim))),
-                      description=description)
-        for (item_id, (item_type, description)), rows
-        in zip(entries.items(), regions)}
+    words = _read_features(base / "words.f32", (
+        described, dims.num_words, dims.word_dim))
 
     def check_ids(ids, where):
         for i in ids:
-            if _typed(i, str, f"{where} item reference") not in items:
+            if _typed(i, str, f"{where} item reference") not in entries:
                 raise DatasetError(f"{where} references missing item {i!r}")
 
     outfits: dict[str, list[Outfit]] = {s: [] for s in SPLITS}
@@ -278,14 +312,14 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
                                  candidates=tuple(q["candidates"]),
                                  answer=q["answer"]))
 
-    return Dataset(items=items, types=types, dims=dims, outfits=outfits,
+    return Dataset(entries, regions, words, types=types, outfits=outfits,
                    fc_questions=fc, fitb_questions=fitb)
 
 
 # -- synthetic generation ---------------------------------------------------
 
-# rejection-sampling draws per FC negative before generation gives up
-FC_NEGATIVE_DRAWS = 100_000
+# rejection-sampling draws per FC negative, one budget for all negatives
+FC_NEGATIVE_DRAWS = 100
 
 
 @dataclass
@@ -364,31 +398,27 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     txt_patterns = rng.normal(size=(spec.num_styles, spec.word_dim))
     txt_patterns /= np.linalg.norm(txt_patterns, axis=1, keepdims=True)
 
-    items: dict[str, Item] = {}
+    entries: dict[str, tuple[ItemType, str | None]] = {}
     item_style: dict[str, int] = {}
-    counter = 0
+    region_draws: list[np.ndarray] = []
+    word_draws: list[np.ndarray] = []
 
     def make_item(type_idx: int, style: int) -> str:
-        nonlocal counter
-        item_id = f"itm{counter:06d}"
-        counter += 1
+        item_id = f"itm{len(entries):06d}"
         regions = rng.normal(scale=spec.noise_scale,
                              size=(spec.num_regions, spec.region_dim))
         rows = rng.choice(spec.num_regions, size=spec.signal_rows, replace=False)
         regions[rows] = spec.signal_amplitude * img_patterns[style]
-        described = rng.random() >= spec.undescribed_frac
-        if described:
+        region_draws.append(regions)
+        description = None
+        if rng.random() >= spec.undescribed_frac:
             words = rng.normal(scale=spec.noise_scale,
                                size=(spec.num_words, spec.word_dim))
             wrows = rng.choice(spec.num_words, size=spec.signal_rows, replace=False)
             words[wrows] = spec.signal_amplitude * txt_patterns[style]
+            word_draws.append(words)
             description = f"style {style} {types[type_idx].name} item"
-        else:
-            words = np.zeros((0, spec.word_dim))
-            description = None
-        items[item_id] = Item(id=item_id, type=types[type_idx],
-                              regions=regions, words=words,
-                              description=description)
+        entries[item_id] = (types[type_idx], description)
         item_style[item_id] = style
         return item_id
 
@@ -412,7 +442,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     test_pool: dict[tuple[int, int], list[str]] = {}
     for o in test_outfits:
         for i in o.items:
-            key = (items[i].type.id, item_style[i])
+            key = (entries[i][0].id, item_style[i])
             test_pool.setdefault(key, []).append(i)
     test_item_ids = [i for o in test_outfits for i in o.items]
 
@@ -420,21 +450,24 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     for i in range(n_pos):
         fc.append(FCQuestion(items=test_outfits[i].items, label=1))
     n_neg = spec.fc_questions - n_pos
+    draws = iter(range(FC_NEGATIVE_DRAWS * n_neg))   # shared by all negatives
     for _ in range(n_neg):
         # random cross-style combination with distinct types
-        for _ in range(FC_NEGATIVE_DRAWS):
+        for _ in draws:
             picks = rng.choice(len(test_item_ids), size=spec.outfit_size,
                                replace=False)
             chosen = [test_item_ids[int(p)] for p in picks]
-            type_set = {items[c].type.id for c in chosen}
+            type_set = {entries[c][0].id for c in chosen}
             style_set = {item_style[c] for c in chosen}
             if len(type_set) == spec.outfit_size and len(style_set) >= 2:
                 break
         else:
             raise SyntheticSpecError(
-                f"no cross-style FC negative with {spec.outfit_size} distinct "
-                f"types in {FC_NEGATIVE_DRAWS} draws; increase num_types "
-                "or the number of test outfits")
+                f"{n_neg} cross-style FC negatives of outfit_size={spec.outfit_size} "
+                f"distinct types of num_types={spec.num_types}, from "
+                f"{spec.test_outfits} test outfits, need more than "
+                f"{FC_NEGATIVE_DRAWS * n_neg} draws; raise num_types or the test "
+                "outfits, or lower outfit_size")
         fc.append(FCQuestion(items=tuple(chosen), label=0))
 
     fitb: list[FITBQuestion] = []
@@ -443,7 +476,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         blank = int(rng.integers(len(outfit.items)))
         truth = outfit.items[blank]
         partial = tuple(x for j, x in enumerate(outfit.items) if j != blank)
-        t_id = items[truth].type.id
+        t_id = entries[truth][0].id
         style = item_style[truth]
         eligible = [x for (ty, st), pool in test_pool.items() if ty == t_id
                     and st != style for x in pool]
@@ -459,10 +492,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         fitb.append(FITBQuestion(partial=partial, candidates=shuffled,
                                  answer=answer))
 
-    dims = Dims(num_regions=spec.num_regions, num_words=spec.num_words,
-                region_dim=spec.region_dim, word_dim=spec.word_dim)
-    return Dataset(items=items, types=types, dims=dims, outfits=outfits,
-                   fc_questions=fc, fitb_questions=fitb)
+    # a reshape, not a stack, so that no described item gives (0, M, d_t)
+    words = np.reshape(word_draws, (-1, spec.num_words, spec.word_dim))
+    return Dataset(entries, np.stack(region_draws), words, types=types,
+                   outfits=outfits, fc_questions=fc, fitb_questions=fitb)
 
 
 # -- question filtering -----------------------------------------------------

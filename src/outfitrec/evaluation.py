@@ -25,11 +25,8 @@ def compute_representations(model: OutfitModel, dataset: Dataset,
     with no_grad():
         for start in range(0, len(ids), REPRESENTATION_CHUNK):
             part = ids[start:start + REPRESENTATION_CHUNK]
-            regions = np.stack([dataset.items[i].regions for i in part])
-            words = np.stack([dataset.items[i].words for i in part])
-            out = item_features(model, regions, words)[0].data
-            for i, rep in zip(part, out):
-                reps[i] = rep
+            reps.update(zip(part, item_features(
+                model, *dataset.features(part))[0].data))
     return reps
 
 

@@ -134,9 +134,10 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
 
 def _batch_arrays(dataset: Dataset, triplets: list[TripletSpec]
                   ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The item-level inputs of `training_loss` for a triplet batch.
+    """The item-level inputs of `training_loss` for a triplet batch of
+    described items.
 
-    `regions` (U, N, d_i) and `words` (U, M, d_t) stack each distinct item
+    `regions` (U, N, d_i) and `words` (U, M, d_t) hold each distinct item
     once, in first-seen order over the anchors, then the positives, then
     the negatives. `pair_groups` maps each canonical type pair to a
     (3, n_k) array of item rows: the anchors, positives and negatives of
@@ -145,9 +146,7 @@ def _batch_arrays(dataset: Dataset, triplets: list[TripletSpec]
     roles = ("anchor", "positive", "negative")
     ids = [getattr(t, role) for role in roles for t in triplets]
     row = {item: r for r, item in enumerate(dict.fromkeys(ids))}
-    items = [dataset.items[i] for i in row]
-    regions = np.stack([item.regions for item in items])
-    words = np.stack([item.words for item in items])
+    regions, words = dataset.features(list(row))
     role_rows = np.array([row[i] for i in ids], dtype=np.intp).reshape(3, -1)
     groups: dict[tuple[str, str], list[int]] = {}
     for b, t in enumerate(triplets):

@@ -1,9 +1,11 @@
 """Dataset model, on-disk round-trips and the synthetic generator."""
 
+import ast
 import copy
 import json
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,31 +13,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outfitrec import data
-from outfitrec.data import (Dataset, Dims, FCQuestion, FITBQuestion, Item,
-                            ItemType, Outfit, SyntheticSpec, filter_questions,
+from outfitrec.data import (Dataset, FCQuestion, FITBQuestion, ItemType,
+                            Outfit, SyntheticSpec, filter_questions,
                             generate_synthetic, load_dataset, save_dataset)
-from outfitrec.errors import DatasetError, DimensionError, SyntheticSpecError
+from outfitrec.errors import (DatasetError, DimensionError, DomainError,
+                              SyntheticSpecError)
 
 
 def tiny_dataset() -> Dataset:
+    """3 items of 2x4 regions; "a" and "b" are described, with 3x5 words."""
     t0, t1 = ItemType("tops", 0), ItemType("shoes", 1)
-    dims = Dims(num_regions=2, num_words=3, region_dim=4, word_dim=5)
     rng = np.random.default_rng(0)
-
-    def item(i, typ, described=True):
-        words = (rng.normal(size=(3, 5)) if described
-                 else np.zeros((0, 5)))
-        return Item(id=i, type=typ, regions=rng.normal(size=(2, 4)),
-                    words=words,
-                    description="a nice piece" if described else None)
-
-    items = {"a": item("a", t0), "b": item("b", t1),
-             "c": item("c", t1, described=False)}
+    entries = {"a": (t0, "a nice piece"), "b": (t1, "a nice piece"),
+               "c": (t1, None)}
     outfits = {"train": [Outfit(id="o1", items=("a", "b"))],
                "valid": [], "test": []}
-    return Dataset(items=items, types=[t0, t1], dims=dims, outfits=outfits,
-                   fc_questions=[FCQuestion(items=("a", "b"), label=1)],
-                   fitb_questions=[])
+    return Dataset(entries, rng.normal(size=(3, 2, 4)),
+                   rng.normal(size=(2, 3, 5)), types=[t0, t1],
+                   outfits=outfits,
+                   fc_questions=[FCQuestion(items=("a", "b"), label=1)])
 
 
 def test_minimal_manifest_round_trip(tmp_path):
@@ -59,14 +55,114 @@ def test_save_writes_manifest_and_two_feature_files(tmp_path):
     assert (tmp_path / "words.f32").stat().st_size == 4 * 2 * 3 * 5
 
 
-def test_round_trip_is_bit_exact(tmp_path):
-    ds = tiny_dataset()
+# a fifth of its items undescribed, so the word rows skip store rows
+STORE_SPEC = SyntheticSpec(train_outfits=20, valid_outfits=4,
+                           fc_questions=40, fitb_questions=20,
+                           undescribed_frac=0.2)
+
+
+def assert_round_trip_is_bit_exact(ds, tmp_path):
     save_dataset(ds, tmp_path / "first")
     loaded = load_dataset(tmp_path / "first" / "manifest.json")
     save_dataset(loaded, tmp_path / "second")
     for name in DATASET_FILES:
         assert ((tmp_path / "first" / name).read_bytes()
                 == (tmp_path / "second" / name).read_bytes()), name
+
+
+def test_round_trip_is_bit_exact(tmp_path):
+    assert_round_trip_is_bit_exact(tiny_dataset(), tmp_path)
+
+
+def item_feature_readers(tree, scope=""):
+    """Qualified names of the scopes under `tree` that read an attribute
+    named `regions` or `words`."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found |= item_feature_readers(node, f"{scope}{node.name}.")
+        elif any(isinstance(n, ast.Attribute)
+                 and n.attr in ("regions", "words") for n in ast.walk(node)):
+            found.add(scope.rstrip(".") or "<module>")
+    return found
+
+
+class TestFeatureStore:
+    def datasets(self, tmp_path):
+        generated = generate_synthetic(STORE_SPEC, seed=3)
+        return generated, load_dataset(save_dataset(generated, tmp_path))
+
+    def test_items_view_their_store_rows(self, tmp_path):
+        """Rows follow the manifest order, and word rows count the
+        described items before each described item."""
+        for ds in self.datasets(tmp_path):
+            described = 0
+            for row, (item_id, item) in enumerate(ds.items.items()):
+                assert ds.row[item_id] == row
+                assert np.shares_memory(item.regions, ds.regions)
+                np.testing.assert_array_equal(item.regions, ds.regions[row])
+                if item.described:
+                    assert ds.word_row[row] == described
+                    assert np.shares_memory(item.words, ds.words)
+                    np.testing.assert_array_equal(item.words,
+                                                  ds.words[described])
+                    described += 1
+                else:
+                    assert ds.word_row[row] == -1
+                    assert item.words.shape == (0, STORE_SPEC.word_dim)
+            assert len(ds.words) == described < len(ds.items)
+
+    def test_features_gather_store_rows_and_reject_undescribed(self):
+        ds = generate_synthetic(STORE_SPEC, seed=3)
+        bare = next(i for i, item in ds.items.items() if not item.described)
+        ids = [i for i, item in ds.items.items() if item.described][::-1]
+        regions, words = ds.features(ids)
+        np.testing.assert_array_equal(
+            regions, np.stack([ds.items[i].regions for i in ids]))
+        np.testing.assert_array_equal(
+            words, np.stack([ds.items[i].words for i in ids]))
+        with pytest.raises(DomainError, match=repr(bare)):
+            ds.features(ids[:2] + [bare])
+
+    def test_generate_save_load_save_is_byte_identical(self, tmp_path):
+        assert_round_trip_is_bit_exact(generate_synthetic(STORE_SPEC, seed=3),
+                                       tmp_path)
+
+    def test_dims_are_the_store_shapes(self, tmp_path):
+        for ds in self.datasets(tmp_path):
+            assert vars(ds.dims) == {
+                "num_regions": STORE_SPEC.num_regions,
+                "num_words": STORE_SPEC.num_words,
+                "region_dim": STORE_SPEC.region_dim,
+                "word_dim": STORE_SPEC.word_dim}
+
+    def test_only_data_and_pair_score_read_item_features(self):
+        """The store is the one home of the feature layout. Outside
+        `data.py`, only `pair_score`, which takes two `Item`s, reads an
+        `Item`'s `.regions` or `.words`; every other reader takes store
+        rows from `Dataset.features`."""
+        readers = {(path.name, name)
+                   for path in Path(data.__file__).parent.glob("*.py")
+                   if path.name != "data.py"
+                   for name in item_feature_readers(
+                       ast.parse(path.read_text()))}
+        assert readers == {("compatibility.py", "pair_score")}
+
+    @pytest.mark.parametrize("module", ["training.py", "evaluation.py"])
+    def test_no_per_item_stack_in_training_or_evaluation(self, module):
+        tree = ast.parse((Path(data.__file__).parent / module).read_text())
+        assert not any(isinstance(n, ast.Attribute) and n.attr == "stack"
+                       for n in ast.walk(tree))
+
+    @pytest.mark.parametrize("regions_rows, words_rows", [(2, 2), (3, 3)],
+                             ids=["regions_short", "words_long"])
+    def test_store_rows_must_match_the_entries(self, regions_rows,
+                                               words_rows):
+        t = ItemType("tops", 0)
+        entries = {"a": (t, "x"), "b": (t, "y"), "c": (t, None)}
+        with pytest.raises(DimensionError, match="3 items, 2 described"):
+            Dataset(entries, np.zeros((regions_rows, 2, 4)),
+                    np.zeros((words_rows, 3, 5)), types=[t], outfits={})
 
 
 def test_version_1_manifest_rejected(tmp_path):
@@ -414,10 +510,53 @@ class TestSyntheticGenerator:
         with pytest.raises(SyntheticSpecError, match="2 test outfits"):
             spec.validate()
 
+    def count_fc_negative_draws(self, monkeypatch, per_negative):
+        """Generate with `FC_NEGATIVE_DRAWS` patched to `per_negative`;
+        returns (dataset or the SyntheticSpecError, FC-negative draws).
+        A draw is a `choice` of `outfit_size` test items."""
+        monkeypatch.setattr(data, "FC_NEGATIVE_DRAWS", per_negative)
+        spec, draws = self.SPEC, []
+        test_items = spec.test_outfits * spec.outfit_size
+        real = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def choice(self, a, *args, **kwargs):
+                if a == test_items and kwargs.get("size") == spec.outfit_size:
+                    draws.append(a)
+                return self.rng.choice(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        try:
+            result = generate_synthetic(spec, seed=0)
+        except SyntheticSpecError as exc:
+            result = exc
+        monkeypatch.setattr(np.random, "default_rng", real)
+        return result, len(draws)
+
     def test_fc_negative_search_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(data, "FC_NEGATIVE_DRAWS", 1)
-        with pytest.raises(SyntheticSpecError, match="1 draws"):
-            generate_synthetic(self.SPEC, seed=0)
+        """The 20 negatives of seed 0 take 51 draws together. The budget
+        is `FC_NEGATIVE_DRAWS` per negative for all of them at once: at 2
+        per negative generation stops after exactly 40 draws and names the
+        fields to change, and at 3 per negative it draws what an
+        unbounded search draws, although some negative takes more than 3."""
+        unbounded, total = self.count_fc_negative_draws(monkeypatch, 10**6)
+        assert total == 51
+        error, draws = self.count_fc_negative_draws(monkeypatch, 2)
+        assert isinstance(error, SyntheticSpecError)
+        assert draws == 40
+        for name in ("num_types=5", "outfit_size=3", "20 test outfits",
+                     "40 draws"):
+            assert name in str(error)
+        bounded, draws = self.count_fc_negative_draws(monkeypatch, 3)
+        assert draws == 51
+        assert bounded.fc_questions == unbounded.fc_questions
+        assert np.array_equal(bounded.regions, unbounded.regions)
 
     def test_question_counts_and_shapes(self):
         ds = generate_synthetic(self.SPEC, seed=1)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from outfitrec.data import (Dataset, Dims, Item, ItemType, Outfit,
-                            SyntheticSpec, generate_synthetic)
+from outfitrec.data import (Dataset, ItemType, Outfit, SyntheticSpec,
+                            generate_synthetic)
 from outfitrec import training
 from outfitrec.errors import ConfigError, ConsistencyError
 from outfitrec.model import init_model, ModelDims
@@ -28,21 +28,14 @@ def handmade_dataset(outfit_specs):
     type_names = sorted({t for spec in outfit_specs for _, t in spec})
     types = [ItemType(n, i) for i, n in enumerate(type_names)]
     by_name = {t.name: t for t in types}
-    dims = Dims(num_regions=2, num_words=2, region_dim=3, word_dim=3)
+    entries = {item_id: (by_name[type_name], "x")
+               for spec in outfit_specs for item_id, type_name in spec}
+    outfits = [Outfit(id=f"o{k}", items=tuple(i for i, _ in spec))
+               for k, spec in enumerate(outfit_specs)]
     rng = np.random.default_rng(0)
-    items = {}
-    outfits = []
-    for k, spec in enumerate(outfit_specs):
-        for item_id, type_name in spec:
-            if item_id not in items:
-                items[item_id] = Item(
-                    id=item_id, type=by_name[type_name],
-                    regions=rng.normal(size=(2, 3)),
-                    words=rng.normal(size=(2, 3)), description="x")
-        outfits.append(Outfit(id=f"o{k}", items=tuple(i for i, _ in spec)))
-    return Dataset(items=items, types=types, dims=dims,
-                   outfits={"train": outfits, "valid": [], "test": []},
-                   fc_questions=[], fitb_questions=[])
+    return Dataset(entries, rng.normal(size=(len(entries), 2, 3)),
+                   rng.normal(size=(len(entries), 2, 3)), types=types,
+                   outfits={"train": outfits, "valid": [], "test": []})
 
 
 class TestTrainConfig:
@@ -186,6 +179,26 @@ class TestSampleTriplets:
         for t in triplets:
             for item_id in (t.anchor, t.positive, t.negative):
                 assert ds.items[item_id].described
+
+
+class TestBatchArrays:
+    def test_store_rows_equal_the_stacked_items(self):
+        """Every batch of an epoch on data with undescribed items equals
+        the per-item `np.stack` that batch assembly used to make."""
+        spec = dataclasses.replace(SMALL_SPEC, undescribed_frac=0.2)
+        ds = generate_synthetic(spec, seed=3)
+        assert any(not i.described for i in ds.items.values())
+        triplets, _ = sample_triplets(ds, np.random.default_rng(0))
+        for start in range(0, len(triplets), 32):
+            batch = triplets[start:start + 32]
+            regions, words, _ = training._batch_arrays(ds, batch)
+            items = [ds.items[i] for i in dict.fromkeys(
+                getattr(t, role) for role in ("anchor", "positive",
+                                              "negative") for t in batch)]
+            np.testing.assert_array_equal(
+                regions, np.stack([item.regions for item in items]))
+            np.testing.assert_array_equal(
+                words, np.stack([item.words for item in items]))
 
 
 class TestTrainLoop:
