@@ -10,6 +10,7 @@ triplet batch's role stacks and returns each triplet's mean margin hinge.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
@@ -144,34 +145,78 @@ def _space_cosines(space: np.ndarray, reps: np.ndarray, left, right
     return (unit[left] * unit[right]).sum(axis=1)
 
 
-def pair_scores(model: OutfitModel, dataset: Dataset,
-                reps: dict[str, np.ndarray],
-                pairs: list[tuple[str, str]]) -> np.ndarray:
-    """`score_from_reps` for a list of item-id pairs, NaN where a pair has
-    no trained space.
+class Reps(Mapping):
+    """Fused reps as one (n, rep_dim) array `data` whose row k is the rep
+    of `ids[k]`; as a mapping, an id's rep is a view of its row."""
 
-    The list's distinct ids become rows of one stack of reps, and each
-    pair a (row, row) entry of a (P, 2) array. Each item's type is its
-    rank among the sorted type names, so a pair's canonical type pair is
-    the min and max of its two ranks, and one stable argsort groups the
-    pairs by type pair. Each trained type pair projects its distinct rows
-    once, in first-seen order over its pairs.
+    def __init__(self, ids: list[str], data: np.ndarray):
+        self.ids, self.data = ids, data
+        self.row = dict(zip(ids, range(len(ids))))
 
-    Raises DomainError for an id that has no entry in `reps`.
-    """
-    scores = np.full(len(pairs), np.nan)
-    if not pairs:
-        return scores
-    flat = list(chain.from_iterable(pairs))
-    ids = list(dict.fromkeys(flat))
-    row = dict(zip(ids, range(len(ids))))
-    ends = np.fromiter(map(row.__getitem__, flat), dtype=np.intp,
-                       count=len(flat)).reshape(len(pairs), 2)
+    def __getitem__(self, item_id: str) -> np.ndarray:
+        return self.data[self.row[item_id]]
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def _stack(reps: Mapping[str, np.ndarray], ids: list[str]) -> np.ndarray:
+    """The reps of `ids` as one (len(ids), rep_dim) array: one fancy index
+    into a `Reps`, a stack of any other mapping's values. DomainError
+    names an id without a rep."""
     try:
-        stack = np.stack([reps[i] for i in ids])
+        if isinstance(reps, Reps):
+            return reps.data[np.fromiter(map(reps.row.__getitem__, ids),
+                                         dtype=np.intp, count=len(ids))]
+        return np.stack([reps[i] for i in ids])
     except KeyError as e:
         raise DomainError(f"item {e.args[0]!r} has no representation; only "
                           "described items are scored") from None
+
+
+def index_ids(flat: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids of `flat` in first-seen order, and the index of
+    each entry of `flat` among them."""
+    ids = list(dict.fromkeys(flat))
+    row = dict(zip(ids, range(len(ids))))
+    return ids, np.fromiter(map(row.__getitem__, flat), dtype=np.intp,
+                            count=len(flat))
+
+
+@dataclass(eq=False)
+class PairPlan:
+    """The model-independent part of scoring a list of `size` item pairs.
+
+    `ids` are the list's distinct ids in first-seen order. Each group is
+    one trained type pair's `(pair, positions, rows, left, right)`: the
+    positions of its pairs in the list, its distinct rows of `ids` in
+    first-seen order over those pairs, and each pair's left and right
+    index into those rows.
+    """
+    ids: list[str]
+    size: int
+    groups: list[tuple[tuple[str, str], np.ndarray, np.ndarray, np.ndarray,
+                       np.ndarray]]
+
+
+def plan_pairs(dataset: Dataset, ids: list[str], ends: np.ndarray,
+               trained) -> PairPlan:
+    """The plan of the (P, 2) pairs `ends` of rows of `ids`, grouped by
+    the type pairs in `trained`; a pair of an untrained type pair is in
+    no group.
+
+    Each item's type is its rank among the sorted type names, so a pair's
+    canonical type pair is the min and max of its two ranks, and one
+    stable argsort groups the pairs by type pair. DomainError names an id
+    the dataset does not hold.
+    """
+    dataset.rows(ids)   # DomainError for an id the dataset does not hold
+    groups = []
+    if not len(ends):
+        return PairPlan(ids, 0, groups)
     types = [dataset.items[i].type.name for i in ids]
     names = sorted(set(types))
     rank_of = {t: r for r, t in enumerate(names)}
@@ -180,8 +225,8 @@ def pair_scores(model: OutfitModel, dataset: Dataset,
     key = lo * len(names) + hi
     order = np.argsort(key, kind="stable")
     for ks in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        space = model.spaces.get((names[lo[ks[0]]], names[hi[ks[0]]]))
-        if space is None:
+        pair = (names[lo[ks[0]]], names[hi[ks[0]]])
+        if pair not in trained:
             continue
         rows, first, inverse = np.unique(ends[ks].ravel(), return_index=True,
                                          return_inverse=True)
@@ -191,9 +236,38 @@ def pair_scores(model: OutfitModel, dataset: Dataset,
         pos = np.empty_like(seen)
         pos[seen] = np.arange(len(seen))
         local = pos[inverse].reshape(-1, 2)
-        scores[ks] = _space_cosines(space.data, stack[rows[seen]],
-                                    local[:, 0], local[:, 1])
+        groups.append((pair, ks, rows[seen], local[:, 0], local[:, 1]))
+    return PairPlan(ids, len(ends), groups)
+
+
+def plan_scores(plan: PairPlan, model: OutfitModel,
+                reps: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The pair scores of `plan` under `model`, NaN where a pair has no
+    trained space: the reps of the plan's ids are gathered once, and each
+    group's rows are projected into its type-pair space by one
+    `_space_cosines` call."""
+    scores = np.full(plan.size, np.nan)
+    if plan.ids:
+        stack = _stack(reps, plan.ids)
+        for pair, positions, rows, left, right in plan.groups:
+            scores[positions] = _space_cosines(model.spaces[pair].data,
+                                               stack[rows], left, right)
     return scores
+
+
+def pair_scores(model: OutfitModel, dataset: Dataset,
+                reps: Mapping[str, np.ndarray],
+                pairs: list[tuple[str, str]]) -> np.ndarray:
+    """`score_from_reps` for a list of item-id pairs, NaN where a pair has
+    no trained space: `plan_pairs` over the list's distinct ids, then
+    `plan_scores`.
+
+    Raises DomainError for an id the dataset does not hold or that has no
+    entry in `reps`.
+    """
+    ids, ends = index_ids(list(chain.from_iterable(pairs)))
+    plan = plan_pairs(dataset, ids, ends.reshape(len(pairs), 2), model.spaces)
+    return plan_scores(plan, model, reps)
 
 
 def score_from_reps(model: OutfitModel, type_a: str, rep_a: np.ndarray,

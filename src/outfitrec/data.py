@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, field, fields
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -117,12 +118,21 @@ class Dataset:
             for (item_id, (item_type, description)), rows, w
             in zip(entries.items(), self.regions, self.word_row.tolist())}
 
+    def rows(self, ids) -> np.ndarray:
+        """Each id's row of the store; DomainError names an id the dataset
+        does not hold."""
+        try:
+            return np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp,
+                               count=len(ids))
+        except KeyError as e:
+            raise DomainError(
+                f"item {e.args[0]!r} is not in the dataset") from None
+
     def features(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """The (len(ids), N, d_i) regions and (len(ids), M, d_t) words of
         described items, gathered from the store by one index each; an
         undescribed item raises DomainError."""
-        rows = np.fromiter(map(self.row.__getitem__, ids), dtype=np.intp,
-                           count=len(ids))
+        rows = self.rows(ids)
         word_rows = self.word_row[rows]
         if (word_rows < 0).any():
             raise DomainError(f"item {ids[int(np.argmin(word_rows))]!r} has "
@@ -275,6 +285,16 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
     words = _read_features(base / "words.f32", (
         described, dims.num_words, dims.word_dim))
 
+    def needs_walk(sections) -> bool:
+        """Whether a section's reference lists must be walked item by item
+        to raise its first error: one set difference over all of them
+        finds a missing item (a reference that is not a str equals no id,
+        so this checks the types too), or the section is malformed."""
+        try:
+            return bool(set(chain.from_iterable(sections)).difference(entries))
+        except (KeyError, TypeError):
+            return True
+
     def check_ids(ids, where):
         for i in ids:
             if _typed(i, str, f"{where} item reference") not in entries:
@@ -282,6 +302,7 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
 
     outfits: dict[str, list[Outfit]] = {s: [] for s in SPLITS}
     seen_outfits: set[str] = set()
+    walk_outfits = needs_walk(meta["items"] for meta in manifest["outfits"])
     for meta in manifest["outfits"]:
         oid, split = _typed(meta["id"], str, "outfit id"), meta["split"]
         if split not in SPLITS:
@@ -290,20 +311,27 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
             raise DatasetError(f"outfit {oid!r} appears in more than one split")
         seen_outfits.add(oid)
         members = tuple(meta["items"])
-        check_ids(members, f"outfit {oid!r}")
+        if walk_outfits:
+            check_ids(members, f"outfit {oid!r}")
         if len(members) < 2 or len(set(members)) != len(members):
             raise DatasetError(f"outfit {oid!r} needs >= 2 distinct items")
         outfits[split].append(Outfit(id=oid, items=members))
 
     fc = []
+    walk_fc = needs_walk(q["items"] for q in manifest["questions"]["fc"])
     for q in manifest["questions"]["fc"]:
-        check_ids(q["items"], "FC question")
+        if walk_fc:
+            check_ids(q["items"], "FC question")
         if _typed(q["label"], int, "FC label") not in (0, 1):
             raise DatasetError(f"FC label must be 0 or 1, got {q['label']!r}")
         fc.append(FCQuestion(items=tuple(q["items"]), label=q["label"]))
     fitb = []
+    walk_fitb = needs_walk(ids for q in manifest["questions"]["fitb"]
+                           for ids in (q["partial"], q["candidates"]))
     for q in manifest["questions"]["fitb"]:
-        check_ids(list(q["partial"]) + list(q["candidates"]), "FITB question")
+        if walk_fitb:
+            check_ids(list(q["partial"]) + list(q["candidates"]),
+                      "FITB question")
         if len(q["candidates"]) != 4:
             raise DatasetError("FITB question must have exactly 4 candidates")
         if not 0 <= _typed(q["answer"], int, "FITB answer") <= 3:
@@ -507,12 +535,17 @@ def filter_questions(fc: list[FCQuestion], fitb: list[FITBQuestion],
     """Drop questions touching any description-less item.
 
     Returns (kept_fc, kept_fitb, fc_discarded, fitb_discarded). Untrained
-    type pairs are not dropped here; scoring skips them pair by pair.
+    type pairs are not dropped here; scoring skips them pair by pair. An
+    id the dataset does not hold raises DomainError.
     """
-    def all_described(ids) -> bool:
-        return all(dataset.items[i].described for i in ids)
+    def described(lists) -> list[bool]:
+        flat = [i for ids in lists for i in ids]
+        owner = np.repeat(np.arange(len(lists)), np.fromiter(
+            map(len, lists), dtype=np.intp, count=len(lists)))
+        bare = dataset.word_row[dataset.rows(flat)] < 0
+        return (np.bincount(owner[bare], minlength=len(lists)) == 0).tolist()
 
-    kept_fc = [q for q in fc if all_described(q.items)]
-    kept_fitb = [q for q in fitb
-                 if all_described(list(q.partial) + list(q.candidates))]
+    kept_fc = list(compress(fc, described([q.items for q in fc])))
+    kept_fitb = list(compress(fitb, described(
+        [(*q.partial, *q.candidates) for q in fitb])))
     return kept_fc, kept_fitb, len(fc) - len(kept_fc), len(fitb) - len(kept_fitb)

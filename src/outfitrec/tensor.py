@@ -417,17 +417,27 @@ def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
     if x.ndim < 1 or x.shape[-1:] != y.shape[-1:] or x.shape[-1] % p:
         raise DimensionError(f"mfb_pool widths of {x.shape} and {y.shape} "
                              f"must agree and divide by p={p}")
-    z = x.data * y.data
-    pooled = z.reshape(z.shape[:-1] + (z.shape[-1] // p, p)).sum(axis=-1)
-    s = pooled * (pooled ** 2 + 1e-8) ** -0.25
+    if p < 8:
+        # numpy sums a trailing axis shorter than 8 left to right from
+        # +0.0, so strided adds in that order give the reshape-sum's bits
+        pooled = x.data[..., 0::p] * y.data[..., 0::p]
+        pooled += 0.0   # as in numpy's sum, -0.0 terms total +0.0
+        for j in range(1, p):
+            pooled += x.data[..., j::p] * y.data[..., j::p]
+    else:
+        z = x.data * y.data
+        pooled = z.reshape(z.shape[:-1] + (z.shape[-1] // p, p)).sum(axis=-1)
+    square = pooled ** 2
+    q = square + 1e-8
+    s = pooled * q ** -0.25
     norm = np.sqrt((s * s).sum(axis=-1, keepdims=True) + 1e-24)
     data = s / norm
 
     def backward(g):
         c = (-g * s / norm ** 2).sum(axis=-1, keepdims=True) * 0.5 / norm
-        g_s = g / norm + c * s + c * s   # one term per factor of `s * s`
-        g_z = np.repeat(g_s * (0.5 * pooled ** 2 + 1e-8)
-                        * (pooled ** 2 + 1e-8) ** -1.25, p, axis=-1)
+        cs = c * s
+        g_s = g / norm + cs + cs   # one term per factor of `s * s`
+        g_z = np.repeat(g_s * (0.5 * square + 1e-8) * q ** -1.25, p, axis=-1)
         if x.requires_grad:
             x._accumulate(_unbroadcast(g_z * y.data, x.shape))
         if y.requires_grad:

@@ -601,6 +601,25 @@ class TestFilterQuestions:
         assert kept_fitb == []
         assert (fc_disc, fitb_disc) == (1, 1)
 
+    def test_questions_of_mixed_sizes(self):
+        ds = tiny_dataset()
+        fc = [FCQuestion(items=("a", "b", "a"), label=1),
+              FCQuestion(items=("c",), label=0),
+              FCQuestion(items=(), label=0),
+              FCQuestion(items=("b", "a"), label=1)]
+        fitb = [FITBQuestion(partial=(), candidates=("a", "b", "a", "b"),
+                             answer=0),
+                FITBQuestion(partial=("c", "a"), candidates=("b",) * 4,
+                             answer=0)]
+        kept_fc, kept_fitb, fc_disc, fitb_disc = filter_questions(fc, fitb, ds)
+        assert kept_fc == [fc[0], fc[2], fc[3]] and kept_fitb == fitb[:1]
+        assert (fc_disc, fitb_disc) == (1, 1)
+
+    def test_unknown_item_names_it(self):
+        fc = [FCQuestion(items=("a", "nope"), label=1)]
+        with pytest.raises(DomainError, match="'nope'"):
+            filter_questions(fc, [], tiny_dataset())
+
     def test_all_described_passes_through_unchanged(self):
         ds = tiny_dataset()
         fc = [FCQuestion(items=("a", "b"), label=1)]

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from outfitrec.data import (FCQuestion, FITBQuestion, SyntheticSpec,
-                            canonical_pair, generate_synthetic)
+                            canonical_pair, filter_questions,
+                            generate_synthetic)
 from outfitrec.errors import DomainError, MetricUndefinedError
-from outfitrec.evaluation import (compute_representations, evaluate, fc_auc,
-                                  fc_scores_and_labels, fitb_answer,
-                                  fitb_answers, vote)
+from outfitrec.evaluation import (MetricsReport, compute_representations,
+                                  evaluate, fc_auc, fc_scores_and_labels,
+                                  fitb_answer, fitb_answers, vote)
 from outfitrec.compatibility import (_space_cosines, pair_scores,
                                      score_from_reps)
-from outfitrec.model import ModelDims, init_model
+from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.tensor import Tensor
 from outfitrec.training import TrainConfig, train
 
@@ -168,6 +169,44 @@ def reference_fitb_answers(questions, model, dataset, reps):
     return outcomes
 
 
+def reference_report(dataset, models):
+    """`evaluate` as a loop over the models, each scored on its own by
+    `compute_representations`, `fc_scores_and_labels` and `fitb_answers`."""
+    fc, fitb, fc_disc, fitb_disc = filter_questions(
+        dataset.fc_questions, dataset.fitb_questions, dataset)
+    ids = [i for q in fc for i in q.items]
+    ids += [i for q in fitb for i in list(q.partial) + list(q.candidates)]
+    report = MetricsReport(fc_total=len(dataset.fc_questions),
+                           fc_discarded=fc_disc,
+                           fitb_total=len(dataset.fitb_questions),
+                           fitb_discarded=fitb_disc)
+    runs = []
+    for run, model in enumerate(models):
+        reps = compute_representations(model, dataset, ids)
+        scores, labels, unanswerable, skipped = fc_scores_and_labels(
+            dataset, fc, model, reps)
+        outcomes = fitb_answers(fitb, model, dataset, reps)
+        answered = [(q, o) for q, o in zip(fitb, outcomes) if o is not None]
+        report.fc_auc_per_run.append(fc_auc(scores, labels))
+        report.fitb_accuracy_per_run.append(
+            sum(o[0] == q.answer for q, o in answered) / len(answered))
+        if run == 0:
+            report.fc_unanswerable = unanswerable
+            report.fc_answered = len(scores)
+            report.skipped_pairs = skipped
+            report.fitb_unanswerable = len(fitb) - len(answered)
+            report.fitb_answered = len(answered)
+        runs.append(outcomes)
+    per_question = [[outcomes[k] for outcomes in runs]
+                    for k in range(len(fitb))]
+    votes = [vote([o[0] for o in per_run], [o[1] for o in per_run]) == q.answer
+             for q, per_run in zip(fitb, per_question) if None not in per_run]
+    report.fc_auc_mean = float(np.mean(report.fc_auc_per_run))
+    report.fitb_accuracy_mean = float(np.mean(report.fitb_accuracy_per_run))
+    report.fitb_accuracy_vote = sum(votes) / len(votes)
+    return report
+
+
 class TestScoringBitIdentity:
     """`pair_scores` and `fitb_answers` give the reference loops' exact
     bits: the same rows reach each type pair's GEMM in the same order, and
@@ -187,6 +226,32 @@ class TestScoringBitIdentity:
         assert 0 < np.isnan(want).sum() < len(pairs)   # an untrained pair
         got = pair_scores(model, ds, reps, pairs)
         assert np.array_equal(got, want, equal_nan=True)
+
+    def test_fc_questions_of_mixed_sizes_match_reference(self):
+        """Questions of 1, 2, 3 and 6 items, interleaved: each size is one
+        block of the pair plan, and the means are folded by the old
+        per-question owner list."""
+        ds, model, reps = fixture_model_and_reps(seed=16)
+        questions = [dataclasses.replace(q, items=q.items[:k]) for q, k in
+                     zip(ds.fc_questions, [3, 1, 2, 3, 2, 1, 3, 2] * 4)]
+        questions.append(FCQuestion(items=sum(
+            (q.items[:2] for q in ds.fc_questions[:3]), ()), label=1))
+        pairs = [list(combinations(q.items, 2)) for q in questions]
+        owner = np.array([k for k, ps in enumerate(pairs) for _ in ps])
+        scores = reference_pair_scores(model, ds, reps,
+                                       [p for ps in pairs for p in ps])
+        scored = ~np.isnan(scores)
+        totals = np.bincount(owner[scored], weights=scores[scored],
+                             minlength=len(questions))
+        counts = np.bincount(owner[scored], minlength=len(questions))
+        answered = np.flatnonzero(counts)
+        got, labels, unanswerable, skipped = fc_scores_and_labels(
+            ds, questions, model, reps)
+        assert np.array(got).tobytes() == (totals[answered]
+                                          / counts[answered]).tobytes()
+        assert labels == [questions[k].label for k in answered]
+        assert unanswerable == len(questions) - len(answered) >= 8
+        assert skipped == (~scored).sum()
 
     def test_fitb_totals_match_reference(self):
         ds, model, reps = fixture_model_and_reps(seed=19)
@@ -239,6 +304,25 @@ class TestScoringBitIdentity:
         assert len(pairs) == 12000
         assert np.array_equal(got, want), f"{(got != want).sum()} scores differ"
 
+    def test_ensemble_report_matches_per_model_reference(self):
+        """`evaluate` plans each question list once for all four fusers;
+        its report equals, field by field, one that plans and scores each
+        model on its own. One space is missing from every model, so some
+        pairs are skipped, and a tenth of the items are undescribed."""
+        ds = generate_synthetic(SyntheticSpec(undescribed_frac=0.1), seed=1)
+        dims = ModelDims(d_g=32, d_c=32, h=32, hops=2, mfb_factor=2,
+                         region_dim=ds.dims.region_dim,
+                         word_dim=ds.dims.word_dim)
+        models = []
+        for fusion in FUSION_KINDS:
+            model = init_model(fusion, dims, ds.trained_type_pairs(), seed=0)
+            spaces = dict(model.spaces)
+            del spaces[sorted(spaces)[1]]
+            models.append(dataclasses.replace(model, spaces=spaces))
+        got = evaluate(ds, models)
+        assert got.skipped_pairs > 0 and got.fc_discarded > 0
+        assert got.to_dict() == reference_report(ds, models).to_dict()
+
     def test_no_questions_and_no_pairs(self):
         ds, model, reps = fixture_model_and_reps(seed=17)
         assert fitb_answers([], model, ds, reps) == []
@@ -276,6 +360,23 @@ class TestUnrepresentedItem:
                          candidates=(bare, *list(reps)[2:5]), answer=0)
         with pytest.raises(DomainError, match=repr(bare)):
             fitb_answer(q, model, ds, reps)
+
+
+class TestUnknownItem:
+    """An id the dataset does not hold is a DomainError naming it."""
+
+    def test_compute_representations(self):
+        ds, model, _ = fixture_model_and_reps(seed=20)
+        with pytest.raises(DomainError, match="'nope' is not in the dataset"):
+            compute_representations(model, ds, [next(iter(ds.items)), "nope"])
+
+    def test_fc_question(self):
+        ds, model, reps = fixture_model_and_reps(seed=21)
+        q = FCQuestion(items=(*ds.fc_questions[0].items[:2], "nope"), label=1)
+        for given in (None, reps):
+            with pytest.raises(DomainError,
+                               match="'nope' is not in the dataset"):
+                fc_scores_and_labels(ds, [q], model, given)
 
 
 class TestFcAuc:

@@ -52,6 +52,8 @@ def test_against_names_step_0_of_every_fuser(tool, tmp_path, monkeypatch,
         assert (f"fusers.{fusion}.step_losses: first differing step 0 "
                 in out), out
         assert f"fusers.{fusion}.params_sha256:" in out
+        assert f"fusers.{fusion}.fc_pair_scores_sha256:" in out
+        assert f"fusers.{fusion}.fitb_totals_sha256:" in out
     # the sampled triplets and the dataset do not depend on the loss
     assert "triplets_sha256" not in out
     assert "save_dataset_sha256" not in out

@@ -168,6 +168,34 @@ class TestMfbPool:
         np.testing.assert_allclose(np.linalg.norm(got, axis=-1), 1.0,
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 7, 8])
+    def test_bits_match_reshape_sum_reference(self, p):
+        """Strided pooling (p < 8) and the reused backward terms give the
+        bits of the reshape-sum forward and its recomputing backward, with
+        a broadcast `y` and +0.0 and -0.0 products among the pooled terms."""
+        rng = np.random.default_rng(p)
+        x, y = rng.normal(size=(6, 8, 16 * p)), rng.normal(size=(6, 1, 16 * p))
+        x[0, 0, :p] = 0.0                    # +0.0 products only
+        x[1, 2, :p], y[1, 0, :p] = -0.0, 1.0     # -0.0 products only
+        x[2, 3, :2 * p:2] = -0.0             # a mix of signed zeros
+        g = rng.normal(size=(6, 8, 16))
+
+        z = x * y
+        pooled = z.reshape(6, 8, 16, p).sum(axis=-1)
+        s = pooled * (pooled ** 2 + 1e-8) ** -0.25
+        norm = np.sqrt((s * s).sum(axis=-1, keepdims=True) + 1e-24)
+        c = (-g * s / norm ** 2).sum(axis=-1, keepdims=True) * 0.5 / norm
+        g_z = np.repeat((g / norm + c * s + c * s)
+                        * (0.5 * pooled ** 2 + 1e-8)
+                        * (pooled ** 2 + 1e-8) ** -1.25, p, axis=-1)
+        want = [s / norm, g_z * y, (g_z * x).sum(axis=1, keepdims=True)]
+
+        tx, ty = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
+        (mfb_pool(tx, ty, p) * Tensor(g)).sum().backward()
+        got = [mfb_pool(Tensor(x), Tensor(y), p).data, tx.grad, ty.grad]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_vanishing_row_maps_to_zero(self):
         out = mfb_pool(Tensor(np.zeros((2, 4))), Tensor(np.ones((2, 4))), 2)
         np.testing.assert_array_equal(out.data, np.zeros((2, 2)))

@@ -8,6 +8,9 @@ Writes one JSON of the figures a same-behaviour change must not move:
   epoch's sampled triplets;
 - per fuser, `perfbench/tracer.graph_stats` (node count and bytes) of the
   training-loss graph of the first batch at initialisation;
+- per fuser, the SHA-256 of the trained model's FC pair scores and FITB
+  candidate totals on the kept test questions, scored from reps computed
+  in `evaluate`'s id order (a rank-based AUC can hide a moved score);
 - the SHA-256 of each file `save_dataset` writes for
   `SyntheticSpec(undescribed_frac=0.2)` seed 3;
 - the `evaluate` report of the four trained models.
@@ -32,6 +35,7 @@ import importlib.util
 import json
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,9 +45,11 @@ import numpy as np  # noqa: E402
 
 from outfitrec import training  # noqa: E402
 from outfitrec.compatibility import training_loss  # noqa: E402
-from outfitrec.data import (SyntheticSpec, generate_synthetic,  # noqa: E402
-                            save_dataset)
-from outfitrec.evaluation import evaluate  # noqa: E402
+from outfitrec.compatibility import pair_scores  # noqa: E402
+from outfitrec.data import (SyntheticSpec, filter_questions,  # noqa: E402
+                            generate_synthetic, save_dataset)
+from outfitrec.evaluation import (compute_representations,  # noqa: E402
+                                  evaluate, fitb_answers)
 from outfitrec.model import FUSION_KINDS  # noqa: E402
 
 SPEC, SEED = SyntheticSpec(), 42
@@ -110,6 +116,22 @@ def train_fingerprint(dataset, config) -> tuple[dict, object]:
             "triplets_sha256": sampled}, model
 
 
+def scoring_fingerprint(dataset, model) -> dict:
+    """SHA-256 of `model`'s FC pair scores and FITB candidate totals (an
+    unanswerable question hashes as b"none") on the kept test questions."""
+    fc, fitb, _, _ = filter_questions(dataset.fc_questions,
+                                      dataset.fitb_questions, dataset)
+    ids = [i for q in fc for i in q.items]
+    ids += [i for q in fitb for i in (*q.partial, *q.candidates)]
+    reps = compute_representations(model, dataset, ids)
+    pairs = [p for q in fc for p in combinations(q.items, 2)]
+    totals = [b"none" if o is None else o[1].tobytes()
+              for o in fitb_answers(fitb, model, dataset, reps)]
+    return {"fc_pair_scores_sha256": sha256(
+                pair_scores(model, dataset, reps, pairs).tobytes()),
+            "fitb_totals_sha256": sha256(b"".join(totals))}
+
+
 def fingerprint() -> dict:
     dataset = generate_synthetic(SPEC, SEED)
     fusers, models = {}, []
@@ -118,6 +140,7 @@ def fingerprint() -> dict:
         fusers[fusion], model = train_fingerprint(dataset, config)
         fusers[fusion]["first_batch_graph"] = first_batch_graph(dataset,
                                                                 config)
+        fusers[fusion].update(scoring_fingerprint(dataset, model))
         models.append(model)
     with tempfile.TemporaryDirectory() as tmp:
         save_dataset(generate_synthetic(SAVE_SPEC, SAVE_SEED), tmp)
