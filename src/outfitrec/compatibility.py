@@ -163,38 +163,26 @@ class Reps(Mapping):
         return len(self.ids)
 
 
-def _stack(reps: Mapping[str, np.ndarray], ids: list[str]) -> np.ndarray:
-    """The reps of `ids` as one (len(ids), rep_dim) array: one fancy index
-    into a `Reps`, a stack of any other mapping's values. DomainError
-    names an id without a rep."""
+def _stack(reps: Reps, ids: list[str]) -> np.ndarray:
+    """The reps of `ids` as one (len(ids), rep_dim) array, by one fancy
+    index. DomainError names an id without a rep."""
     try:
-        if isinstance(reps, Reps):
-            return reps.data[np.fromiter(map(reps.row.__getitem__, ids),
-                                         dtype=np.intp, count=len(ids))]
-        return np.stack([reps[i] for i in ids])
+        return reps.data[np.fromiter(map(reps.row.__getitem__, ids),
+                                     dtype=np.intp, count=len(ids))]
     except KeyError as e:
         raise DomainError(f"item {e.args[0]!r} has no representation; only "
                           "described items are scored") from None
-
-
-def index_ids(flat: list[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct ids of `flat` in first-seen order, and the index of
-    each entry of `flat` among them."""
-    ids = list(dict.fromkeys(flat))
-    row = dict(zip(ids, range(len(ids))))
-    return ids, np.fromiter(map(row.__getitem__, flat), dtype=np.intp,
-                            count=len(flat))
 
 
 @dataclass(eq=False)
 class PairPlan:
     """The model-independent part of scoring a list of `size` item pairs.
 
-    `ids` are the list's distinct ids in first-seen order. Each group is
-    one trained type pair's `(pair, positions, rows, left, right)`: the
-    positions of its pairs in the list, its distinct rows of `ids` in
-    first-seen order over those pairs, and each pair's left and right
-    index into those rows.
+    `ids` are the distinct ids of the pairs in first-seen order. Each
+    group is one trained type pair's `(pair, positions, rows, left,
+    right)`: the positions of its pairs in the list, its distinct rows of
+    `ids` in first-seen order over those pairs, and each pair's left and
+    right index into those rows.
     """
     ids: list[str]
     size: int
@@ -202,21 +190,26 @@ class PairPlan:
                        np.ndarray]]
 
 
-def plan_pairs(dataset: Dataset, ids: list[str], ends: np.ndarray,
-               trained) -> PairPlan:
-    """The plan of the (P, 2) pairs `ends` of rows of `ids`, grouped by
-    the type pairs in `trained`; a pair of an untrained type pair is in
-    no group.
+def plan_pairs(dataset: Dataset, pairs: list[tuple[str, str]], trained
+               ) -> PairPlan:
+    """The plan of a list of item-id pairs, grouped by the type pairs in
+    `trained`; a pair of an untrained type pair is in no group.
 
-    Each item's type is its rank among the sorted type names, so a pair's
-    canonical type pair is the min and max of its two ranks, and one
-    stable argsort groups the pairs by type pair. DomainError names an id
-    the dataset does not hold.
+    The pairs' distinct ids become rows, and each pair a (row, row) entry
+    of a (P, 2) array. Each item's type is its rank among the sorted type
+    names, so a pair's canonical type pair is the min and max of its two
+    ranks, and one stable argsort groups the pairs by type pair.
+    DomainError names an id the dataset does not hold.
     """
-    dataset.rows(ids)   # DomainError for an id the dataset does not hold
+    flat = list(chain.from_iterable(pairs))
+    ids = list(dict.fromkeys(flat))
     groups = []
-    if not len(ends):
+    if not pairs:
         return PairPlan(ids, 0, groups)
+    row = dict(zip(ids, range(len(ids))))
+    ends = np.fromiter(map(row.__getitem__, flat), dtype=np.intp,
+                       count=len(flat)).reshape(len(pairs), 2)
+    dataset.rows(ids)   # DomainError for an id the dataset does not hold
     types = [dataset.items[i].type.name for i in ids]
     names = sorted(set(types))
     rank_of = {t: r for r, t in enumerate(names)}
@@ -237,15 +230,14 @@ def plan_pairs(dataset: Dataset, ids: list[str], ends: np.ndarray,
         pos[seen] = np.arange(len(seen))
         local = pos[inverse].reshape(-1, 2)
         groups.append((pair, ks, rows[seen], local[:, 0], local[:, 1]))
-    return PairPlan(ids, len(ends), groups)
+    return PairPlan(ids, len(pairs), groups)
 
 
-def plan_scores(plan: PairPlan, model: OutfitModel,
-                reps: Mapping[str, np.ndarray]) -> np.ndarray:
+def plan_scores(plan: PairPlan, model: OutfitModel, reps: Reps) -> np.ndarray:
     """The pair scores of `plan` under `model`, NaN where a pair has no
     trained space: the reps of the plan's ids are gathered once, and each
     group's rows are projected into its type-pair space by one
-    `_space_cosines` call."""
+    `_space_cosines` call. DomainError names an id without a rep."""
     scores = np.full(plan.size, np.nan)
     if plan.ids:
         stack = _stack(reps, plan.ids)
@@ -255,19 +247,15 @@ def plan_scores(plan: PairPlan, model: OutfitModel,
     return scores
 
 
-def pair_scores(model: OutfitModel, dataset: Dataset,
-                reps: Mapping[str, np.ndarray],
+def pair_scores(model: OutfitModel, dataset: Dataset, reps: Reps,
                 pairs: list[tuple[str, str]]) -> np.ndarray:
     """`score_from_reps` for a list of item-id pairs, NaN where a pair has
-    no trained space: `plan_pairs` over the list's distinct ids, then
-    `plan_scores`.
+    no trained space: `plan_scores` of `plan_pairs`.
 
     Raises DomainError for an id the dataset does not hold or that has no
     entry in `reps`.
     """
-    ids, ends = index_ids(list(chain.from_iterable(pairs)))
-    plan = plan_pairs(dataset, ids, ends.reshape(len(pairs), 2), model.spaces)
-    return plan_scores(plan, model, reps)
+    return plan_scores(plan_pairs(dataset, pairs, model.spaces), model, reps)
 
 
 def score_from_reps(model: OutfitModel, type_a: str, rep_a: np.ndarray,

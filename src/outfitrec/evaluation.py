@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
-from itertools import compress
+from itertools import combinations, compress
 
 import numpy as np
 
-from .compatibility import (PairPlan, Reps, index_ids, plan_pairs,
-                            plan_scores)
+from .compatibility import PairPlan, Reps, plan_pairs, plan_scores
 from .data import Dataset, FCQuestion, FITBQuestion, filter_questions
 from .errors import MetricUndefinedError
 from .model import OutfitModel, item_features
@@ -34,64 +32,37 @@ def compute_representations(model: OutfitModel, dataset: Dataset,
     return Reps(ids, np.concatenate(parts) if parts else np.empty((0, 0)))
 
 
-@dataclass(eq=False)
-class QuestionPlan:
-    """The pairs of a question list, question by question, as a pair plan;
-    the question that owns each pair; and per question shape, its
-    `(shape, questions, positions)` block, with the questions' pair
-    positions as one (q, n) array."""
-    pairs: PairPlan
-    owner: np.ndarray
-    blocks: list[tuple[tuple, np.ndarray, np.ndarray]]
-
-
-def plan_questions(dataset: Dataset, lists, shapes, pattern, trained
-                   ) -> QuestionPlan:
-    """Question j holds the ids `lists[j]`, and its pairs are the (left,
-    right) positions `pattern(*shapes[j])` of them; questions of one shape
-    hold equally many ids. The pairs are planned with `plan_pairs`."""
-    ids, rows = index_ids([i for held in lists for i in held])
-    by_shape: dict[tuple, list[int]] = {}
-    for j, shape in enumerate(shapes):
-        by_shape.setdefault(shape, []).append(j)
-    ends_of = {shape: pattern(*shape) for shape in by_shape}
-    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    sizes = np.fromiter((len(ends_of[s][0]) for s in shapes), dtype=np.intp,
-                        count=len(lists))
-    first_id, first_pair = np.cumsum(lengths) - lengths, np.cumsum(sizes) - sizes
-    ends = np.empty((sizes.sum(), 2), dtype=np.intp)
-    owner = np.empty(len(ends), dtype=np.intp)
-    blocks = []
-    for shape, qs in by_shape.items():
-        qs = np.array(qs, dtype=np.intp)
-        held = rows[first_id[qs, None] + np.arange(lengths[qs[0]])]
-        at = first_pair[qs, None] + np.arange(sizes[qs[0]])
-        for end, positions in zip(ends.T, ends_of[shape]):
-            end[at] = held[:, positions]
-        owner[at] = qs[:, None]
-        blocks.append((shape, qs, at))
-    return QuestionPlan(plan_pairs(dataset, ids, ends, trained), owner, blocks)
-
-
 def plan_fc(dataset: Dataset, questions: list[FCQuestion], trained
-            ) -> QuestionPlan:
-    """Each FC question's item pairs, in `combinations` order."""
-    return plan_questions(dataset, [q.items for q in questions],
-                          [(len(q.items),) for q in questions],
-                          lambda k: np.triu_indices(k, 1), trained)
+            ) -> tuple[PairPlan, np.ndarray]:
+    """The pair plan of the FC questions' item pairs, question by question
+    in `combinations` order, and the question that owns each pair."""
+    pairs = [list(combinations(q.items, 2)) for q in questions]
+    owner = np.array([qi for qi, ps in enumerate(pairs) for _ in ps],
+                     dtype=np.intp)
+    return plan_pairs(dataset, [p for ps in pairs for p in ps], trained), owner
 
 
 def plan_fitb(dataset: Dataset, questions: list[FITBQuestion], trained
-              ) -> QuestionPlan:
-    """Each FITB question's (candidate, partial item) pairs, candidate by
-    candidate; its shape is (candidates, partial). A question's ids are
-    its partial items, then its candidates: the order in which `evaluate`
-    has always fused them."""
-    return plan_questions(
-        dataset, [(*q.partial, *q.candidates) for q in questions],
-        [(len(q.candidates), len(q.partial)) for q in questions],
-        lambda c, p: (p + np.repeat(np.arange(c), p), np.tile(np.arange(p), c)),
-        trained)
+              ) -> tuple[PairPlan, list]:
+    """The pair plan of the FITB questions' (candidate, partial item)
+    pairs, question by question and candidate by candidate, and per
+    (candidates, partial) shape its `(shape, questions, positions)` block,
+    the questions' pair positions as one (q, c * p) array."""
+    pairs = [(cand, other) for q in questions
+             for cand in q.candidates for other in q.partial]
+    shapes: dict[tuple[int, int], list[int]] = {}
+    starts, start = [], 0
+    for qi, q in enumerate(questions):
+        shape = (len(q.candidates), len(q.partial))
+        shapes.setdefault(shape, []).append(qi)
+        starts.append(start)
+        start += shape[0] * shape[1]
+    starts = np.array(starts, dtype=np.intp)
+    blocks = []
+    for (c, p), qs in shapes.items():
+        qs = np.array(qs, dtype=np.intp)
+        blocks.append(((c, p), qs, starts[qs, None] + np.arange(c * p)))
+    return plan_pairs(dataset, pairs, trained), blocks
 
 
 def fc_auc(scores, labels) -> float:
@@ -112,9 +83,8 @@ def fc_auc(scores, labels) -> float:
 
 
 def fc_scores_and_labels(dataset: Dataset, questions: list[FCQuestion],
-                         model: OutfitModel,
-                         reps: Mapping[str, np.ndarray] | None = None,
-                         plan: QuestionPlan | None = None
+                         model: OutfitModel, reps: Reps | None = None,
+                         plan: tuple[PairPlan, np.ndarray] | None = None
                          ) -> tuple[list[float], list[int], int, int]:
     """Outfit scores (mean pair score) for answerable FC questions.
 
@@ -122,14 +92,14 @@ def fc_scores_and_labels(dataset: Dataset, questions: list[FCQuestion],
     unless a caller that scores several models passes it.
     Returns (scores, labels, unanswerable_count, skipped_pairs).
     """
-    if plan is None:
-        plan = plan_fc(dataset, questions, model.spaces)
     if reps is None:
-        reps = compute_representations(model, dataset, plan.pairs.ids)
-    scores = plan_scores(plan.pairs, model, reps)
+        ids = [i for q in questions for i in q.items]
+        reps = compute_representations(model, dataset, ids)
+    pairs, owner = plan or plan_fc(dataset, questions, model.spaces)
+    scores = plan_scores(pairs, model, reps)
     scored = ~np.isnan(scores)
-    counts = np.bincount(plan.owner[scored], minlength=len(questions))
-    totals = np.bincount(plan.owner[scored], weights=scores[scored],
+    counts = np.bincount(owner[scored], minlength=len(questions))
+    totals = np.bincount(owner[scored], weights=scores[scored],
                          minlength=len(questions))
     answered = np.flatnonzero(counts)
     return ((totals[answered] / counts[answered]).tolist(),
@@ -138,8 +108,8 @@ def fc_scores_and_labels(dataset: Dataset, questions: list[FCQuestion],
 
 
 def fitb_answers(questions: list[FITBQuestion], model: OutfitModel,
-                 dataset: Dataset, reps: Mapping[str, np.ndarray],
-                 plan: QuestionPlan | None = None
+                 dataset: Dataset, reps: Reps,
+                 plan: tuple[PairPlan, list] | None = None
                  ) -> list[tuple[int, np.ndarray] | None]:
     """Per question, the chosen candidate index plus per-candidate total
     scores.
@@ -151,11 +121,10 @@ def fitb_answers(questions: list[FITBQuestion], model: OutfitModel,
     (candidates, partial) shape are one (q, c, p) block of pair scores,
     totalled over its last axis.
     """
-    if plan is None:
-        plan = plan_fitb(dataset, questions, model.spaces)
-    scores = plan_scores(plan.pairs, model, reps)
+    pairs, blocks = plan or plan_fitb(dataset, questions, model.spaces)
+    scores = plan_scores(pairs, model, reps)
     outcomes: list[tuple[int, np.ndarray] | None] = [None] * len(questions)
-    for (c, p), qs, at in plan.blocks:
+    for (c, p), qs, at in blocks:
         if not c * p:
             continue   # no pair at all: every such question is None
         block = scores[at].reshape(-1, c, p)
@@ -170,8 +139,7 @@ def fitb_answers(questions: list[FITBQuestion], model: OutfitModel,
 
 
 def fitb_answer(question: FITBQuestion, model: OutfitModel, dataset: Dataset,
-                reps: Mapping[str, np.ndarray]
-                ) -> tuple[int, np.ndarray] | None:
+                reps: Reps) -> tuple[int, np.ndarray] | None:
     """`fitb_answers` for one question."""
     return fitb_answers([question], model, dataset, reps)[0]
 
@@ -233,9 +201,10 @@ def evaluate(dataset: Dataset, models: list[OutfitModel]) -> MetricsReport:
                            fitb_total=len(dataset.fitb_questions),
                            fitb_discarded=fitb_disc)
 
+    ids = [i for q in fc for i in q.items]
+    ids += [i for q in fitb for i in (*q.partial, *q.candidates)]
     fc_plan = plan_fc(dataset, fc, models[0].spaces)
     fitb_plan = plan_fitb(dataset, fitb, models[0].spaces)
-    ids = fc_plan.pairs.ids + fitb_plan.pairs.ids
 
     fitb_outcomes: list[list[tuple[int, np.ndarray] | None]] = []
     for run, model in enumerate(models):

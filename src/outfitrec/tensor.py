@@ -417,16 +417,12 @@ def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
     if x.ndim < 1 or x.shape[-1:] != y.shape[-1:] or x.shape[-1] % p:
         raise DimensionError(f"mfb_pool widths of {x.shape} and {y.shape} "
                              f"must agree and divide by p={p}")
-    if p < 8:
-        # numpy sums a trailing axis shorter than 8 left to right from
-        # +0.0, so strided adds in that order give the reshape-sum's bits
-        pooled = x.data[..., 0::p] * y.data[..., 0::p]
-        pooled += 0.0   # as in numpy's sum, -0.0 terms total +0.0
-        for j in range(1, p):
-            pooled += x.data[..., j::p] * y.data[..., j::p]
-    else:
-        z = x.data * y.data
-        pooled = z.reshape(z.shape[:-1] + (z.shape[-1] // p, p)).sum(axis=-1)
+    # strided adds, left to right from +0.0: numpy's sum of a group of
+    # fewer than 8 terms, bit for bit (from 8 on numpy sums pairwise)
+    pooled = x.data[..., 0::p] * y.data[..., 0::p]
+    pooled += 0.0   # as in numpy's sum, -0.0 terms total +0.0
+    for j in range(1, p):
+        pooled += x.data[..., j::p] * y.data[..., j::p]
     square = pooled ** 2
     q = square + 1e-8
     s = pooled * q ** -0.25

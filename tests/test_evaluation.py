@@ -228,9 +228,9 @@ class TestScoringBitIdentity:
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_fc_questions_of_mixed_sizes_match_reference(self):
-        """Questions of 1, 2, 3 and 6 items, interleaved: each size is one
-        block of the pair plan, and the means are folded by the old
-        per-question owner list."""
+        """Questions of 1, 2, 3 and 6 items, interleaved, held bit for bit
+        to the pair scores of the reference, folded by a per-question
+        owner list."""
         ds, model, reps = fixture_model_and_reps(seed=16)
         questions = [dataclasses.replace(q, items=q.items[:k]) for q, k in
                      zip(ds.fc_questions, [3, 1, 2, 3, 2, 1, 3, 2] * 4)]
@@ -361,6 +361,19 @@ class TestUnrepresentedItem:
         with pytest.raises(DomainError, match=repr(bare)):
             fitb_answer(q, model, ds, reps)
 
+    def test_item_in_no_pair_needs_no_rep(self):
+        """Only the items of some pair are gathered: a one-item FC question
+        and a FITB question without partial items are unanswerable, not
+        errors, when their items have no rep."""
+        ds, model, reps, bare = self.fixture()
+        lone = FCQuestion(items=(bare,), label=1)
+        for given in (None, reps):
+            assert fc_scores_and_labels(ds, [lone], model, given) == (
+                [], [], 1, 0)
+        q = FITBQuestion(partial=(), candidates=(bare, *list(reps)[:3]),
+                         answer=0)
+        assert fitb_answer(q, model, ds, reps) is None
+
 
 class TestUnknownItem:
     """An id the dataset does not hold is a DomainError naming it."""
@@ -421,10 +434,9 @@ class TestFitbAnswer:
         q = ds.fitb_questions[0]
         truth = q.candidates[q.answer]
         # make every candidate's rep equal to the truth rep except one
-        reps2 = dict(reps)
         boosted = dataclasses.replace(
             q, candidates=tuple(truth for _ in q.candidates))
-        ans = fitb_answer(boosted, model, ds, reps2)
+        ans = fitb_answer(boosted, model, ds, reps)
         assert ans is not None
         assert ans[0] == 0  # all-identical totals tie-break to index 0
 
