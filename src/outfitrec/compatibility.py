@@ -4,7 +4,8 @@ The total loss combines a compatibility term in the type-pair space with
 visual-semantic, visual-similarity and textual-similarity terms in the
 common space. Each term is a table of the (negative, positive) cosine
 pairs it compares; `hinges` reads them from the `role_cosines` table of a
-triplet batch's role stacks and returns each triplet's mean margin hinge.
+triplet batch's role stacks and returns each triplet's mean margin hinge
+as one `margin_hinges` node.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, DimensionError, DomainError
 from .model import OutfitModel, item_features
-from .tensor import (Tensor, concat, grouped_projection, no_grad,
-                     role_cosines, take_rows)
+from .tensor import (Tensor, concat, grouped_projection, margin_hinges,
+                     no_grad, role_cosines, take_rows)
 
 
 @dataclass
@@ -41,22 +42,30 @@ class LossWeights:
                     f"{name} must be non-negative and finite, got {value}")
 
 
-# ((i, j) negative, (i, j) positive) entries of a role-cosine table, with
-# roles 0 = anchor, 1 = positive, 2 = negative. comp: the anchor nearer the
-# positive; vsim, tsim: the two same-type items nearer each other than the
-# anchor; vse: each image nearer its own text than the other two.
-COMP = [((0, 2), (0, 1))]
-SIM = [((1, 0), (1, 2)), ((2, 0), (1, 2))]
-VSE = [((i, j), (i, i)) for i in range(3) for j in range(3) if j != i]
+def _row_table(entries) -> np.ndarray:
+    """The (2, E) negative and positive rows, row 3 * i + j for role pair
+    (i, j), of a 3-role table's ((i, j) negative, (i, j) positive) entries."""
+    rows = np.ascontiguousarray((np.array(entries) @ np.array([3, 1])).T)
+    rows.setflags(write=False)
+    return rows
 
 
-def hinges(cos: Tensor, table, margin: float) -> Tensor:
+# Row tables of ((i, j) negative, (i, j) positive) entries of a role-cosine
+# table, with roles 0 = anchor, 1 = positive, 2 = negative, built once.
+# comp: the anchor nearer the positive; vsim, tsim: the two same-type items
+# nearer each other than the anchor; vse: each image nearer its own text
+# than the other two.
+COMP = _row_table([((0, 2), (0, 1))])
+SIM = _row_table([((1, 0), (1, 2)), ((2, 0), (1, 2))])
+VSE = _row_table([((i, j), (i, i)) for i in range(3) for j in range(3)
+                  if j != i])
+
+
+def hinges(cos: Tensor, table: np.ndarray, margin: float) -> Tensor:
     """Each triplet's mean of max(0, cos[negative] - cos[positive] + margin)
-    over the entries of `table`, read from the (3, 3, ...) table `cos`."""
-    flat = np.array(table) @ np.array([3, 1])   # (entries, 2) of 9 rows
-    rows = cos.reshape((9,) + cos.shape[2:])
-    negative, positive = (take_rows(rows, ix) for ix in flat.T)
-    return (negative - positive + margin).relu().mean(axis=0)
+    over the entries of the row table `table` (`COMP`, `SIM` or `VSE`),
+    read from the (3, 3, ...) table `cos`."""
+    return margin_hinges(cos, table[0], table[1], margin)
 
 
 def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
@@ -196,9 +205,9 @@ def plan_pairs(dataset: Dataset, pairs: list[tuple[str, str]], trained
     `trained`; a pair of an untrained type pair is in no group.
 
     The pairs' distinct ids become rows, and each pair a (row, row) entry
-    of a (P, 2) array. Each item's type is its rank among the sorted type
-    names, so a pair's canonical type pair is the min and max of its two
-    ranks, and one stable argsort groups the pairs by type pair.
+    of a (P, 2) array. Each item's type is its `Dataset.type_rank`, so a
+    pair's canonical type pair is the min and max of its two ranks, and
+    one stable argsort groups the pairs by type pair.
     DomainError names an id the dataset does not hold.
     """
     flat = list(chain.from_iterable(pairs))
@@ -209,11 +218,8 @@ def plan_pairs(dataset: Dataset, pairs: list[tuple[str, str]], trained
     row = dict(zip(ids, range(len(ids))))
     ends = np.fromiter(map(row.__getitem__, flat), dtype=np.intp,
                        count=len(flat)).reshape(len(pairs), 2)
-    dataset.rows(ids)   # DomainError for an id the dataset does not hold
-    types = [dataset.items[i].type.name for i in ids]
-    names = sorted(set(types))
-    rank_of = {t: r for r, t in enumerate(names)}
-    ranks = np.array([rank_of[t] for t in types], dtype=np.intp)[ends]
+    names = dataset.type_names
+    ranks = dataset.type_rank[dataset.rows(ids)][ends]
     lo, hi = ranks.min(axis=1), ranks.max(axis=1)
     key = lo * len(names) + hi
     order = np.argsort(key, kind="stable")

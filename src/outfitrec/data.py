@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import InitVar, dataclass, field, fields
+from functools import cached_property
 from itertools import chain, compress
 from pathlib import Path
 
@@ -89,8 +90,9 @@ class Dataset:
     item's rows in that order and `words` (I_d, M, d_t) the described
     items' rows; both are kept as passed, and `dims` are their shapes.
     `row[id]` is an item's row of `regions`, `word_row[row]` its row of
-    `words` (-1 when undescribed), and `items[id]` views its rows (an
-    undescribed item's `words` is empty, (0, d_t)).
+    `words` (-1 when undescribed), `type_rank[row]` its type's rank in the
+    sorted `type_names`, and `items[id]` views its rows (an undescribed
+    item's `words` is empty, (0, d_t)).
     """
     entries: InitVar[dict[str, tuple[ItemType, str | None]]]
     regions: np.ndarray
@@ -110,13 +112,24 @@ class Dataset:
                                  f"items, {described.sum()} described")
         self.row = dict(zip(entries, range(len(entries))))
         self.word_row = np.where(described, np.cumsum(described) - 1, -1)
-        no_words = np.zeros((0, d_t))
-        self.items = {
+        types = [t.name for t, _ in entries.values()]
+        self.type_names = sorted(set(types))
+        rank = dict(zip(self.type_names, range(len(self.type_names))))
+        self.type_rank = np.fromiter(map(rank.__getitem__, types),
+                                     dtype=np.intp, count=len(types))
+        self._entries = entries
+
+    @cached_property
+    def items(self) -> dict[str, Item]:
+        """Each item by id, in manifest order, built on first access."""
+        no_words = np.zeros((0, self.dims.word_dim))
+        return {
             item_id: Item(id=item_id, type=item_type, regions=rows,
                           words=self.words[w] if w >= 0 else no_words,
                           description=description)
             for (item_id, (item_type, description)), rows, w
-            in zip(entries.items(), self.regions, self.word_row.tolist())}
+            in zip(self._entries.items(), self.regions,
+                   self.word_row.tolist())}
 
     def rows(self, ids) -> np.ndarray:
         """Each id's row of the store; DomainError names an id the dataset

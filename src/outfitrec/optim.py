@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,9 +23,14 @@ class Adam:
     Update: m <- b1*m + (1-b1)*g ; v <- b2*v + (1-b2)*g^2 ;
     p <- p - lr * m_hat / (sqrt(v_hat) + eps).
 
-    Every parameter is updated in flat blocks of `ADAM_BLOCK` elements
-    (read when the optimizer is built), through views of its C-ordered
-    buffer; the values are those of one whole-array pass.
+    Consecutive parameters whose sizes sum to at most `ADAM_BLOCK` (read
+    when the optimizer is built) share one segment, whose moments are
+    packed in one `m` and one `v` array; a larger parameter is a segment of
+    its own. Each step, a run of two or more consecutive parameters of a
+    segment that have a gradient is gathered into scratch, updated by one
+    pass and copied back; a lone parameter is updated in flat blocks,
+    through views of its C-ordered buffer. The update is elementwise, so
+    the values are those of one whole-array pass per parameter.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 5e-5,
@@ -40,13 +46,39 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        # two flat scratch buffers of one block
         self._block = ADAM_BLOCK
-        size = min(max((p.data.size for p in self.params), default=0),
+        members: list[list[int]] = []   # parameter indices per segment
+        total = 0
+        for i, p in enumerate(self.params):
+            if members and total + p.data.size <= self._block:
+                members[-1].append(i)
+                total += p.data.size
+            else:
+                members.append([i])
+                total = p.data.size
+        # per segment: its parameter indices, their offsets into the packed
+        # moments (one more than the indices) and the moments
+        self._segments: list[tuple[list[int], list[int], np.ndarray,
+                                   np.ndarray]] = []
+        self.m: list[np.ndarray] = []
+        self.v: list[np.ndarray] = []
+        for ix in members:
+            offsets = np.cumsum([0] + [self.params[i].data.size
+                                       for i in ix]).tolist()
+            # written now: `np.zeros` maps untouched pages, which would
+            # fault inside the first step (222 MB of moments at d=512,
+            # about 70 ms)
+            m, v = np.full(offsets[-1], 0.0), np.full(offsets[-1], 0.0)
+            for i, lo, hi in zip(ix, offsets, offsets[1:]):
+                shape = self.params[i].shape
+                self.m.append(m[lo:hi].reshape(shape))
+                self.v.append(v[lo:hi].reshape(shape))
+            self._segments.append((ix, offsets, m, v))
+        # flat scratch of one block: packed values and gradients, and two
+        # buffers for the update
+        size = min(max((o[-1] for _, o, _, _ in self._segments), default=0),
                    self._block)
-        self._scratch = (np.empty(size), np.empty(size))
+        self._scratch = tuple(np.empty(size) for _ in range(4))
 
     def step(self) -> None:
         """Apply one update. Parameters without a gradient (absent from
@@ -54,24 +86,48 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        for ix, offsets, m, v in self._segments:
+            k = 0
+            for has_gradient, run in groupby(map(self._has_gradient, ix)):
+                n = len(list(run))
+                if has_gradient:
+                    lo, hi = offsets[k], offsets[k + n]
+                    self._update_run(self.params[ix[k]:ix[k] + n],
+                                     m[lo:hi], v[lo:hi], bc1, bc2)
+                k += n
+
+    def _has_gradient(self, i: int) -> bool:
+        p = self.params[i]
+        if p.grad is None:
+            return False
+        if not p.data.flags.c_contiguous:
+            raise ConsistencyError(
+                f"parameter {p.name or i} is no longer C-ordered")
+        return True
+
+    def _update_run(self, params: list[Tensor], m: np.ndarray, v: np.ndarray,
+                    bc1: float, bc2: float) -> None:
+        """Update consecutive parameters whose flat moments are `m` and `v`."""
+        if len(params) == 1:
+            w, g = params[0].data.reshape(-1), params[0].grad.reshape(-1)
+        else:   # at most one block: gather, update, copy back
+            w_buf, g_buf = (buf[:m.size] for buf in self._scratch[:2])
+            w = np.concatenate([p.data for p in params], axis=None, out=w_buf)
+            g = np.concatenate([p.grad for p in params], axis=None, out=g_buf)
         block = self._block
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if not p.data.flags.c_contiguous:
-                raise ConsistencyError(
-                    f"parameter {p.name or i} is no longer C-ordered")
-            w, g = p.data.reshape(-1), g.reshape(-1)
-            m, v = self.m[i].reshape(-1), self.v[i].reshape(-1)
-            for lo in range(0, g.size, block):
-                hi = lo + block
-                self._update(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bc1, bc2)
+        for lo in range(0, g.size, block):
+            hi = lo + block
+            self._update(w[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], bc1, bc2)
+        if len(params) > 1:
+            lo = 0
+            for p in params:
+                p.data.reshape(-1)[:] = w[lo:lo + p.data.size]
+                lo += p.data.size
 
     def _update(self, w: np.ndarray, g: np.ndarray, m: np.ndarray,
                 v: np.ndarray, bc1: float, bc2: float) -> None:
         """The Adam update of one block, in place in `w`, `m` and `v`."""
-        s1, s2 = (buf[:g.size] for buf in self._scratch)
+        s1, s2 = (buf[:g.size] for buf in self._scratch[2:])
         m *= self.beta1                      # m <- b1*m + (1-b1)*g
         m += np.multiply(1.0 - self.beta1, g, out=s1)
         np.multiply(g, g, out=s1)            # v <- b2*v + (1-b2)*g^2

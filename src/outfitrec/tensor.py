@@ -11,7 +11,8 @@ Tensors; only `+` and `*` also wrap a plain number or array.
 Shapes may carry leading batch axes: `linear` maps the last axis,
 `attention_pool` sums rows over the second-to-last, reductions act on
 whatever axis is requested, and softmax, the MFB pooling tail and the
-role-cosine table act on the last axis.
+role-cosine table act on the last axis; `margin_hinges` reads a
+role-cosine table's leading (R, R) roles.
 """
 
 from __future__ import annotations
@@ -167,9 +168,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return self + other * -1.0
-
     # -- shape ops ---------------------------------------------------------
 
     def reshape(self, *shape):
@@ -299,7 +297,11 @@ def attention_pool(alpha: Tensor, rows: Tensor) -> Tensor:
             g_a = np.matmul(g, rows.data.swapaxes(-1, -2))
             alpha._accumulate(g_a.reshape(alpha.shape))
         if rows.requires_grad:
-            rows._accumulate(np.matmul(a.swapaxes(-1, -2), g))
+            # the inner dimension is 1: an outer product, plus the +0.0
+            # that a matmul's sum starts from (it turns -0.0 into +0.0)
+            g_rows = a.swapaxes(-1, -2) * g
+            g_rows += 0.0
+            rows._accumulate(g_rows)
 
     return Tensor._result(data, (alpha, rows), backward)
 
@@ -407,10 +409,11 @@ def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
     1e-8)^(-1/4)` (differentiable at 0, so finite-difference checks stay
     tight) and `s` scaled to unit L2 norm (a vanishing one maps to ~0).
 
-    Backward keeps no product-wide array and adds its terms in the order
-    of the op-by-op graph (divide, square, sum, root) it replaced, whose
-    gradients it reproduces bit for bit. DomainError: `p` is not an integer
-    >= 1. DimensionError: the widths differ or do not divide by `p`.
+    Backward adds its terms in the order of the op-by-op graph (divide,
+    square, sum, root) it replaced, whose gradients it reproduces bit for
+    bit; each factor's gradient is written one group term at a time, with
+    no repeated copy of the per-group gradient. DomainError: `p` is not an
+    integer >= 1. DimensionError: the widths differ or do not divide by `p`.
     """
     if isinstance(p, bool) or not isinstance(p, Integral) or p < 1:
         raise DomainError(f"mfb_pool needs an integer factor p >= 1, got {p!r}")
@@ -433,11 +436,14 @@ def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
         c = (-g * s / norm ** 2).sum(axis=-1, keepdims=True) * 0.5 / norm
         cs = c * s
         g_s = g / norm + cs + cs   # one term per factor of `s * s`
-        g_z = np.repeat(g_s * (0.5 * square + 1e-8) * q ** -1.25, p, axis=-1)
-        if x.requires_grad:
-            x._accumulate(_unbroadcast(g_z * y.data, x.shape))
-        if y.requires_grad:
-            y._accumulate(_unbroadcast(g_z * x.data, y.shape))
+        g_z = g_s * (0.5 * square + 1e-8) * q ** -1.25   # one per group
+        for t, other in ((x, y), (y, x)):
+            if t.requires_grad:
+                # term j of group k: g_z[..., k] * other[..., k * p + j]
+                g_t = np.empty(g_z.shape[:-1] + (g_z.shape[-1] * p,))
+                for j in range(p):
+                    np.multiply(g_z, other.data[..., j::p], out=g_t[..., j::p])
+                t._accumulate(_unbroadcast(g_t, t.shape))
 
     return Tensor._result(data, (x, y), backward)
 
@@ -468,6 +474,55 @@ def role_cosines(a: Tensor, b: Tensor) -> Tensor:
                           - (g_cos.sum(0) / norm_b ** 2)[..., None] * b.data)
 
     return Tensor._result(data, (a, b), backward)
+
+
+def margin_hinges(cos: Tensor, negative_rows: np.ndarray,
+                  positive_rows: np.ndarray, margin: float) -> Tensor:
+    """Each triplet's mean of `max(0, cos[negative] - cos[positive] +
+    margin)` over E entries, as one node: entry e compares rows
+    `negative_rows[e]` and `positive_rows[e]` of the (R, R, ...) table
+    `cos` seen as R * R rows.
+
+    Forward and backward repeat the arithmetic of the op-by-op chain (two
+    `take_rows`, `* -1.0`, `+`, `+ margin`, `relu`, `mean(axis=0)`) it
+    replaced, so values and gradients match it bit for bit; each side's
+    gradient is one `np.bincount` scatter. DimensionError: `cos` is not
+    (R, R, ...), or the row tables are not two 1-D integer arrays of one
+    length >= 1 with rows in [0, R * R).
+    """
+    neg, pos = negative_rows, positive_rows
+    if (cos.ndim < 2 or cos.shape[0] != cos.shape[1]
+            or not isinstance(neg, np.ndarray)
+            or not isinstance(pos, np.ndarray)
+            or neg.ndim != 1 or neg.shape != pos.shape or not neg.size
+            or neg.dtype.kind not in "iu" or pos.dtype.kind not in "iu"):
+        raise DimensionError(
+            f"margin_hinges needs an (R, R, ...) table and two 1-D integer "
+            f"row tables of one length >= 1, got {cos.shape} and "
+            f"{getattr(neg, 'shape', neg)}, {getattr(pos, 'shape', pos)}")
+    count = cos.shape[0] ** 2
+    listed = neg.tolist() + pos.tolist()   # a few entries: cheaper than numpy
+    if min(listed) < 0 or max(listed) >= count:
+        raise DimensionError(f"margin_hinges rows span [{min(listed)}, "
+                             f"{max(listed)}], outside the {count} table rows")
+    neg, pos = neg.astype(np.intp, copy=False), pos.astype(np.intp, copy=False)
+    rows = cos.data.reshape((count,) + cos.shape[2:])
+    hinge = rows[neg] + rows[pos] * -1.0 + margin
+    scale = 1.0 / len(neg)
+    data = np.maximum(hinge, 0.0).sum(axis=0) * scale
+
+    def backward(g):
+        g_neg = g * scale * (hinge > 0.0)   # float product: signed zeros
+        width = rows[0].size
+        flat = [(ix[:, None] * width + np.arange(width)).ravel()
+                for ix in (neg, pos)]
+        summed = (np.bincount(flat[0], weights=g_neg.ravel(),
+                              minlength=count * width)
+                  + np.bincount(flat[1], weights=(g_neg * -1.0).ravel(),
+                                minlength=count * width))
+        cos._accumulate(summed.reshape(cos.shape))
+
+    return Tensor._result(data, (cos,), backward)
 
 
 def pool_rows(x: Tensor) -> Tensor:

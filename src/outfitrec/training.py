@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .compatibility import LossWeights, training_loss
-from .data import Dataset, FCQuestion, canonical_pair
+from .data import Dataset, FCQuestion
 from .errors import ConfigError, ConsistencyError, check_field_types
 from .evaluation import fc_auc, fc_scores_and_labels
 from .model import FUSION_KINDS, ModelDims, OutfitModel, init_model
@@ -141,20 +141,29 @@ def _batch_arrays(dataset: Dataset, triplets: list[TripletSpec]
     once, in first-seen order over the anchors, then the positives, then
     the negatives. `pair_groups` maps each canonical type pair to a
     (3, n_k) array of item rows: the anchors, positives and negatives of
-    that pair's triplets, in batch order.
+    that pair's triplets, in batch order. The pairs come in first-seen
+    order over the batch; each triplet's pair is the min and max of its
+    anchor's and positive's `Dataset.type_rank`.
     """
-    roles = ("anchor", "positive", "negative")
-    ids = [getattr(t, role) for role in roles for t in triplets]
-    row = {item: r for r, item in enumerate(dict.fromkeys(ids))}
-    regions, words = dataset.features(list(row))
-    role_rows = np.array([row[i] for i in ids], dtype=np.intp).reshape(3, -1)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for b, t in enumerate(triplets):
-        key = canonical_pair(dataset.items[t.anchor].type.name,
-                             dataset.items[t.positive].type.name)
-        groups.setdefault(key, []).append(b)
-    pair_groups = {k: role_rows[:, v] for k, v in groups.items()}
-    return regions, words, pair_groups
+    ids = ([t.anchor for t in triplets] + [t.positive for t in triplets]
+           + [t.negative for t in triplets])
+    distinct = list(dict.fromkeys(ids))
+    row = dict(zip(distinct, range(len(distinct))))
+    regions, words = dataset.features(distinct)
+    role_rows = np.fromiter(map(row.__getitem__, ids), dtype=np.intp,
+                            count=len(ids)).reshape(3, -1)
+    ranks = dataset.type_rank[dataset.rows(distinct)][role_rows[:2]]
+    names = dataset.type_names
+    pair, first, group = np.unique(
+        ranks.min(axis=0) * len(names) + ranks.max(axis=0),
+        return_index=True, return_inverse=True)
+    seen = np.argsort(first)   # the type pairs in first-seen order
+    place = np.argsort(seen)   # each type pair's place in that order
+    by_pair = role_rows[:, np.argsort(place[group], kind="stable")]
+    ends = np.cumsum(np.bincount(group)[seen]).tolist()
+    return regions, words, {
+        (names[k // len(names)], names[k % len(names)]): by_pair[:, lo:hi]
+        for k, lo, hi in zip(pair[seen].tolist(), [0] + ends, ends)}
 
 
 def _validation_questions(dataset: Dataset, seed: int) -> list[FCQuestion]:

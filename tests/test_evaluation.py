@@ -8,7 +8,7 @@ import pytest
 
 from outfitrec.data import (FCQuestion, FITBQuestion, SyntheticSpec,
                             canonical_pair, filter_questions,
-                            generate_synthetic)
+                            generate_synthetic, load_dataset, save_dataset)
 from outfitrec.errors import DomainError, MetricUndefinedError
 from outfitrec.evaluation import (MetricsReport, compute_representations,
                                   evaluate, fc_auc, fc_scores_and_labels,
@@ -515,6 +515,17 @@ class TestEvaluate:
         five = evaluate(ds, [model] * 5)
         assert five.fitb_accuracy_vote == single.fitb_accuracy_per_run[0]
         assert five.fitb_accuracy_per_run == [single.fitb_accuracy_per_run[0]] * 5
+
+    def test_eval_path_builds_no_items(self, tmp_path):
+        """`load_dataset` and `evaluate` read the feature store, the word
+        rows and the type ranks; `Dataset.items` is built on first use."""
+        ds = generate_synthetic(SPEC, seed=9)
+        models = self.trained_models(ds)
+        loaded = load_dataset(save_dataset(ds, tmp_path))
+        evaluate(loaded, models)
+        assert "items" not in vars(loaded)
+        assert list(loaded.items) == list(ds.items)
+        assert "items" in vars(loaded)
 
     def test_mismatched_pair_tables_rejected(self):
         ds = generate_synthetic(SPEC, seed=11)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from outfitrec.data import SyntheticSpec
+from outfitrec.data import SyntheticSpec, generate_synthetic
 from outfitrec.model import FUSION_KINDS
 
 TOOL_PATH = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
@@ -57,3 +57,11 @@ def test_against_names_step_0_of_every_fuser(tool, tmp_path, monkeypatch,
     # the sampled triplets and the dataset do not depend on the loss
     assert "triplets_sha256" not in out
     assert "save_dataset_sha256" not in out
+
+
+def test_first_batch_graph_counts_nodes_per_op(tool):
+    graph = tool.first_batch_graph(generate_synthetic(TINY_SPEC, 42),
+                                   tool.CONFIG)
+    assert sum(graph["ops"].values()) == graph["nodes"]
+    assert graph["ops"]["margin_hinges"] == 4   # one node per loss term
+    assert "Tensor.relu" not in graph["ops"]    # the baseline's were hinges

@@ -2,6 +2,7 @@
 
 import ast
 import math
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outfitrec import tensor
-from outfitrec.compatibility import LossWeights, training_loss
+from outfitrec.compatibility import COMP, SIM, VSE, LossWeights, training_loss
 from outfitrec.errors import DimensionError, DomainError
 from outfitrec.fusion import mfb
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
 from outfitrec.tensor import (Tensor, attention_pool, concat,
-                              grouped_projection, linear, mfb_pool, parameter,
-                              pool_rows, role_cosines, softmax, take_rows)
+                              grouped_projection, linear, margin_hinges,
+                              mfb_pool, parameter, pool_rows, role_cosines,
+                              softmax, take_rows)
 
 
 class TestSoftmax:
@@ -172,30 +174,59 @@ class TestMfbPool:
     def test_bits_match_reshape_sum_reference(self, p):
         """Below 8 terms a group, strided pooling gives the bits of numpy's
         sum over the groups, and the backward, which reuses the forward's
-        squares, those of one that recomputes them; with a broadcast `y`
-        and +0.0 and -0.0 products among the pooled terms."""
+        squares and writes each factor's gradient term by term of a group,
+        those of one that recomputes them and repeats the per-group
+        gradient p times; with either factor broadcast over the rows, at
+        the acceptance batch's (351, 8) leading shape too, and +0.0 and
+        -0.0 products among the pooled terms."""
+        for lead, swap in product([(6, 8), (351, 8)], [False, True]):
+            self.check_reshape_sum_bits(p, lead, swap)
+
+    @staticmethod
+    def check_reshape_sum_bits(p, lead, swap):
         rng = np.random.default_rng(p)
-        x, y = rng.normal(size=(6, 8, 16 * p)), rng.normal(size=(6, 1, 16 * p))
+        k = 16
+        x = rng.normal(size=lead + (k * p,))
+        y = rng.normal(size=(lead[0], 1, k * p))
         x[0, 0, :p] = 0.0                    # +0.0 products only
         x[1, 2, :p], y[1, 0, :p] = -0.0, 1.0     # -0.0 products only
         x[2, 3, :2 * p:2] = -0.0             # a mix of signed zeros
-        g = rng.normal(size=(6, 8, 16))
+        g = rng.normal(size=lead + (k,))
+        g[3, 1, :4] = 0.0                    # zero upstream gradients
+        if swap:
+            x, y = y, x
 
         z = x * y
-        pooled = z.reshape(6, 8, 16, p).sum(axis=-1)
+        pooled = z.reshape(lead + (k, p)).sum(axis=-1)
         s = pooled * (pooled ** 2 + 1e-8) ** -0.25
         norm = np.sqrt((s * s).sum(axis=-1, keepdims=True) + 1e-24)
         c = (-g * s / norm ** 2).sum(axis=-1, keepdims=True) * 0.5 / norm
         g_z = np.repeat((g / norm + c * s + c * s)
                         * (0.5 * pooled ** 2 + 1e-8)
                         * (pooled ** 2 + 1e-8) ** -1.25, p, axis=-1)
-        want = [s / norm, g_z * y, (g_z * x).sum(axis=1, keepdims=True)]
+        g_x, g_y = g_z * y, g_z * x
+        if swap:
+            g_x = g_x.sum(axis=1, keepdims=True)
+        else:
+            g_y = g_y.sum(axis=1, keepdims=True)
+        want = [s / norm, g_x, g_y]
 
         tx, ty = Tensor(x, requires_grad=True), Tensor(y, requires_grad=True)
         (mfb_pool(tx, ty, p) * Tensor(g)).sum().backward()
         got = [mfb_pool(Tensor(x), Tensor(y), p).data, tx.grad, ty.grad]
         for a, b in zip(got, want):
+            assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+    def test_same_factor_gradient_sums_both_terms(self):
+        """`mfb_pool(x, x, p)`: x's gradient is its two factors' terms."""
+        rng = np.random.default_rng(5)
+        x = parameter(rng.normal(size=(3, 2, 8)))
+        g = rng.normal(size=(3, 2, 4))
+        (mfb_pool(x, x, 2) * Tensor(g)).sum().backward()
+        twin = parameter(x.data.copy())
+        (mfb_pool(Tensor(x.data), twin, 2) * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(x.grad, twin.grad + twin.grad)
 
     def test_vanishing_row_maps_to_zero(self):
         out = mfb_pool(Tensor(np.zeros((2, 4))), Tensor(np.ones((2, 4))), 2)
@@ -255,6 +286,27 @@ class TestAttentionPool:
                                       want_alpha.reshape(alpha.shape))
         np.testing.assert_array_equal(rows.grad,
                                       np.matmul(a.swapaxes(-1, -2), g_row))
+
+    @pytest.mark.parametrize("shape", SHAPES + [(351, 8, 64), (44, 8, 1024)])
+    def test_rows_gradient_keeps_the_matmul_zero_signs(self, shape):
+        """The rows gradient, an outer product since the inner dimension
+        is 1, has the bits of the `np.matmul` it replaced, signed zeros
+        too: a matmul sums from +0.0, so a -0.0 product comes out +0.0."""
+        rng = np.random.default_rng(15)
+        a = rng.dirichlet(np.ones(shape[-2]), size=shape[:-2])
+        a[..., 0], a[..., 1] = 0.0, -0.0
+        g = rng.normal(size=shape[:-2] + shape[-1:])
+        g[..., 0], g[..., 1] = 0.0, -0.0
+        g[..., 2] *= 1e-300                 # products that underflow
+        alpha, rows = Tensor(a), parameter(rng.normal(size=shape))
+        (attention_pool(alpha, rows) * Tensor(g)).sum().backward()
+        a_row = a.reshape(shape[:-2] + (1, shape[-2]))
+        g_row = g.reshape(shape[:-2] + (1, shape[-1]))
+        want = np.matmul(a_row.swapaxes(-1, -2), g_row)
+        assert np.signbit(a_row.swapaxes(-1, -2) * g_row).sum() > np.signbit(
+            want).sum()   # the case occurs: a bare product keeps -0.0
+        np.testing.assert_array_equal(rows.grad.view(np.uint64),
+                                      want.view(np.uint64))
 
     @pytest.mark.parametrize("alpha_shape, rows_shape", [
         ((3,), (3,)), ((2, 4), (2, 3, 5)), ((4,), (2, 4, 5)),
@@ -604,6 +656,77 @@ class TestTakeRows:
     def test_malformed_index_rejected(self, index):
         with pytest.raises(DimensionError, match="take_rows"):
             take_rows(parameter(np.zeros((5, 3))), index)
+
+
+def hinges_chain(cos, negative_rows, positive_rows, margin):
+    """The op-by-op graph `margin_hinges` replaced: the table as R * R
+    rows, one `take_rows` per side, `negative - positive + margin` (the
+    subtraction as `+ positive * -1.0`), `relu` and the mean over the
+    entries."""
+    rows = cos.reshape((cos.shape[0] ** 2,) + cos.shape[2:])
+    negative = take_rows(rows, negative_rows)
+    positive = take_rows(rows, positive_rows)
+    return (negative + positive * -1.0 + margin).relu().mean(axis=0)
+
+
+class TestMarginHinges:
+    # row 2 is a negative of one entry and the positive of another
+    CROSSED = (np.array([1, 2, 5]), np.array([2, 0, 2]))
+    TABLES = [COMP, SIM, VSE, np.stack(CROSSED)]
+    IDS = ["comp", "sim", "vse", "crossed"]
+
+    @pytest.mark.parametrize("table", TABLES, ids=IDS)
+    @pytest.mark.parametrize("tail", [(), (7,), (2, 5)])
+    def test_bits_match_op_by_op_chain(self, table, tail):
+        """Output and `cos` gradient, signed zeros included, with a hinge
+        exactly at 0 in every column, uniform cosines below and above it,
+        and zero upstream gradients."""
+        rng = np.random.default_rng(17)
+        data = rng.uniform(-1.0, 1.0, size=(3, 3) + tail)
+        flat = data.reshape((9,) + tail)
+        neg, pos = table
+        flat[neg[0]], flat[pos[0]] = 0.25, 0.5   # 0.25 - 0.5 + 0.25 == 0.0
+        g = rng.normal(size=tail)
+        if tail:
+            g.reshape(-1)[:2] = (0.0, -0.0)
+        got, want = parameter(data), parameter(data)
+        out = margin_hinges(got, neg, pos, 0.25)
+        ref = hinges_chain(want, neg, pos, 0.25)
+        assert out.data.tobytes() == ref.data.tobytes()
+        (out * Tensor(g)).sum().backward()
+        (ref * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(got.grad.view(np.uint64),
+                                      want.grad.view(np.uint64))
+
+    def test_one_node(self):
+        cos = parameter(np.zeros((3, 3, 4)))
+        out = margin_hinges(cos, *VSE, 0.2)
+        assert out._parents == (cos,) and out.shape == (4,)
+
+    @pytest.mark.parametrize("table", TABLES, ids=IDS)
+    def test_gradients_match_finite_differences(self, table):
+        rng = np.random.default_rng(18)
+        cos = parameter(rng.uniform(-1.0, 1.0, size=(3, 3, 5)))
+        c = rng.normal(size=5)
+        loss = lambda: (margin_hinges(cos, *table, 0.2) * c).sum()
+        report = grad_check(loss, [("cos", cos)], h_scale=1e-6, rel_tol=1e-6)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("cos_shape, neg, pos", [
+        ((3, 3, 4), np.array([1, 9]), np.array([0, 0])),
+        ((3, 3, 4), np.array([1, 2]), np.array([0, -1])),
+        ((3, 3, 4), np.array([1.0, 2.0]), np.array([0, 0])),
+        ((3, 3, 4), np.array([[1, 2]]), np.array([[0, 0]])),
+        ((3, 3, 4), np.array([1, 2]), np.array([0])),
+        ((3, 3, 4), np.array([], dtype=np.intp), np.array([], dtype=np.intp)),
+        ((3, 3, 4), [1, 2], [0, 0]),
+        ((3, 2, 4), np.array([1]), np.array([0])),
+        ((3,), np.array([1]), np.array([0])),
+    ], ids=["past_end", "negative", "float", "2d", "lengths_differ", "empty",
+            "list", "not_square", "1d_cos"])
+    def test_malformed_row_table_rejected(self, cos_shape, neg, pos):
+        with pytest.raises(DimensionError, match="margin_hinges"):
+            margin_hinges(parameter(np.zeros(cos_shape)), neg, pos, 0.2)
 
 
 def test_backward_requires_scalar():

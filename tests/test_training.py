@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from outfitrec.data import (Dataset, ItemType, Outfit, SyntheticSpec,
-                            generate_synthetic)
+                            canonical_pair, generate_synthetic)
 from outfitrec import training
 from outfitrec.errors import ConfigError, ConsistencyError
 from outfitrec.model import init_model, ModelDims
@@ -199,6 +199,28 @@ class TestBatchArrays:
                 regions, np.stack([item.regions for item in items]))
             np.testing.assert_array_equal(
                 words, np.stack([item.words for item in items]))
+
+
+    def test_pair_groups_match_per_triplet_grouping(self):
+        """Grouping by type ranks gives the type pairs, their first-seen
+        order and their columns of a per-triplet `canonical_pair` loop."""
+        ds = generate_synthetic(SMALL_SPEC, seed=4)
+        triplets, _ = sample_triplets(ds, np.random.default_rng(1))
+        for start in range(0, len(triplets), 32):
+            batch = triplets[start:start + 32]
+            _, _, groups = training._batch_arrays(ds, batch)
+            ids = [getattr(t, role) for role in ("anchor", "positive",
+                                                 "negative") for t in batch]
+            row = {item: r for r, item in enumerate(dict.fromkeys(ids))}
+            role_rows = np.array([row[i] for i in ids]).reshape(3, -1)
+            want: dict = {}
+            for b, t in enumerate(batch):
+                want.setdefault(canonical_pair(ds.items[t.anchor].type.name,
+                                               ds.items[t.positive].type.name),
+                                []).append(b)
+            assert list(groups) == list(want)
+            for key, cols in want.items():
+                np.testing.assert_array_equal(groups[key], role_rows[:, cols])
 
 
 class TestTrainLoop:

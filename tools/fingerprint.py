@@ -7,7 +7,8 @@ Writes one JSON of the figures a same-behaviour change must not move:
   parameters, each epoch's validation AUC and the SHA-256 of each
   epoch's sampled triplets;
 - per fuser, `perfbench/tracer.graph_stats` (node count and bytes) of the
-  training-loss graph of the first batch at initialisation;
+  training-loss graph of the first batch at initialisation, and its node
+  count per tape op, so a fusion shows which ops left the graph;
 - per fuser, the SHA-256 of the trained model's FC pair scores and FITB
   candidate totals on the kept test questions, scored from reps computed
   in `evaluate`'s id order (a rank-based AUC can hide a moved score);
@@ -35,6 +36,7 @@ import importlib.util
 import json
 import sys
 import tempfile
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -75,16 +77,37 @@ def hex_or_none(value: float | None) -> str | None:
     return None if value is None else float(value).hex()
 
 
+def op_counts(loss) -> dict[str, int]:
+    """Nodes of the graph under `loss` per tape op, named as its backward
+    closure's owner (`linear`, `Tensor.__add__`, ...); a leaf counts as
+    "(parameter)" when it takes a gradient and as "(constant)" otherwise."""
+    counts: Counter[str] = Counter()
+    seen: set[int] = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            counts[node._backward.__qualname__.split(".<locals>.")[0]] += 1
+        else:
+            counts["(parameter)" if node.requires_grad else "(constant)"] += 1
+        stack.extend(node._parents)
+    return dict(sorted(counts.items()))
+
+
 def first_batch_graph(dataset, config) -> dict:
-    """Node count and bytes of the first batch's loss graph at init."""
+    """Node count, bytes and nodes per op of the first batch's loss graph
+    at init."""
     model, _ = training.train(dataset, dataclasses.replace(config, epochs=0))
     triplets, _ = training.sample_triplets(
         dataset, np.random.default_rng(config.seed))
     regions, words, groups = training._batch_arrays(
         dataset, triplets[:config.batch_size])
-    nodes, nbytes = graph_stats(training_loss(model, regions, words, groups,
-                                              config.weights()))
-    return {"nodes": nodes, "bytes": nbytes}
+    loss = training_loss(model, regions, words, groups, config.weights())
+    nodes, nbytes = graph_stats(loss)
+    return {"nodes": nodes, "bytes": nbytes, "ops": op_counts(loss)}
 
 
 def train_fingerprint(dataset, config) -> tuple[dict, object]:
