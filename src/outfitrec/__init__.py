@@ -18,7 +18,7 @@ from .model import (FUSION_KINDS, ModelDims, OutfitModel, init_model,
 from .optim import Adam, GradCheckReport, grad_check
 from .tensor import (Tensor, attention_pool, concat, linear, mfb_pool,
                      named_parameters, no_grad, parameter, pool_rows, softmax)
-from .training import (EpochStats, TrainConfig, TripletSpec, sample_triplets,
-                       train, train_ensemble)
+from .training import (EpochStats, TrainConfig, sample_triplets, train,
+                       train_ensemble)
 
 __version__ = "0.1.0"

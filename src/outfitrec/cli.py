@@ -83,7 +83,7 @@ def gen(out, seed, **kwargs):
     Path(out).mkdir(parents=True, exist_ok=True)   # fail before the work
     dataset = generate_synthetic(spec, seed)
     manifest = save_dataset(dataset, out)
-    click.echo(f"wrote {manifest} ({len(dataset.items)} items, "
+    click.echo(f"wrote {manifest} ({len(dataset.ids)} items, "
                f"{sum(len(v) for v in dataset.outfits.values())} outfits, "
                f"{len(dataset.fc_questions)} FC / "
                f"{len(dataset.fitb_questions)} FITB questions)")

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, first_seen
 from .errors import ConfigError, DimensionError, DomainError
 from .model import OutfitModel, item_features
 from .tensor import (Tensor, concat, grouped_projection, margin_hinges,
@@ -204,39 +204,22 @@ def plan_pairs(dataset: Dataset, pairs: list[tuple[str, str]], trained
     """The plan of a list of item-id pairs, grouped by the type pairs in
     `trained`; a pair of an untrained type pair is in no group.
 
-    The pairs' distinct ids become rows, and each pair a (row, row) entry
-    of a (P, 2) array. Each item's type is its `Dataset.type_rank`, so a
-    pair's canonical type pair is the min and max of its two ranks, and
-    one stable argsort groups the pairs by type pair.
+    The pairs' distinct items become rows, and each pair a (row, row)
+    entry of a (P, 2) array. `Dataset.type_pair_groups` gives the type
+    pairs in first-seen order, and each one's pair positions.
     DomainError names an id the dataset does not hold.
     """
-    flat = list(chain.from_iterable(pairs))
-    ids = list(dict.fromkeys(flat))
+    store = dataset.rows(list(chain.from_iterable(pairs))).reshape(-1, 2)
+    distinct, ends = first_seen(store)
     groups = []
-    if not pairs:
-        return PairPlan(ids, 0, groups)
-    row = dict(zip(ids, range(len(ids))))
-    ends = np.fromiter(map(row.__getitem__, flat), dtype=np.intp,
-                       count=len(flat)).reshape(len(pairs), 2)
-    names = dataset.type_names
-    ranks = dataset.type_rank[dataset.rows(ids)][ends]
-    lo, hi = ranks.min(axis=1), ranks.max(axis=1)
-    key = lo * len(names) + hi
-    order = np.argsort(key, kind="stable")
-    for ks in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        pair = (names[lo[ks[0]]], names[hi[ks[0]]])
-        if pair not in trained:
-            continue
-        rows, first, inverse = np.unique(ends[ks].ravel(), return_index=True,
-                                         return_inverse=True)
-        # first-seen, not sorted: some OpenBLAS kernels give a GEMM row
-        # other bits at another row position (tests/test_blas_kernels.py)
-        seen = np.argsort(first)
-        pos = np.empty_like(seen)
-        pos[seen] = np.arange(len(seen))
-        local = pos[inverse].reshape(-1, 2)
-        groups.append((pair, ks, rows[seen], local[:, 0], local[:, 1]))
-    return PairPlan(ids, len(pairs), groups)
+    for pair, at in dataset.type_pair_groups(store[:, 0], store[:, 1]).items():
+        if pair in trained:
+            # first-seen, not sorted: some OpenBLAS kernels give a GEMM row
+            # other bits at another row position (tests/test_blas_kernels.py)
+            rows, local = first_seen(ends[at])
+            groups.append((pair, at, rows, local[:, 0], local[:, 1]))
+    return PairPlan(list(map(dataset.ids.__getitem__, distinct.tolist())),
+                    len(pairs), groups)
 
 
 def plan_scores(plan: PairPlan, model: OutfitModel, reps: Reps) -> np.ndarray:

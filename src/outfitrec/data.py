@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, combinations, compress
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +89,11 @@ class Dataset:
     description (None when undescribed). `regions` (I, N, d_i) holds every
     item's rows in that order and `words` (I_d, M, d_t) the described
     items' rows; both are kept as passed, and `dims` are their shapes.
-    `row[id]` is an item's row of `regions`, `word_row[row]` its row of
-    `words` (-1 when undescribed), `type_rank[row]` its type's rank in the
-    sorted `type_names`, and `items[id]` views its rows (an undescribed
-    item's `words` is empty, (0, d_t)).
+    `row[id]` is an item's row of `regions` and `ids[row]` its id,
+    `word_row[row]` its row of `words` (-1 when undescribed),
+    `type_rank[row]` its type's rank in the sorted `type_names`, and
+    `items[id]` views its rows (an undescribed item's `words` is empty,
+    (0, d_t)).
     """
     entries: InitVar[dict[str, tuple[ItemType, str | None]]]
     regions: np.ndarray
@@ -110,7 +111,8 @@ class Dataset:
             raise DimensionError(f"feature stores of {len(self.regions)} and "
                                  f"{len(self.words)} rows for {len(entries)} "
                                  f"items, {described.sum()} described")
-        self.row = dict(zip(entries, range(len(entries))))
+        self.ids = list(entries)
+        self.row = dict(zip(self.ids, range(len(self.ids))))
         self.word_row = np.where(described, np.cumsum(described) - 1, -1)
         types = [t.name for t, _ in entries.values()]
         self.type_names = sorted(set(types))
@@ -141,27 +143,55 @@ class Dataset:
             raise DomainError(
                 f"item {e.args[0]!r} is not in the dataset") from None
 
-    def features(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """The (len(ids), N, d_i) regions and (len(ids), M, d_t) words of
-        described items, gathered from the store by one index each; an
-        undescribed item raises DomainError."""
+    def described_rows(self, ids) -> np.ndarray:
+        """The store rows of the described items among `ids`, in order."""
         rows = self.rows(ids)
+        return rows[self.word_row[rows] >= 0]
+
+    def features(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The (len(rows), N, d_i) regions and (len(rows), M, d_t) words of
+        the store rows `rows` of described items, gathered by one index
+        each; an undescribed item raises DomainError."""
         word_rows = self.word_row[rows]
         if (word_rows < 0).any():
-            raise DomainError(f"item {ids[int(np.argmin(word_rows))]!r} has "
-                              "no description, so no word rows")
+            bare = self.ids[rows[int(np.argmin(word_rows))]]
+            raise DomainError(f"item {bare!r} has no description, so no "
+                              "word rows")
         return self.regions[rows], self.words[word_rows]
+
+    def type_pair_groups(self, a_rows, b_rows) -> dict[tuple[str, str],
+                                                       np.ndarray]:
+        """Each canonical type pair of the item pairs (a_rows[k], b_rows[k])
+        of store rows, in first-seen order, mapped to the positions k of
+        its pairs in ascending order. A pair's type pair is the min and
+        max of its two `type_rank`s."""
+        a, b = self.type_rank[a_rows], self.type_rank[b_rows]
+        n = len(self.type_names)
+        keys, group = first_seen(np.minimum(a, b) * n + np.maximum(a, b))
+        positions = np.split(np.argsort(group, kind="stable"),
+                             np.cumsum(np.bincount(group))[:-1])
+        return {(self.type_names[k // n], self.type_names[k % n]): at
+                for k, at in zip(keys.tolist(), positions)}
 
     def trained_type_pairs(self) -> set[tuple[str, str]]:
         """Unordered type pairs co-occurring among described train items."""
-        pairs: set[tuple[str, str]] = set()
-        for outfit in self.outfits.get("train", []):
-            ids = [i for i in outfit.items if self.items[i].described]
-            for a in range(len(ids)):
-                for b in range(a + 1, len(ids)):
-                    pairs.add(canonical_pair(self.items[ids[a]].type.name,
-                                             self.items[ids[b]].type.name))
-        return pairs
+        ends = np.array([pair for outfit in self.outfits.get("train", [])
+                         for pair in combinations(
+                             self.described_rows(outfit.items).tolist(), 2)],
+                        dtype=np.intp).reshape(-1, 2)
+        return set(self.type_pair_groups(ends[:, 0], ends[:, 1]))
+
+
+def first_seen(values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the array `values` in first-seen (row-major)
+    order, and each value's index into them, in the shape of `values`."""
+    values = np.asarray(values)
+    distinct, first, inverse = np.unique(values.ravel(), return_index=True,
+                                         return_inverse=True)
+    seen = np.argsort(first)
+    place = np.empty_like(seen)
+    place[seen] = np.arange(len(seen))
+    return distinct[seen], place[inverse].reshape(values.shape)
 
 
 def canonical_pair(u: str, v: str) -> tuple[str, str]:
@@ -201,9 +231,10 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         "version": MANIFEST_VERSION,
         "dims": vars(dataset.dims),
         "types": [{"id": t.id, "name": t.name} for t in dataset.types],
-        "items": [{"id": item.id, "type": item.type.name,
-                   "description": item.description}
-                  for item in dataset.items.values()],
+        "items": [{"id": item_id, "type": item_type.name,
+                   "description": description}
+                  for item_id, (item_type, description)
+                  in dataset._entries.items()],
         "outfits": [
             {"id": o.id, "split": split, "items": list(o.items)}
             for split in SPLITS for o in dataset.outfits.get(split, [])

@@ -39,6 +39,8 @@ class SyntheticSpecError(OutfitrecError, ValueError):
 class UnseenTypePairError(OutfitrecError, KeyError):
     """No compatibility space was trained for this pair of item types."""
 
+    __str__ = Exception.__str__   # KeyError's would quote the message
+
 
 class MetricUndefinedError(OutfitrecError, RuntimeError):
     """A requested metric has no defined value on the given inputs."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
@@ -22,14 +22,13 @@ def compute_representations(model: OutfitModel, dataset: Dataset,
     """Fused reps of the described items among `item_ids`, in first-seen
     order, batched; undescribed ids are skipped. DomainError names an id
     the dataset does not hold."""
-    ids = list(dict.fromkeys(item_ids))
-    described = (dataset.word_row[dataset.rows(ids)] >= 0).tolist()
-    ids = list(compress(ids, described))
+    rows = dataset.described_rows(list(dict.fromkeys(item_ids)))
     with no_grad():
         parts = [item_features(model, *dataset.features(
-            ids[start:start + REPRESENTATION_CHUNK]))[0].data
-            for start in range(0, len(ids), REPRESENTATION_CHUNK)]
-    return Reps(ids, np.concatenate(parts) if parts else np.empty((0, 0)))
+            rows[start:start + REPRESENTATION_CHUNK]))[0].data
+            for start in range(0, len(rows), REPRESENTATION_CHUNK)]
+    return Reps(list(map(dataset.ids.__getitem__, rows.tolist())),
+                np.concatenate(parts) if parts else np.empty((0, 0)))
 
 
 def plan_fc(dataset: Dataset, questions: list[FCQuestion], trained

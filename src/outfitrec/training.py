@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .compatibility import LossWeights, training_loss
-from .data import Dataset, FCQuestion
+from .data import Dataset, FCQuestion, first_seen
 from .errors import ConfigError, ConsistencyError, check_field_types
 from .evaluation import fc_auc, fc_scores_and_labels
 from .model import FUSION_KINDS, ModelDims, OutfitModel, init_model
@@ -70,13 +70,6 @@ class TrainConfig:
 
 
 @dataclass
-class TripletSpec:
-    anchor: str
-    positive: str
-    negative: str
-
-
-@dataclass
 class EpochStats:
     epoch: int
     mean_loss: float
@@ -86,22 +79,23 @@ class EpochStats:
 
 
 def sample_triplets(dataset: Dataset, rng: np.random.Generator
-                    ) -> tuple[list[TripletSpec], int]:
+                    ) -> tuple[np.ndarray, int]:
     """One epoch of triplets: every ordered co-occurring described pair,
     shuffled, with a same-type negative never co-occurring with the anchor.
 
-    Returns (triplets, skipped) where skipped counts pairs with no valid
-    negative.
+    Returns (triplets, skipped): a (T, 3) array of the anchor, positive
+    and negative store rows of each triplet, and the count of pairs with
+    no valid negative.
     """
-    items = dataset.items
-    co_occur: dict[str, set[str]] = {}
-    pools: dict[str, list[str]] = {}
-    ordered_pairs: list[tuple[str, str]] = []
+    type_rank = dataset.type_rank.tolist()
+    co_occur: dict[int, set[int]] = {}
+    pools: dict[int, list[int]] = {}
+    ordered_pairs: list[tuple[int, int]] = []
     for outfit in dataset.outfits.get("train", []):
-        members = [i for i in outfit.items if items[i].described]
+        members = dataset.described_rows(outfit.items).tolist()
         for a in members:
             if a not in co_occur:
-                pools.setdefault(items[a].type.name, []).append(a)
+                pools.setdefault(type_rank[a], []).append(a)
             co_occur.setdefault(a, set()).update(m for m in members if m != a)
         for a in members:
             for b in members:
@@ -109,11 +103,11 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
                     ordered_pairs.append((a, b))
 
     order = rng.permutation(len(ordered_pairs))
-    triplets: list[TripletSpec] = []
+    triplets: list[tuple[int, int, int]] = []
     skipped = 0
-    for k in order:
-        a, b = ordered_pairs[int(k)]
-        pool = pools[items[b].type.name]
+    for k in order.tolist():
+        a, b = ordered_pairs[k]
+        pool = pools[type_rank[b]]
         banned = co_occur[a]
         negative = None
         # rejection sampling stays uniform over the eligible set
@@ -128,42 +122,27 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
                 skipped += 1
                 continue
             negative = eligible[int(rng.integers(len(eligible)))]
-        triplets.append(TripletSpec(anchor=a, positive=b, negative=negative))
-    return triplets, skipped
+        triplets.append((a, b, negative))
+    return np.array(triplets, dtype=np.intp).reshape(-1, 3), skipped
 
 
-def _batch_arrays(dataset: Dataset, triplets: list[TripletSpec]
+def _batch_arrays(dataset: Dataset, triplets: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The item-level inputs of `training_loss` for a triplet batch of
-    described items.
+    """The item-level inputs of `training_loss` for a (b, 3) batch of
+    anchor, positive and negative store rows of described items.
 
     `regions` (U, N, d_i) and `words` (U, M, d_t) hold each distinct item
     once, in first-seen order over the anchors, then the positives, then
-    the negatives. `pair_groups` maps each canonical type pair to a
-    (3, n_k) array of item rows: the anchors, positives and negatives of
-    that pair's triplets, in batch order. The pairs come in first-seen
-    order over the batch; each triplet's pair is the min and max of its
-    anchor's and positive's `Dataset.type_rank`.
+    the negatives. `pair_groups` maps each type pair of
+    `Dataset.type_pair_groups` over the anchors and positives, in its
+    first-seen order, to a (3, n_k) array of item rows: the anchors,
+    positives and negatives of that pair's triplets, in batch order.
     """
-    ids = ([t.anchor for t in triplets] + [t.positive for t in triplets]
-           + [t.negative for t in triplets])
-    distinct = list(dict.fromkeys(ids))
-    row = dict(zip(distinct, range(len(distinct))))
-    regions, words = dataset.features(distinct)
-    role_rows = np.fromiter(map(row.__getitem__, ids), dtype=np.intp,
-                            count=len(ids)).reshape(3, -1)
-    ranks = dataset.type_rank[dataset.rows(distinct)][role_rows[:2]]
-    names = dataset.type_names
-    pair, first, group = np.unique(
-        ranks.min(axis=0) * len(names) + ranks.max(axis=0),
-        return_index=True, return_inverse=True)
-    seen = np.argsort(first)   # the type pairs in first-seen order
-    place = np.argsort(seen)   # each type pair's place in that order
-    by_pair = role_rows[:, np.argsort(place[group], kind="stable")]
-    ends = np.cumsum(np.bincount(group)[seen]).tolist()
-    return regions, words, {
-        (names[k // len(names)], names[k % len(names)]): by_pair[:, lo:hi]
-        for k, lo, hi in zip(pair[seen].tolist(), [0] + ends, ends)}
+    rows, role_rows = first_seen(triplets.T)
+    regions, words = dataset.features(rows)
+    groups = dataset.type_pair_groups(triplets[:, 0], triplets[:, 1])
+    return regions, words, {pair: role_rows[:, at]
+                            for pair, at in groups.items()}
 
 
 def _validation_questions(dataset: Dataset, seed: int) -> list[FCQuestion]:
@@ -171,19 +150,20 @@ def _validation_questions(dataset: Dataset, seed: int) -> list[FCQuestion]:
     cross-outfit recombinations with distinct types."""
     outfits = dataset.outfits.get("valid", [])
     described = [o for o in outfits
-                 if all(dataset.items[i].described for i in o.items)]
+                 if (dataset.word_row[dataset.rows(o.items)] >= 0).all()]
     if len(described) < 2:
         return []
     rng = np.random.default_rng(seed ^ 0x5F3759DF)
     pool = [i for o in described for i in o.items]
+    pool_rank = dataset.type_rank[dataset.rows(pool)].tolist()
     questions = [FCQuestion(items=o.items, label=1) for o in described]
     for o in described:
         size = len(o.items)
         for _ in range(32):
-            picks = rng.choice(len(pool), size=size, replace=False)
-            chosen = [pool[int(p)] for p in picks]
-            if len({dataset.items[c].type.name for c in chosen}) == size:
-                questions.append(FCQuestion(items=tuple(chosen), label=0))
+            picks = rng.choice(len(pool), size=size, replace=False).tolist()
+            if len({pool_rank[p] for p in picks}) == size:
+                questions.append(FCQuestion(
+                    items=tuple(pool[p] for p in picks), label=0))
                 break
     return questions
 

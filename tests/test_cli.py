@@ -2,6 +2,7 @@
 
 import inspect
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -361,6 +362,36 @@ class TestScore:
         assert_usage_error(result, f"item {a!r} has no description")
         assert result.exit_code == 1
         assert len(result.output.splitlines()) == 1
+
+    def test_untrained_type_pair_is_one_unquoted_error_line(self, tmp_path,
+                                                            runner):
+        """One train outfit of three of the four types leaves the fourth
+        type in no trained pair."""
+        out = tmp_path / "data"
+        result = runner.invoke(main, ["gen", "--out", str(out), "--seed", "5",
+                                      *GEN_ARGS, "--train-outfits", "1"])
+        assert result.exit_code == 0, result.output
+        ds = load_dataset(out / "manifest.json")
+        trained = ds.trained_type_pairs()
+        a, b = next((a, b) for a, b in combinations(ds.items.values(), 2)
+                    if (a.type.name, b.type.name) not in trained
+                    and (b.type.name, a.type.name) not in trained)
+        dims = ModelDims(d_g=4, d_c=4, h=4, hops=1, mfb_factor=1,
+                         region_dim=6, word_dim=5)
+        model = init_model("baseline", dims, trained, 0)
+        save_model(model, tmp_path / "run0.ckpt")
+        result = runner.invoke(main, ["score", "--data",
+                                      str(out / "manifest.json"),
+                                      "--checkpoint",
+                                      str(tmp_path / "run0.ckpt"),
+                                      "-a", a.id, "-b", b.id])
+        with pytest.raises(errors.UnseenTypePairError) as info:
+            pair_score(model, a, b)
+        message = info.value.args[0]
+        assert str(info.value) == message
+        assert message.startswith("no compatibility space trained")
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"Error: {message}"]
 
     def test_checkpoint_directory_is_a_usage_error(self, runner, data_dir,
                                                    run_dir):

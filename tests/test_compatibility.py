@@ -1,12 +1,15 @@
 """Hinge-table losses, total-loss assembly and pairwise scoring."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from outfitrec.compatibility import (SIM, VSE, LossWeights, hinges,
-                                     pair_score, total_loss, training_loss,
-                                     triplet_loss)
-from outfitrec.data import Item, ItemType
+                                     pair_score, plan_pairs, total_loss,
+                                     training_loss, triplet_loss)
+from outfitrec.data import (Item, ItemType, SyntheticSpec, canonical_pair,
+                            generate_synthetic)
 from outfitrec.errors import (ConfigError, DimensionError, DomainError,
                              UnseenTypePairError)
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model, item_features
@@ -234,6 +237,41 @@ class TestPairScore:
         setattr(b, field, rng.normal(size=shape))
         with pytest.raises(DimensionError, match="word count"):
             pair_score(model, a, b)
+
+
+PLAN_SPEC = SyntheticSpec(num_types=4, num_styles=3, train_outfits=4,
+                         valid_outfits=0, fc_questions=20, fitb_questions=10,
+                         outfit_size=3)
+
+
+class TestPlanPairs:
+    def test_groups_match_a_per_pair_canonical_pair_loop(self):
+        """Each trained type pair's group holds the positions of its pairs,
+        ascending, in the first-seen order of a per-pair `canonical_pair`
+        loop; an untrained type pair has no group."""
+        ds = generate_synthetic(PLAN_SPEC, seed=2)
+        pairs = [p for q in ds.fc_questions for p in combinations(q.items, 2)]
+        want: dict = {}
+        for k, (a, b) in enumerate(pairs):
+            want.setdefault(canonical_pair(ds.items[a].type.name,
+                                           ds.items[b].type.name),
+                            []).append(k)
+        trained = set(list(want)[::2])
+        plan = plan_pairs(ds, pairs, trained)
+        assert plan.ids == list(dict.fromkeys(i for p in pairs for i in p))
+        assert plan.size == len(pairs)
+        assert [g[0] for g in plan.groups] == [p for p in want if p in trained]
+        for pair, positions, rows, left, right in plan.groups:
+            assert positions.tolist() == want[pair]
+            assert (np.diff(positions) > 0).all()
+            assert [(plan.ids[rows[i]], plan.ids[rows[j]])
+                    for i, j in zip(left, right)] == [pairs[k]
+                                                      for k in positions]
+
+    def test_no_pairs_give_an_empty_plan(self):
+        ds = generate_synthetic(PLAN_SPEC, seed=2)
+        plan = plan_pairs(ds, [], ds.trained_type_pairs())
+        assert (plan.ids, plan.size, plan.groups) == ([], 0, [])
 
 
 class TestTrainingLoss:

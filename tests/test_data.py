@@ -5,6 +5,7 @@ import copy
 import json
 import struct
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from outfitrec import data
 from outfitrec.data import (Dataset, FCQuestion, FITBQuestion, ItemType,
-                            Outfit, SyntheticSpec, filter_questions,
-                            generate_synthetic, load_dataset, save_dataset)
+                            Outfit, SyntheticSpec, canonical_pair,
+                            filter_questions, generate_synthetic,
+                            load_dataset, save_dataset)
 from outfitrec.errors import (DatasetError, DimensionError, DomainError,
                               SyntheticSpecError)
 
@@ -116,13 +118,42 @@ class TestFeatureStore:
         ds = generate_synthetic(STORE_SPEC, seed=3)
         bare = next(i for i, item in ds.items.items() if not item.described)
         ids = [i for i, item in ds.items.items() if item.described][::-1]
-        regions, words = ds.features(ids)
+        rows = ds.rows(ids)
+        assert [ds.ids[r] for r in rows] == ids
+        regions, words = ds.features(rows)
         np.testing.assert_array_equal(
             regions, np.stack([ds.items[i].regions for i in ids]))
         np.testing.assert_array_equal(
             words, np.stack([ds.items[i].words for i in ids]))
         with pytest.raises(DomainError, match=repr(bare)):
-            ds.features(ids[:2] + [bare])
+            ds.features(ds.rows(ids[:2] + [bare]))
+
+    @pytest.mark.parametrize("values", [
+        np.zeros(0, np.intp), np.array([5, 2, 5, 9, 2, 0]),
+        np.array([[4, 1, 4, 8], [7, 1, 0, 8], [0, 7, 3, 4]])],
+        ids=["empty", "1d", "3xb"])
+    def test_first_seen_matches_dict_fromkeys(self, values):
+        distinct, index = data.first_seen(values)
+        flat = values.ravel().tolist()
+        want = list(dict.fromkeys(flat))
+        assert distinct.tolist() == want
+        assert index.shape == values.shape
+        assert index.ravel().tolist() == [want.index(v) for v in flat]
+
+    def test_trained_type_pairs_match_a_per_outfit_loop(self):
+        ds = generate_synthetic(STORE_SPEC, seed=3)
+        want = {canonical_pair(ds.items[a].type.name, ds.items[b].type.name)
+                for o in ds.outfits["train"]
+                for a, b in combinations(o.items, 2)
+                if ds.items[a].described and ds.items[b].described}
+        assert ds.trained_type_pairs() == want
+
+    def test_generate_and_save_build_no_items(self, tmp_path):
+        """The manifest's item list comes from the dataset's entries, so
+        neither step builds an `Item`."""
+        ds = generate_synthetic(STORE_SPEC, seed=3)
+        save_dataset(ds, tmp_path)
+        assert "items" not in vars(ds)
 
     def test_generate_save_load_save_is_byte_identical(self, tmp_path):
         assert_round_trip_is_bit_exact(generate_synthetic(STORE_SPEC, seed=3),

@@ -12,9 +12,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from outfitrec import optim, training
+from outfitrec.data import SyntheticSpec, generate_synthetic
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -43,6 +45,22 @@ def test_step_clock_finds_batch_assembly_and_the_adam_step():
     params = list(inspect.signature(training._batch_arrays).parameters)
     assert params == ["dataset", "triplets"]
     assert callable(getattr(optim.Adam, "step", None))
+
+
+def test_a_triplet_slice_has_one_row_per_triplet():
+    """`StepClock` reads `len(triplets)` as a step's batch size, and `run.py`
+    counts an epoch's triplets as its ordered pairs less the skipped ones."""
+    ds = generate_synthetic(SyntheticSpec(
+        num_types=4, num_styles=3, train_outfits=10, valid_outfits=0,
+        fc_questions=20, fitb_questions=10, outfit_size=3), seed=0)
+    triplets, skipped = training.sample_triplets(ds, np.random.default_rng(0))
+    assert len(triplets) + skipped == 10 * 3 * 2
+    for size in (1, 7, len(triplets)):
+        for start in range(0, len(triplets), size):
+            batch = triplets[start:start + size]
+            assert len(batch) == batch.shape[0] == min(size, len(triplets)
+                                                       - start)
+            assert batch.shape[1:] == (3,)
 
 
 # Every package call in `perfbench/run.py`, as (module, function, the

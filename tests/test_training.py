@@ -107,28 +107,34 @@ class RecordingRng:
         return self.rng.integers(n)
 
 
+def id_triplets(ds, triplets):
+    """The (anchor, positive, negative) item ids of each row triplet."""
+    assert triplets.dtype == np.intp and triplets.shape[1:] == (3,)
+    return [tuple(ds.ids[r] for r in t) for t in triplets.tolist()]
+
+
 class TestSampleTriplets:
     def test_sampled_triplets_satisfy_constraints(self):
         ds = generate_synthetic(SMALL_SPEC, seed=0)
         triplets, _ = sample_triplets(ds, np.random.default_rng(1))
-        assert triplets
+        assert len(triplets)
         co_occur = {}
         for o in ds.outfits["train"]:
             for a in o.items:
                 co_occur.setdefault(a, set()).update(o.items)
-        for t in triplets:
-            assert t.positive in co_occur[t.anchor]
-            assert (ds.items[t.negative].type.name
-                    == ds.items[t.positive].type.name)
-            assert t.negative not in co_occur[t.anchor]
-            assert t.negative != t.anchor
-            for item_id in (t.anchor, t.positive, t.negative):
+        for anchor, positive, negative in id_triplets(ds, triplets):
+            assert positive in co_occur[anchor]
+            assert (ds.items[negative].type.name
+                    == ds.items[positive].type.name)
+            assert negative not in co_occur[anchor]
+            assert negative != anchor
+            for item_id in (anchor, positive, negative):
                 assert ds.items[item_id].described
 
     def test_pairs_without_valid_negative_are_skipped(self):
         ds = handmade_dataset([[("a", "tops"), ("b", "shoes")]])
         triplets, skipped = sample_triplets(ds, np.random.default_rng(0))
-        assert triplets == []
+        assert id_triplets(ds, triplets) == []
         assert skipped == 2  # both ordered pairs of the single outfit
 
     def test_two_outfits_force_the_only_eligible_negative(self):
@@ -138,8 +144,8 @@ class TestSampleTriplets:
         assert skipped == 0
         forced = {("a", "b"): "d", ("b", "a"): "c",
                   ("c", "d"): "b", ("d", "c"): "a"}
-        for t in triplets:
-            assert t.negative == forced[(t.anchor, t.positive)]
+        for anchor, positive, negative in id_triplets(ds, triplets):
+            assert negative == forced[(anchor, positive)]
 
     def test_negative_choice_is_uniform(self):
         # anchor "a" has five eligible same-type negatives d1..d5
@@ -149,9 +155,10 @@ class TestSampleTriplets:
         rng = np.random.default_rng(2)
         counts = {f"d{i}": 0 for i in range(5)}
         for _ in range(3000):
-            for t in sample_triplets(ds, rng)[0]:
-                if (t.anchor, t.positive) == ("a", "b"):
-                    counts[t.negative] += 1
+            for anchor, positive, negative in id_triplets(
+                    ds, sample_triplets(ds, rng)[0]):
+                if (anchor, positive) == ("a", "b"):
+                    counts[negative] += 1
         observed = np.array([counts[f"d{i}"] for i in range(5)])
         assert observed.sum() == 3000
         assert scipy.stats.chisquare(observed).pvalue > 0.01
@@ -166,9 +173,9 @@ class TestSampleTriplets:
         rng = RecordingRng(5)
         triplets, skipped = sample_triplets(ds, rng)
         assert skipped == 0
-        from_a = [t for t in triplets if t.anchor == "a"]
+        from_a = [t for t in id_triplets(ds, triplets) if t[0] == "a"]
         assert len(from_a) == 64
-        assert all(t.negative == "z" for t in from_a)
+        assert all(negative == "z" for _, _, negative in from_a)
         assert 1 in rng.bounds   # the eligible-list draw ran
 
     def test_undescribed_items_never_sampled(self):
@@ -176,8 +183,9 @@ class TestSampleTriplets:
         ds = generate_synthetic(spec, seed=3)
         assert any(not i.described for i in ds.items.values())
         triplets, _ = sample_triplets(ds, np.random.default_rng(4))
-        for t in triplets:
-            for item_id in (t.anchor, t.positive, t.negative):
+        assert (ds.word_row[triplets] >= 0).all()
+        for t in id_triplets(ds, triplets):
+            for item_id in t:
                 assert ds.items[item_id].described
 
 
@@ -192,14 +200,12 @@ class TestBatchArrays:
         for start in range(0, len(triplets), 32):
             batch = triplets[start:start + 32]
             regions, words, _ = training._batch_arrays(ds, batch)
-            items = [ds.items[i] for i in dict.fromkeys(
-                getattr(t, role) for role in ("anchor", "positive",
-                                              "negative") for t in batch)]
+            items = [ds.items[ds.ids[r]] for r in dict.fromkeys(
+                batch.T.ravel().tolist())]
             np.testing.assert_array_equal(
                 regions, np.stack([item.regions for item in items]))
             np.testing.assert_array_equal(
                 words, np.stack([item.words for item in items]))
-
 
     def test_pair_groups_match_per_triplet_grouping(self):
         """Grouping by type ranks gives the type pairs, their first-seen
@@ -207,16 +213,16 @@ class TestBatchArrays:
         ds = generate_synthetic(SMALL_SPEC, seed=4)
         triplets, _ = sample_triplets(ds, np.random.default_rng(1))
         for start in range(0, len(triplets), 32):
-            batch = triplets[start:start + 32]
-            _, _, groups = training._batch_arrays(ds, batch)
-            ids = [getattr(t, role) for role in ("anchor", "positive",
-                                                 "negative") for t in batch]
+            batch = id_triplets(ds, triplets[start:start + 32])
+            _, _, groups = training._batch_arrays(
+                ds, triplets[start:start + 32])
+            ids = [t[role] for role in range(3) for t in batch]
             row = {item: r for r, item in enumerate(dict.fromkeys(ids))}
             role_rows = np.array([row[i] for i in ids]).reshape(3, -1)
             want: dict = {}
-            for b, t in enumerate(batch):
-                want.setdefault(canonical_pair(ds.items[t.anchor].type.name,
-                                               ds.items[t.positive].type.name),
+            for b, (anchor, positive, _) in enumerate(batch):
+                want.setdefault(canonical_pair(ds.items[anchor].type.name,
+                                               ds.items[positive].type.name),
                                 []).append(b)
             assert list(groups) == list(want)
             for key, cols in want.items():
@@ -271,6 +277,14 @@ class TestTrainLoop:
         ds.outfits["valid"], ds.outfits["train"] = ds.outfits["train"], []
         with pytest.raises(ConsistencyError, match="no trainable type pairs"):
             train(ds, TINY_CONFIG)
+
+    def test_train_builds_no_items(self):
+        """Sampling, batch assembly, validation questions and the type-pair
+        table read store rows, word rows and type ranks, not `Item`s."""
+        ds = generate_synthetic(SMALL_SPEC, seed=8)
+        _, history = train(ds, TINY_CONFIG, seed=1)
+        assert history[0].valid_auc is not None
+        assert "items" not in vars(ds)
 
     def test_non_finite_loss_raises(self, monkeypatch):
         ds = generate_synthetic(SMALL_SPEC, seed=8)

@@ -113,14 +113,17 @@ def first_batch_graph(dataset, config) -> dict:
 def train_fingerprint(dataset, config) -> tuple[dict, object]:
     """One `train` call's step losses, parameter hash, validation AUCs and
     per-epoch triplet hashes. The triplets are read by rebinding
-    `training.sample_triplets` for the call, which draws the same numbers."""
+    `training.sample_triplets` for the call, which draws the same numbers.
+    Each triplet hashes as the line "anchor positive negative" of its
+    item ids, so the hash does not depend on how the rows are stored."""
     sampled = []
     sample = training.sample_triplets
 
-    def recording(*args):
-        triplets, skipped = sample(*args)
+    def recording(dataset, rng):
+        triplets, skipped = sample(dataset, rng)
         sampled.append(sha256("\n".join(
-            [f"{t.anchor} {t.positive} {t.negative}" for t in triplets]
+            [" ".join(map(dataset.ids.__getitem__, t))
+             for t in triplets.tolist()]
             + [f"skipped {skipped}"]).encode()))
         return triplets, skipped
 
