@@ -3,9 +3,10 @@
 The total loss combines a compatibility term in the type-pair space with
 visual-semantic, visual-similarity and textual-similarity terms in the
 common space. Each term is a table of the (negative, positive) cosine
-pairs it compares; `hinges` reads them from the `role_cosines` table of a
-triplet batch's role stacks and returns each triplet's mean margin hinge
-as one `margin_hinges` node.
+pairs it compares between a triplet batch's role stacks. `training_loss`
+computes the four terms and their weighted total as one `loss_head` node,
+which forms only the cosines each table reads; `hinges` reads a table from
+a full `role_cosines` table, for `triplet_loss`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import numpy as np
 from .data import Dataset, first_seen
 from .errors import ConfigError, DimensionError, DomainError
 from .model import OutfitModel, item_features
-from .tensor import (Tensor, concat, grouped_projection, margin_hinges,
-                     no_grad, role_cosines, take_rows)
+from .tensor import (Tensor, concat, grouped_projection, loss_head,
+                     margin_hinges, no_grad, role_cosines, take_rows)
 
 
 @dataclass
@@ -76,12 +77,6 @@ def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
     return hinges(role_cosines(roles, roles), COMP, margin)
 
 
-def total_loss(comp: Tensor, vsim: Tensor, tsim: Tensor, vse: Tensor,
-               weights: LossWeights) -> Tensor:
-    return (comp + weights.lambda_vsim * vsim + weights.lambda_tsim * tsim
-            + weights.lambda_vse * vse)
-
-
 def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
                   pair_groups: dict[tuple[str, str], np.ndarray],
                   weights: LossWeights,
@@ -101,7 +96,9 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
     pair's triplets are one column range of the stacks, and one
     `grouped_projection` projects every range into its pair's space: the
     graph's size does not grow with the number of type pairs in the batch.
-    Each loss term is one `hinges` over one `role_cosines` table.
+    The comp term compares the projected stack with itself, vsim and tsim
+    the image and text stacks with themselves, and vse images with texts;
+    one `loss_head` node computes the four and their weighted total.
     """
     items = regions.shape[0]
     if words.shape[0] != items:
@@ -128,14 +125,14 @@ def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
                        for t in item_features(model, regions, words))
     proj = grouped_projection(fused, [model.space(*p) for p in pair_groups],
                               [ix.shape[1] for ix in groups])
-    comp = hinges(role_cosines(proj, proj), COMP, weights.margin).mean()
-    vsim = hinges(role_cosines(img, img), SIM, weights.margin).mean()
-    tsim = hinges(role_cosines(txt, txt), SIM, weights.margin).mean()
-    vse = hinges(role_cosines(img, txt), VSE, weights.margin).mean()
+    total, values = loss_head(
+        [proj, img, txt],
+        [(1.0, 0, 0, COMP), (weights.lambda_vsim, 1, 1, SIM),
+         (weights.lambda_tsim, 2, 2, SIM), (weights.lambda_vse, 1, 2, VSE)],
+        weights.margin)
     if terms_out is not None:
-        terms_out.update(comp=comp.item(), vsim=vsim.item(),
-                         tsim=tsim.item(), vse=vse.item())
-    return total_loss(comp, vsim, tsim, vse, weights)
+        terms_out.update(zip(("comp", "vsim", "tsim", "vse"), values))
+    return total
 
 
 # -- scoring -----------------------------------------------------------------

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +79,37 @@ class Dims:
     num_words: int
     region_dim: int
     word_dim: int
+
+
+@dataclass(frozen=True)
+class TrainPairs:
+    """The described items of a dataset's train outfits, as store rows.
+
+    `pairs` (P, 2) holds every ordered pair (a, b) of distinct described
+    items of one train outfit: outfit by outfit, a in member order, then b
+    in member order. `pool` holds each described train item once, grouped
+    by `type_rank` and in first-seen order within a type: type rank t's
+    items are `pool[start[t]:start[t] + size[t]]`. `codes` holds
+    `a * base + c` for every pair and for every pool item with itself,
+    where `base` is the number of store rows.
+    """
+    pairs: np.ndarray
+    pool: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    base: int
+    codes: frozenset[int]
+
+    def shares(self, a: int, c: int) -> bool:
+        """Whether the store rows `a` and `c` are one described train item
+        or share a train outfit."""
+        return a * self.base + c in self.codes
+
+    def shares_outfit(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """`shares` of each pair of elements of two 1-D arrays."""
+        code = (a * self.base + c).tolist()
+        return np.fromiter(map(self.codes.__contains__, code), bool,
+                           len(code))
 
 
 @dataclass(eq=False)
@@ -175,11 +206,39 @@ class Dataset:
 
     def trained_type_pairs(self) -> set[tuple[str, str]]:
         """Unordered type pairs co-occurring among described train items."""
-        ends = np.array([pair for outfit in self.outfits.get("train", [])
-                         for pair in combinations(
-                             self.described_rows(outfit.items).tolist(), 2)],
-                        dtype=np.intp).reshape(-1, 2)
-        return set(self.type_pair_groups(ends[:, 0], ends[:, 1]))
+        pairs = self.train_pairs.pairs
+        return set(self.type_pair_groups(pairs[:, 0], pairs[:, 1]))
+
+    @cached_property
+    def train_pairs(self) -> TrainPairs:
+        """The described train items' pairs, pools and co-occurrence codes,
+        built on first access from the train outfits (which must not
+        change afterwards)."""
+        outfits = self.outfits.get("train", [])
+        sizes = [len(o.items) for o in outfits]
+        rows = self.rows(list(chain.from_iterable(o.items for o in outfits)))
+        outfit = np.repeat(np.arange(len(outfits)), sizes)
+        described = self.word_row[rows] >= 0
+        rows, outfit = rows[described], outfit[described]
+        # an outfit's members are contiguous: a member of an outfit with m
+        # members, the first at position f, pairs with positions f..f+m-1
+        counts = np.bincount(outfit, minlength=len(outfits))
+        m, f = counts[outfit], (np.cumsum(counts) - counts)[outfit]
+        a = np.repeat(np.arange(len(rows)), m)
+        b = (np.repeat(f, m) + np.arange(len(a))
+             - np.repeat(np.cumsum(m) - m, m))
+        pairs = np.stack([rows[a], rows[b]], axis=1)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        members, _ = first_seen(rows)
+        rank = self.type_rank[members]
+        size = np.bincount(rank, minlength=len(self.type_names))
+        base = len(self.ids)
+        codes = np.concatenate([pairs[:, 0] * base + pairs[:, 1],
+                                members * base + members])
+        return TrainPairs(
+            pairs=pairs, pool=members[np.argsort(rank, kind="stable")],
+            start=np.cumsum(size) - size, size=size, base=base,
+            codes=frozenset(codes.tolist()))
 
 
 def first_seen(values) -> tuple[np.ndarray, np.ndarray]:

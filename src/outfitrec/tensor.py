@@ -11,8 +11,9 @@ Tensors; only `+` and `*` also wrap a plain number or array.
 Shapes may carry leading batch axes: `linear` maps the last axis,
 `attention_pool` sums rows over the second-to-last, reductions act on
 whatever axis is requested, and softmax, the MFB pooling tail and the
-role-cosine table act on the last axis; `margin_hinges` reads a
-role-cosine table's leading (R, R) roles.
+role cosines act on the last axis; `margin_hinges` reads a role-cosine
+table's leading (R, R) roles, and `loss_head` the leading roles of its
+(R, ..., d) stacks.
 """
 
 from __future__ import annotations
@@ -448,6 +449,58 @@ def mfb_pool(x: Tensor, y: Tensor, p: int) -> Tensor:
     return Tensor._result(data, (x, y), backward)
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norms of the rows of `x` along its last axis; DomainError
+    when one is zero, since a cosine with it is undefined."""
+    norm = np.sqrt((x * x).sum(axis=-1))
+    if not np.all(norm):
+        raise DomainError("cosine of a zero vector is undefined")
+    return norm
+
+
+def _cosines(a: np.ndarray, b: np.ndarray, norm_a: np.ndarray,
+             norm_b: np.ndarray, i: np.ndarray, j: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Entry e = cos(a[i[e]], b[j[e]]) of two (R, ..., d) stacks with row
+    norms `norm_a` and `norm_b`, as `(x * y).sum(-1) / (|x| * |y|)`: the
+    (E, ...) cosines and their denominators. One product per entry keeps
+    the temporaries at one role's size."""
+    den = norm_a[i] * norm_b[j]
+    dots = np.empty(den.shape)
+    for e, (r, s) in enumerate(zip(i.tolist(), j.tolist())):
+        np.sum(a[r] * b[s], axis=-1, out=dots[e, ...])
+    return dots / den, den
+
+
+def _cosine_grad(g: np.ndarray, cos: np.ndarray, den: np.ndarray,
+                 own: np.ndarray, own_norm: np.ndarray, other: np.ndarray,
+                 own_roles: np.ndarray, other_roles: np.ndarray
+                 ) -> np.ndarray:
+    """The gradient for the stack `own` of sum_e g[e] * cos[e], where entry
+    e of `_cosines` paired own[own_roles[e]] with other[other_roles[e]]:
+    d cos(x, y)/dx = y / (|x| |y|) - cos(x, y) x / |x|^2.
+
+    Each role adds its entries' terms in entry order, and a role no entry
+    reads gets +0.0. Over a row-major (R, R) table that is the order of a
+    contraction over the other role; the final `+= 0.0` gives its start
+    from +0.0 (no -0.0 survives). So leaving out entries whose `g` is 0
+    keeps every bit, signed zeros included."""
+    g_dot, g_cos = g / den, g * cos
+    roles: dict[int, list[tuple[int, int]]] = {}
+    for e, (r, s) in enumerate(zip(own_roles.tolist(), other_roles.tolist())):
+        roles.setdefault(r, []).append((e, s))
+    grad = np.zeros(own.shape)
+    for r, ((e, s), *rest) in roles.items():
+        dot, total = g_dot[e][..., None] * other[s], g_cos[e]
+        for e, s in rest:
+            dot += g_dot[e][..., None] * other[s]
+            total = total + g_cos[e]
+        np.subtract(dot, (total / own_norm[r] ** 2)[..., None] * own[r],
+                    out=grad[r])
+    grad += 0.0
+    return grad
+
+
 def role_cosines(a: Tensor, b: Tensor) -> Tensor:
     """The (R, R, ...) table `out[i, j] = cos(a[i], b[j])` of two (R, ..., d)
     stacks: `(x * y).sum(-1) / (|x| * |y|)` along the last axis, with each
@@ -455,25 +508,48 @@ def role_cosines(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or a.shape != b.shape:
         raise DimensionError(f"role_cosines needs two (R, ..., d) stacks of "
                              f"one shape, got {a.shape} and {b.shape}")
-    norm_a = np.sqrt((a.data * a.data).sum(axis=-1))
-    norm_b = norm_a if b is a else np.sqrt((b.data * b.data).sum(axis=-1))
-    if not (np.all(norm_a) and np.all(norm_b)):
-        raise DomainError("cosine of a zero vector is undefined")
-    den = norm_a[:, None] * norm_b[None]
-    data = (a.data[:, None] * b.data[None]).sum(axis=-1) / den
+    roles = a.shape[0]
+    i, j = np.divmod(np.arange(roles * roles), roles)
+    norm_a = _norms(a.data)
+    norm_b = norm_a if b is a else _norms(b.data)
+    cos, den = _cosines(a.data, b.data, norm_a, norm_b, i, j)
 
     def backward(g):
-        # d cos(x, y)/dx = y / (|x| |y|) - cos(x, y) x / |x|^2, contracted
-        # over the R roles without forming an (R, R, ..., d) product
-        g_dot, g_cos = g / den, g * data
+        g = g.reshape(cos.shape)
         if a.requires_grad:
-            a._accumulate(np.einsum("ij...,j...d->i...d", g_dot, b.data)
-                          - (g_cos.sum(1) / norm_a ** 2)[..., None] * a.data)
+            a._accumulate(_cosine_grad(g, cos, den, a.data, norm_a, b.data,
+                                       i, j))
         if b.requires_grad:
-            b._accumulate(np.einsum("ij...,i...d->j...d", g_dot, a.data)
-                          - (g_cos.sum(0) / norm_b ** 2)[..., None] * b.data)
+            b._accumulate(_cosine_grad(g, cos, den, b.data, norm_b, a.data,
+                                       j, i))
 
-    return Tensor._result(data, (a, b), backward)
+    return Tensor._result(cos.reshape((roles, roles) + cos.shape[1:]),
+                          (a, b), backward)
+
+
+def _hinges(rows: np.ndarray, negative_rows: np.ndarray,
+            positive_rows: np.ndarray, margin: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's `cos[negative] - cos[positive] + margin` over the table
+    rows `rows`, and each triplet's mean of its entries' hinges."""
+    hinge = rows[negative_rows] + rows[positive_rows] * -1.0 + margin
+    return hinge, (np.maximum(hinge, 0.0).sum(axis=0)
+                   * (1.0 / len(negative_rows)))
+
+
+def _hinge_grad(g: np.ndarray, hinge: np.ndarray, negative_rows: np.ndarray,
+                positive_rows: np.ndarray, count: int) -> np.ndarray:
+    """The gradient for the `count` table rows of `_hinges`' triplet means,
+    given theirs, `g`: one `np.bincount` scatter per side."""
+    g_neg = g * (1.0 / len(negative_rows)) * (hinge > 0.0)   # signed zeros
+    width = hinge[0].size
+    flat = [(ix[:, None] * width + np.arange(width)).ravel()
+            for ix in (negative_rows, positive_rows)]
+    summed = (np.bincount(flat[0], weights=g_neg.ravel(),
+                          minlength=count * width)
+              + np.bincount(flat[1], weights=(g_neg * -1.0).ravel(),
+                            minlength=count * width))
+    return summed.reshape((count,) + hinge.shape[1:])
 
 
 def margin_hinges(cos: Tensor, negative_rows: np.ndarray,
@@ -506,29 +582,95 @@ def margin_hinges(cos: Tensor, negative_rows: np.ndarray,
         raise DimensionError(f"margin_hinges rows span [{min(listed)}, "
                              f"{max(listed)}], outside the {count} table rows")
     neg, pos = neg.astype(np.intp, copy=False), pos.astype(np.intp, copy=False)
-    rows = cos.data.reshape((count,) + cos.shape[2:])
-    hinge = rows[neg] + rows[pos] * -1.0 + margin
-    scale = 1.0 / len(neg)
-    data = np.maximum(hinge, 0.0).sum(axis=0) * scale
+    hinge, data = _hinges(cos.data.reshape((count,) + cos.shape[2:]),
+                          neg, pos, margin)
 
     def backward(g):
-        g_neg = g * scale * (hinge > 0.0)   # float product: signed zeros
-        width = rows[0].size
-        flat = [(ix[:, None] * width + np.arange(width)).ravel()
-                for ix in (neg, pos)]
-        summed = (np.bincount(flat[0], weights=g_neg.ravel(),
-                              minlength=count * width)
-                  + np.bincount(flat[1], weights=(g_neg * -1.0).ravel(),
-                                minlength=count * width))
-        cos._accumulate(summed.reshape(cos.shape))
+        cos._accumulate(_hinge_grad(g, hinge, neg, pos, count)
+                        .reshape(cos.shape))
 
     return Tensor._result(data, (cos,), backward)
 
 
+def loss_head(stacks: Sequence[Tensor], terms, margin: float
+              ) -> tuple[Tensor, list[float]]:
+    """A weighted sum of margin-hinge loss terms over role stacks, as one
+    node, and each term's value.
+
+    Term `(weight, a, b, table)` is `weight` times the mean over triplets
+    of `margin_hinges(role_cosines(stacks[a], stacks[b]), *table, margin)`
+    for two (R, ..., d) stacks and a (2, E) row table; the total adds the
+    weighted terms left to right. Only the cosines the table's rows read
+    are computed and differentiated, and each stack's norms once.
+
+    Forward and backward repeat the arithmetic of that op-by-op chain
+    (`role_cosines`, `margin_hinges`, `.mean()`, `*` and `+`), so values and
+    gradients match it bit for bit: an unread cosine's gradient is exactly
+    0, and `_cosine_grad` adds the read ones as the full table's
+    contraction does. Each stack receives its gradients in term order, the
+    `a` side before the `b` side. DimensionError: a term's stacks differ in
+    shape or are not (R, ..., d), or its table is not a (2, E >= 1) integer
+    array of rows in [0, R * R).
+    """
+    norms: dict[int, np.ndarray] = {}
+    saved, values, total = [], [], None
+    for weight, ia, ib, table in terms:
+        a, b, table = stacks[ia].data, stacks[ib].data, np.asarray(table)
+        if (a.ndim < 2 or a.shape != b.shape or table.ndim != 2
+                or table.shape[0] != 2 or not table.size
+                or table.dtype.kind not in "iu"):
+            raise DimensionError(
+                f"loss_head needs two (R, ..., d) stacks of one shape and a "
+                f"(2, E) integer row table, got {a.shape}, {b.shape} and "
+                f"{table.shape}")
+        roles, listed = a.shape[0], table.tolist()
+        read = sorted(set(listed[0] + listed[1]))   # the cosines to compute
+        if read[0] < 0 or read[-1] >= roles * roles:
+            raise DimensionError(f"loss_head rows span [{read[0]}, "
+                                 f"{read[-1]}], outside {roles * roles}")
+        at = {row: k for k, row in enumerate(read)}
+        neg, pos = (np.array([at[row] for row in side], dtype=np.intp)
+                    for side in listed)
+        i, j = np.divmod(np.array(read, dtype=np.intp), roles)
+        for k, x in ((ia, a), (ib, b)):
+            if k not in norms:
+                norms[k] = _norms(x)
+        cos, den = _cosines(a, b, norms[ia], norms[ib], i, j)
+        hinge, per_triplet = _hinges(cos, neg, pos, margin)
+        value = per_triplet.sum() * (1.0 / per_triplet.size)
+        total = value * weight if total is None else total + value * weight
+        values.append(float(value))
+        saved.append((i, j, neg, pos, cos, den, hinge))
+
+    def backward(g):
+        for (weight, ia, ib, _), (i, j, neg, pos, cos, den, hinge) in zip(
+                terms, saved):
+            g_mean = np.broadcast_to(g * weight * (1.0 / hinge[0].size),
+                                     hinge.shape[1:])
+            g_cos = _hinge_grad(g_mean, hinge, neg, pos, len(cos))
+            a, b = stacks[ia], stacks[ib]
+            if a.requires_grad:
+                a._accumulate(_cosine_grad(g_cos, cos, den, a.data, norms[ia],
+                                           b.data, i, j))
+            if b.requires_grad:
+                b._accumulate(_cosine_grad(g_cos, cos, den, b.data, norms[ib],
+                                           a.data, j, i))
+
+    return Tensor._result(np.asarray(total), stacks, backward), values
+
+
 def pool_rows(x: Tensor) -> Tensor:
-    """Mean over the second-to-last axis (rows of a feature matrix)."""
+    """Mean over the second-to-last axis (rows of a feature matrix), as one
+    node: the sum times 1/n, and backward `g` times 1/n broadcast back over
+    the rows (the arithmetic of `x.mean(axis=-2)`)."""
     if x.ndim < 2:
         raise DimensionError(f"pool_rows needs ndim >= 2, got shape {x.shape}")
     if x.shape[-2] == 0:
         raise DomainError("pool_rows of an empty row set")
-    return x.mean(axis=-2)
+    scale = 1.0 / x.shape[-2]
+    data = x.data.sum(axis=-2) * scale
+
+    def backward(g):
+        x._accumulate(np.broadcast_to(np.expand_dims(g * scale, -2), x.shape))
+
+    return Tensor._result(data, (x,), backward)

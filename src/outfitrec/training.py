@@ -78,6 +78,12 @@ class EpochStats:
     step_losses: list[float] = field(default_factory=list)
 
 
+# First candidates drawn per vector call of `sample_triplets`, and the
+# run of pairs without a rejected first candidate that makes such a call
+# cheaper than one scalar call per pair.
+CANDIDATE_CHUNK, VECTOR_RUN = 256, 8
+
+
 def sample_triplets(dataset: Dataset, rng: np.random.Generator
                     ) -> tuple[np.ndarray, int]:
     """One epoch of triplets: every ordered co-occurring described pair,
@@ -86,44 +92,65 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
     Returns (triplets, skipped): a (T, 3) array of the anchor, positive
     and negative store rows of each triplet, and the count of pairs with
     no valid negative.
-    """
-    type_rank = dataset.type_rank.tolist()
-    co_occur: dict[int, set[int]] = {}
-    pools: dict[int, list[int]] = {}
-    ordered_pairs: list[tuple[int, int]] = []
-    for outfit in dataset.outfits.get("train", []):
-        members = dataset.described_rows(outfit.items).tolist()
-        for a in members:
-            if a not in co_occur:
-                pools.setdefault(type_rank[a], []).append(a)
-            co_occur.setdefault(a, set()).update(m for m in members if m != a)
-        for a in members:
-            for b in members:
-                if a != b:
-                    ordered_pairs.append((a, b))
 
-    order = rng.permutation(len(ordered_pairs))
-    triplets: list[tuple[int, int, int]] = []
-    skipped = 0
-    for k in order.tolist():
-        a, b = ordered_pairs[k]
-        pool = pools[type_rank[b]]
-        banned = co_occur[a]
-        negative = None
-        # rejection sampling stays uniform over the eligible set
-        for _ in range(16):
-            cand = pool[int(rng.integers(len(pool)))]
-            if cand != a and cand not in banned:
-                negative = cand
-                break
-        if negative is None:
-            eligible = [c for c in pool if c != a and c not in banned]
-            if not eligible:
-                skipped += 1
+    Each pair draws up to 16 candidates uniformly from the positive's type
+    pool and keeps the first valid one (rejection sampling stays uniform
+    over the eligible set); when all 16 fail, it draws from the list of
+    eligible items, or is skipped when there is none. The pairs, pools and
+    co-occurrence test are `Dataset.train_pairs`' arrays.
+
+    The draws are those of one scalar `rng.integers` call per candidate,
+    but most come from vector calls: a call with an array of bounds gives
+    the values and the final state of one scalar call per bound
+    (tests/test_training.py checks this). While rejected first candidates
+    are at least `VECTOR_RUN` pairs apart, one call draws the first
+    candidates of up to `CANDIDATE_CHUNK` pairs from a saved state; at the
+    first rejected one the state is restored, the accepted pairs' draws
+    are made again, and that pair draws by scalar calls. Where rejections
+    come closer together, each pair draws by scalar calls.
+    """
+    table = dataset.train_pairs
+    order = rng.permutation(len(table.pairs))
+    anchor, positive = table.pairs[order].T
+    kind = dataset.type_rank[positive]
+    start, bound = table.start[kind], table.size[kind]
+    negative = np.empty(len(order), np.intp)
+    k, gap, run = 0, CANDIDATE_CHUNK, 0   # run: pairs since the last rejection
+    while k < len(order):
+        if max(gap, run) >= VECTOR_RUN:
+            end = min(k + CANDIDATE_CHUNK, len(order))
+            state = rng.bit_generator.state
+            cand = table.pool[start[k:end] + rng.integers(bound[k:end])]
+            rejected = table.shares_outfit(anchor[k:end], cand)
+            accepted = int(rejected.argmax()) if rejected.any() else end - k
+            negative[k:k + accepted] = cand[:accepted]
+            k, run = k + accepted, run + accepted
+            if k == end:
                 continue
-            negative = eligible[int(rng.integers(len(eligible)))]
-        triplets.append((a, b, negative))
-    return np.array(triplets, dtype=np.intp).reshape(-1, 3), skipped
+            rng.bit_generator.state = state
+            rng.integers(bound[k - accepted:k])   # the accepted pairs' draws
+        pool = table.pool[start[k]:start[k] + bound[k]].tolist()
+        negative[k], draws = _scalar_negative(table, int(anchor[k]), pool, rng)
+        gap, run = (gap, run + 1) if draws == 1 else (run + 1, 0)
+        k += 1
+    kept = negative >= 0
+    return (np.column_stack((anchor, positive, negative))[kept],
+            int(len(kept) - kept.sum()))
+
+
+def _scalar_negative(table, anchor: int, pool: list[int],
+                     rng: np.random.Generator) -> tuple[int, int]:
+    """A pair's negative by scalar draws: up to 16 candidates from `pool`,
+    then one draw from the eligible list. Returns the negative (-1 when no
+    item is eligible) and the number of candidates drawn."""
+    for draws in range(1, 17):
+        cand = pool[int(rng.integers(len(pool)))]
+        if not table.shares(anchor, cand):
+            return cand, draws
+    eligible = [c for c in pool if not table.shares(anchor, c)]
+    if not eligible:
+        return -1, 16
+    return eligible[int(rng.integers(len(eligible)))], 16
 
 
 def _batch_arrays(dataset: Dataset, triplets: np.ndarray

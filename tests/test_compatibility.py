@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from outfitrec.compatibility import (SIM, VSE, LossWeights, hinges,
-                                     pair_score, plan_pairs, total_loss,
-                                     training_loss, triplet_loss)
+                                     pair_score, plan_pairs, training_loss,
+                                     triplet_loss)
 from outfitrec.data import (Item, ItemType, SyntheticSpec, canonical_pair,
                             generate_synthetic)
 from outfitrec.errors import (ConfigError, DimensionError, DomainError,
@@ -27,6 +27,12 @@ def loss_comp(rep_u, rep_p, rep_n, space, margin):
     space, one `linear` map per rep."""
     return triplet_loss(linear(rep_u, space), linear(rep_p, space),
                         linear(rep_n, space), margin)
+
+
+def total_loss(comp, vsim, tsim, vse, weights):
+    """Reference: the weighted total of the four loss terms, op by op."""
+    return (comp + weights.lambda_vsim * vsim + weights.lambda_tsim * tsim
+            + weights.lambda_vse * vse)
 
 
 def tl(a, p, n, m=0.2):
@@ -334,12 +340,14 @@ class TestTrainingLoss:
         assert leaves_three == leaves_one + 2   # the two extra spaces
 
     @pytest.mark.parametrize("fusion, bound", [
-        ("baseline", 46), ("dot_product", 54), ("stacked", 79),
-        ("coattention", 96)])
+        ("baseline", 14), ("dot_product", 22), ("stacked", 47),
+        ("coattention", 64)])
     def test_graph_node_count_is_bounded(self, fusion, bound):
-        """Each loss term is one `role_cosines` table read by one
-        `margin_hinges` node; the op-by-op hinge chains it replaced took 44
-        more, and building one node chain per cosine 151 more again."""
+        """The four loss terms and their weighted total are one `loss_head`
+        node and each mean pooling is one `pool_rows` node; a `role_cosines`
+        table and a `margin_hinges` node per term, with the means and the
+        total op by op, took 32 more, the op-by-op hinge chains 44 more
+        again, and one node chain per cosine 151 more again."""
         regions, words = self.items(np.random.default_rng(16), 5)
         groups = {("shoes", "tops"): np.array([[0, 1, 2], [1, 2, 3],
                                                [2, 3, 4]])}

@@ -63,5 +63,6 @@ def test_first_batch_graph_counts_nodes_per_op(tool):
     graph = tool.first_batch_graph(generate_synthetic(TINY_SPEC, 42),
                                    tool.CONFIG)
     assert sum(graph["ops"].values()) == graph["nodes"]
-    assert graph["ops"]["margin_hinges"] == 4   # one node per loss term
-    assert "Tensor.relu" not in graph["ops"]    # the baseline's were hinges
+    assert graph["ops"]["loss_head"] == 1   # every loss term and the total
+    for gone in ("margin_hinges", "role_cosines", "Tensor.relu"):
+        assert gone not in graph["ops"]

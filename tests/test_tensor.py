@@ -11,15 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outfitrec import tensor
-from outfitrec.compatibility import COMP, SIM, VSE, LossWeights, training_loss
+from outfitrec.compatibility import (COMP, SIM, VSE, LossWeights,
+                                     training_loss, triplet_loss)
 from outfitrec.errors import DimensionError, DomainError
 from outfitrec.fusion import mfb
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
 from outfitrec.tensor import (Tensor, attention_pool, concat,
-                              grouped_projection, linear, margin_hinges,
-                              mfb_pool, parameter, pool_rows, role_cosines,
-                              softmax, take_rows)
+                              grouped_projection, linear, loss_head,
+                              margin_hinges, mfb_pool, parameter, pool_rows,
+                              role_cosines, softmax, take_rows)
 
 
 class TestSoftmax:
@@ -479,8 +480,11 @@ def tiny_training_loss(fusion):
 
 def test_every_tape_op_is_reached_by_a_training_graph():
     """Each function or method of tensor.py that calls `Tensor._result`
-    records its backward closure in some fuser's training graph: an op
-    that no graph reaches is dead code and should be deleted."""
+    records its backward closure in some fuser's training graph, or in the
+    graph of `triplet_loss`, the per-triplet loss the acceptance oracle
+    reads (since `loss_head` computes the training terms, `role_cosines`
+    and `margin_hinges` are reached only there): an op that no graph
+    reaches is dead code and should be deleted."""
     def records(fn):
         return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                    and n.func.attr == "_result"
@@ -494,9 +498,11 @@ def test_every_tape_op_is_reached_by_a_training_graph():
              if isinstance(f, ast.FunctionDef)]
     recorders = {name for name, fn in defs if records(fn)}
     assert {"Tensor.__add__", "linear", "mfb_pool"} <= recorders
+    roles = np.random.default_rng(11).normal(size=(3, 2, 4))
+    roots = [tiny_training_loss(fusion)[1] for fusion in FUSION_KINDS]
+    roots.append(triplet_loss(*map(parameter, roles), 0.2))
     reached = {n._backward.__qualname__.split(".<locals>.")[0]
-               for fusion in FUSION_KINDS
-               for n in graph_nodes(tiny_training_loss(fusion)[1])
+               for root in roots for n in graph_nodes(root)
                if n._backward is not None}
     assert not recorders - reached, sorted(recorders - reached)
 
@@ -727,6 +733,157 @@ class TestMarginHinges:
     def test_malformed_row_table_rejected(self, cos_shape, neg, pos):
         with pytest.raises(DimensionError, match="margin_hinges"):
             margin_hinges(parameter(np.zeros(cos_shape)), neg, pos, 0.2)
+
+
+# The four terms of `training_loss` over (proj, img, txt) stacks.
+WEIGHTS = LossWeights(lambda_vsim=0.5, lambda_tsim=0.25, lambda_vse=2.0)
+TERMS = [(1.0, 0, 0, COMP), (WEIGHTS.lambda_vsim, 1, 1, SIM),
+         (WEIGHTS.lambda_tsim, 2, 2, SIM), (WEIGHTS.lambda_vse, 1, 2, VSE)]
+
+
+def loss_chain(proj, img, txt, w=WEIGHTS):
+    """The op-by-op graph `loss_head` replaced: a `role_cosines` table per
+    term, its `margin_hinges` and `.mean()`, then the weighted total as
+    `total_loss` added it. Returns the total and the four terms."""
+    terms = [margin_hinges(role_cosines(a, b), *table, w.margin).mean()
+             for a, b, table in ((proj, proj, COMP), (img, img, SIM),
+                                 (txt, txt, SIM), (img, txt, VSE))]
+    comp, vsim, tsim, vse = terms
+    return (comp + w.lambda_vsim * vsim + w.lambda_tsim * tsim
+            + w.lambda_vse * vse), terms
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestLossHead:
+    # item 0 is the anchor of triplet 0, the positive of triplet 1 and the
+    # negative of triplet 2; triplet 3 repeats triplet 0's items
+    ROLES = np.array([[0, 1, 2, 0], [1, 0, 3, 1], [2, 4, 0, 2]])
+
+    def stacks(self, seed, widths=(5, 4, 4)):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=(5, d))[self.ROLES] for d in widths]
+
+    def compare(self, values, upstream=1.0):
+        """Values, terms and the stacks' gradients, bit for bit; returns
+        the terms and the gradients."""
+        head = [parameter(v) for v in values]
+        chain = [parameter(v) for v in values]
+        total, terms = loss_head(head, TERMS, WEIGHTS.margin)
+        want, want_terms = loss_chain(*chain)
+        assert same_bits(total.data, want.data)
+        assert all(same_bits(got, t.data) for got, t in zip(terms, want_terms))
+        (total * upstream).backward()
+        (want * upstream).backward()
+        for got, ref in zip(head, chain):
+            assert same_bits(got.grad, ref.grad)
+        return terms, [t.grad for t in head]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_match_op_by_op_chain(self, seed):
+        self.compare(self.stacks(seed))
+
+    @pytest.mark.parametrize("upstream", [1.0, -1.0, 0.0, -0.0])
+    def test_bits_match_with_every_hinge_at_zero(self, upstream):
+        """Anchors orthogonal to positives and negatives, positives and
+        negatives at cosine 0.7 and a comp space where the positive is the
+        anchor and the negative its opposite: every hinge is inactive, so
+        each gradient is a sum of signed zeros, and +0.0 in every entry, as
+        the einsum contraction over the full tables gave it."""
+        a, p = np.eye(4)[0], np.eye(4)[1]
+        n = 0.7 * p + np.sqrt(1.0 - 0.49) * np.eye(4)[2]
+        scale = np.random.default_rng(19).uniform(0.5, 2.0, size=(3, 3, 6, 1))
+        img, txt = (np.stack([np.tile(v, (6, 1)) for v in (a, p, n)]) * s
+                    for s in scale[:2])
+        comp = np.stack([np.tile(v, (6, 1)) for v in (a, a, -a)]) * scale[2]
+        terms, grads = self.compare([comp, img, txt], upstream)
+        assert terms == [0.0] * 4
+        for grad in grads:
+            assert same_bits(grad, np.zeros(grad.shape))
+
+    def test_gradients_reach_items_through_take_rows_in_chain_order(self):
+        """Stacks gathered from item leaves: each item's gradient sums its
+        roles' gradients in the same order as the op-by-op chain's."""
+        rng = np.random.default_rng(20)
+        values = [rng.normal(size=(5, d)) for d in (5, 4, 4)]
+        grads = []
+        for make in (lambda s: loss_head(s, TERMS, WEIGHTS.margin)[0],
+                     lambda s: loss_chain(*s)[0]):
+            items = [parameter(v) for v in values]
+            make([take_rows(t, self.ROLES) for t in items]).backward()
+            grads.append([t.grad for t in items])
+        for got, want in zip(*grads):
+            assert same_bits(got, want)
+
+    def test_one_node_over_the_three_stacks(self):
+        stacks = [parameter(v) for v in self.stacks(21)]
+        total, terms = loss_head(stacks, TERMS, WEIGHTS.margin)
+        assert total._parents == tuple(stacks) and total.shape == ()
+        assert len(terms) == 4 and all(isinstance(t, float) for t in terms)
+
+    def test_gradients_match_finite_differences(self):
+        stacks = [parameter(v) for v in self.stacks(22)]
+        report = grad_check(
+            lambda: loss_head(stacks, TERMS, WEIGHTS.margin)[0],
+            list(zip(("proj", "img", "txt"), stacks)),
+            h_scale=1e-6, rel_tol=1e-6)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("shapes, table", [
+        (((3, 4, 5), (3, 4, 4)), VSE), (((3, 4, 5), (3, 4, 5)), COMP[0]),
+        (((3, 4, 5), (3, 4, 5)), np.array([[0], [9]])),
+        (((3, 4, 5), (3, 4, 5)), np.array([[-1], [0]])),
+        (((3, 4, 5), (3, 4, 5)), COMP.astype(float)),
+        (((4,), (4,)), np.array([[0], [0]])),
+    ], ids=["widths_differ", "one_dim_table", "past_end", "negative",
+            "float_table", "one_dim_stacks"])
+    def test_malformed_term_rejected(self, shapes, table):
+        stacks = [parameter(np.ones(shape)) for shape in shapes]
+        with pytest.raises(DimensionError, match="loss_head"):
+            loss_head(stacks, [(1.0, 0, 1, table)], 0.2)
+
+    def test_zero_row_rejected(self):
+        stack = np.ones((3, 2, 4))
+        stack[1, 0] = 0.0
+        with pytest.raises(DomainError, match="zero vector"):
+            loss_head([parameter(stack)], [(1.0, 0, 0, COMP)], 0.2)
+
+
+def test_role_cosines_backward_is_the_role_contraction():
+    """`role_cosines`' backward adds each role's terms as the einsum
+    contraction over the other role does, bit for bit: the order that lets
+    `loss_head` leave out entries whose gradient is 0."""
+    rng = np.random.default_rng(23)
+    a, b = parameter(rng.normal(size=(3, 7, 37))), parameter(
+        rng.normal(size=(3, 7, 37)))
+    g = rng.normal(size=(3, 3, 7)) * rng.integers(0, 2, size=(3, 3, 7))
+    cos = role_cosines(a, b)
+    (cos * Tensor(g)).sum().backward()
+    norm_a, norm_b = (np.sqrt((x.data * x.data).sum(-1)) for x in (a, b))
+    g_dot = g / (norm_a[:, None] * norm_b[None])
+    g_cos = g * cos.data
+    want_a = (np.einsum("ij...,j...d->i...d", g_dot, b.data)
+              - (g_cos.sum(1) / norm_a ** 2)[..., None] * a.data)
+    want_b = (np.einsum("ij...,i...d->j...d", g_dot, a.data)
+              - (g_cos.sum(0) / norm_b ** 2)[..., None] * b.data)
+    assert same_bits(a.grad, want_a) and same_bits(b.grad, want_b)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3), (1, 3)])
+def test_pool_rows_is_one_node_with_the_bits_of_mean(shape):
+    rng = np.random.default_rng(24)
+    x = parameter(rng.normal(size=shape))
+    y = parameter(x.data)
+    g = Tensor(rng.normal(size=shape[:-2] + shape[-1:]))
+    out, ref = pool_rows(x), y.mean(axis=-2)
+    assert out._parents == (x,)
+    assert same_bits(out.data, ref.data)
+    (out * g).sum().backward()
+    (ref * g).sum().backward()
+    assert same_bits(x.grad, y.grad)
 
 
 def test_backward_requires_scalar():

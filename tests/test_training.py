@@ -93,18 +93,85 @@ class TestTrainConfig:
 
 
 class RecordingRng:
-    """A seeded generator that records the bound of each `integers` draw."""
+    """A seeded generator that records the bound of each `integers` draw,
+    one entry per element of an array of bounds."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.bounds = []
 
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
     def permutation(self, n):
         return self.rng.permutation(n)
 
     def integers(self, n):
-        self.bounds.append(n)
+        self.bounds.extend(np.ravel(n).tolist())
         return self.rng.integers(n)
+
+
+class TestVectorDrawPremise:
+    """`sample_triplets` draws many candidates with one array-bound
+    `Generator.integers` call. That keeps the scalar loop's numbers only
+    while numpy draws an array of bounds element by element, exactly as
+    one scalar call per bound; a numpy that changes this fails here."""
+
+    BOUNDS = np.array([1, 2, 3, 4] + [2 ** k for k in range(20)]
+                      + [3, 2 ** 31, 2 ** 31 - 1, 2 ** 30 + 1, 1_000_003, 7,
+                         2 ** 19 + 1, 1, 50, 900], dtype=np.int64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42])
+    def test_array_bounds_draw_as_scalar_calls(self, seed):
+        bounds = np.random.default_rng(seed).permutation(
+            np.tile(self.BOUNDS, 50))
+        vector, scalar = (np.random.default_rng(seed + 7) for _ in range(2))
+        got = vector.integers(bounds)
+        want = [scalar.integers(int(b)) for b in bounds]
+        assert got.tolist() == want
+        assert vector.bit_generator.state == scalar.bit_generator.state
+
+    def test_restored_state_redraws_a_prefix(self):
+        bounds = np.tile(self.BOUNDS, 10)
+        rng, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        state = rng.bit_generator.state
+        full = rng.integers(bounds)
+        rng.bit_generator.state = state
+        assert rng.integers(bounds[:57]).tolist() == full[:57].tolist()
+        for b in bounds[:57]:
+            scalar.integers(int(b))
+        assert rng.bit_generator.state == scalar.bit_generator.state
+
+
+def scalar_sample_triplets(ds, rng):
+    """Reference: the sampler as one scalar `rng.integers` call per drawn
+    candidate, with per-anchor co-occurrence sets and per-type pools."""
+    co_occur, pools, pairs = {}, {}, []
+    for outfit in ds.outfits["train"]:
+        members = ds.described_rows(outfit.items).tolist()
+        for a in members:
+            if a not in co_occur:
+                pools.setdefault(int(ds.type_rank[a]), []).append(a)
+            co_occur.setdefault(a, set()).update(m for m in members if m != a)
+        pairs += [(a, b) for a in members for b in members if a != b]
+    triplets, skipped = [], 0
+    for k in rng.permutation(len(pairs)).tolist():
+        a, b = pairs[k]
+        pool, banned = pools[int(ds.type_rank[b])], co_occur[a]
+        for _ in range(16):
+            cand = pool[int(rng.integers(len(pool)))]
+            if cand != a and cand not in banned:
+                triplets.append((a, b, cand))
+                break
+        else:
+            eligible = [c for c in pool if c != a and c not in banned]
+            if eligible:
+                triplets.append((a, b, eligible[int(rng.integers(
+                    len(eligible)))]))
+            else:
+                skipped += 1
+    return triplets, skipped
 
 
 def id_triplets(ds, triplets):
@@ -177,6 +244,30 @@ class TestSampleTriplets:
         assert len(from_a) == 64
         assert all(negative == "z" for _, _, negative in from_a)
         assert 1 in rng.bounds   # the eligible-list draw ran
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_synthetic(SMALL_SPEC, seed=0),
+        lambda: generate_synthetic(dataclasses.replace(
+            SMALL_SPEC, undescribed_frac=0.4), seed=3),
+        lambda: handmade_dataset(
+            [[("a", "tops"), (f"b{i}", "shoes")] for i in range(64)]
+            + [[("c", "tops"), ("z", "shoes")], [("y", "hats"), ("x", "tops")],
+               [("w", "hats")], [("p", "bags"), ("q", "belts")]]),
+        lambda: generate_synthetic(SyntheticSpec(), seed=42),
+    ], ids=["small", "undescribed", "forced_and_skipped", "default"])
+    def test_draws_the_scalar_loops_numbers(self, make):
+        """Epoch after epoch, the same triplets, skips and final generator
+        state as the scalar reference loop: on the small data, where
+        rejections are dense and pairs draw by scalar calls, and on the
+        default spec, where they draw in vector rounds."""
+        ds = make()
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(4):
+            triplets, skipped = sample_triplets(ds, rng)
+            want, want_skipped = scalar_sample_triplets(ds, ref)
+            assert triplets.tolist() == [list(t) for t in want]
+            assert skipped == want_skipped
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_undescribed_items_never_sampled(self):
         spec = dataclasses.replace(SMALL_SPEC, undescribed_frac=0.4)

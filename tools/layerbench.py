@@ -1,0 +1,226 @@
+"""In-process timings of training layers at the acceptance width (d=32),
+for one tree or for a parent tree against this one.
+
+    python tools/layerbench.py                       # this tree alone
+    python tools/layerbench.py --parent ../parent    # parent vs this tree
+
+Each tree's `src/outfitrec` is loaded under its own top-level name, so
+both run in one process on one heap and one BLAS. Every figure is timed
+`--rounds` times per tree; with `--parent`, round k calls both trees back
+to back, the parent first in even rounds and this tree first in odd ones.
+The figures, on `SyntheticSpec()` seed 42 with a one-epoch d=32 config
+(`perfbench`'s accept-d32 shape):
+
+- `training.sample_triplets`: one epoch's triplets, from a fresh
+  generator seeded with the round number;
+- `compatibility.loss_step.<fuser>`: `training_loss` plus `backward` on
+  the first 128-triplet batch of an initialised model;
+- `training.train.<fuser>`: one-epoch `train()`.
+
+Per figure it reports each tree's median and interquartile range in ms,
+the ratio of the medians (parent / change, so above 1 is faster), the
+rounds in which this tree was faster, and whether both trees gave equal
+outputs (triplets; loss bits and gradients; step losses and parameters).
+The JSON names the parent by its directory name.
+It writes the JSON to `--out` (default `BENCH_layers.json` at the repo
+root) and exits with status 1 when some figure's outputs differ. Run it on
+a quiet host; the BLAS thread count defaults to 1.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import importlib.util  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC, SEED = {}, 42          # SyntheticSpec fields, dataset seed
+CONFIG = {"epochs": 1, "learning_rate": 1e-3, "batch_size": 128,
+          "d_g": 32, "d_c": 32, "h": 32, "runs": 1, "seed": 0}
+FUSERS = ("baseline", "dot_product", "stacked", "coattention")
+
+
+class Tree:
+    """One checkout's `outfitrec`, loaded under the name `name`, and the
+    dataset it generates."""
+
+    def __init__(self, root: Path, name: str):
+        package = Path(root).resolve() / "src" / "outfitrec"
+        for loaded in [m for m in sys.modules
+                       if m == name or m.startswith(name + ".")]:
+            del sys.modules[loaded]   # an earlier load under this name
+        spec = importlib.util.spec_from_file_location(
+            name, package / "__init__.py",
+            submodule_search_locations=[str(package)])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        self.root = Path(root).resolve()
+        self.training = importlib.import_module(f"{name}.training")
+        self.compatibility = importlib.import_module(f"{name}.compatibility")
+        data = importlib.import_module(f"{name}.data")
+        self.dataset = data.generate_synthetic(data.SyntheticSpec(**SPEC),
+                                               SEED)
+
+    def config(self, fusion: str):
+        return self.training.TrainConfig(fusion=fusion, **CONFIG)
+
+
+def digest(*parts) -> str:
+    """SHA-256 of arrays, floats, None and lists of them, by their bytes."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, (list, tuple)):
+            h.update(digest(*part).encode())
+        elif part is None:
+            h.update(b"none")
+        else:
+            h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
+def sample_call(tree: Tree):
+    """`sample_triplets` of one epoch; a round seeds its generator."""
+    def call(round_: int) -> str:
+        triplets, skipped = tree.training.sample_triplets(
+            tree.dataset, np.random.default_rng(round_))
+        return digest(triplets, np.array([skipped]))
+    return call
+
+
+def loss_step_call(tree: Tree, fusion: str):
+    """`training_loss` plus `backward` on the first batch at init."""
+    config = tree.config(fusion)
+    model, _ = tree.training.train(tree.dataset,
+                                   dataclasses.replace(config, epochs=0))
+    params = [p for _, p in model.parameters()]
+    triplets, _ = tree.training.sample_triplets(
+        tree.dataset, np.random.default_rng(config.seed))
+    batch = tree.training._batch_arrays(tree.dataset,
+                                        triplets[:config.batch_size])
+    weights = config.weights()
+
+    def call(round_: int) -> str:
+        for p in params:
+            p.zero_grad()
+        loss = tree.compatibility.training_loss(model, *batch, weights)
+        loss.backward()
+        return digest(loss.data, [p.grad for p in params])
+    return call
+
+
+def train_call(tree: Tree, fusion: str):
+    """One-epoch `train()`."""
+    config = tree.config(fusion)
+
+    def call(round_: int) -> str:
+        model, history = tree.training.train(tree.dataset, config)
+        return digest([np.array(h.step_losses) for h in history],
+                      [p.data for _, p in model.parameters()])
+    return call
+
+
+def figures(trees: list[Tree]) -> dict:
+    """Each figure's call per tree, in report order."""
+    out = {"training.sample_triplets": [sample_call(t) for t in trees]}
+    for fusion in FUSERS:
+        out[f"compatibility.loss_step.{fusion}"] = [
+            loss_step_call(t, fusion) for t in trees]
+    for fusion in FUSERS:
+        out[f"training.train.{fusion}"] = [train_call(t, fusion)
+                                           for t in trees]
+    return out
+
+
+def summary(seconds: list[float]) -> dict:
+    q1, median, q3 = np.percentile(np.array(seconds) * 1e3, [25, 50, 75])
+    return {"median_ms": round(float(median), 4),
+            "iqr_ms": round(float(q3 - q1), 4)}
+
+
+def time_figure(calls, rounds: int) -> dict:
+    """Time `calls` (one per tree) for `rounds` rounds after one untimed
+    call each, alternating which tree goes first."""
+    outputs = [call(0) for call in calls]   # warm-up, and the outputs
+    times = [[] for _ in calls]
+    for round_ in range(rounds):
+        order = range(len(calls)) if round_ % 2 == 0 else reversed(
+            range(len(calls)))
+        for k in order:
+            start = time.perf_counter()
+            calls[k](round_)
+            times[k].append(time.perf_counter() - start)
+    result = {"change": summary(times[-1])}
+    if len(calls) == 2:
+        result["parent"] = summary(times[0])
+        result["ratio"] = round(result["parent"]["median_ms"]
+                                / result["change"]["median_ms"], 4)
+        result["pairs_ahead"] = (f"{sum(c < p for p, c in zip(*times))}"
+                                 f"/{rounds}")
+        result["equal_outputs"] = outputs[0] == outputs[1]
+    return result
+
+
+def host() -> dict:
+    cpu = platform.processor() or "unknown"
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu": cpu, "cores": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path,
+                    help="a checkout to time against this one")
+    ap.add_argument("--rounds", type=int, default=15,
+                    help="timed calls per tree and figure (default 15)")
+    ap.add_argument("--out", type=Path, default=ROOT / "BENCH_layers.json",
+                    help="where to write the JSON")
+    args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be >= 1")
+    trees = [Tree(args.parent, "layerbench_parent")] if args.parent else []
+    trees.append(Tree(ROOT, "layerbench_change"))
+    layers = {name: time_figure(calls, args.rounds)
+              for name, calls in figures(trees).items()}
+    result = {"host": host(), "spec": {"fields": SPEC, "seed": SEED},
+              "config": CONFIG, "rounds": args.rounds,
+              "parent": trees[0].root.name if args.parent else None,
+              "layers": layers}
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for name, fig in layers.items():
+        line = f"{name:36s} change {fig['change']['median_ms']:9.3f} ms"
+        if args.parent:
+            line += (f"  parent {fig['parent']['median_ms']:9.3f} ms"
+                     f"  x{fig['ratio']:.3f}  ahead {fig['pairs_ahead']}"
+                     f"  {'equal' if fig['equal_outputs'] else 'DIFFER'}")
+        print(line)
+    differ = [n for n, f in layers.items() if not f.get("equal_outputs", True)]
+    if differ:
+        print("outputs differ: " + ", ".join(differ))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
