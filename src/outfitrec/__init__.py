@@ -1,6 +1,6 @@
 """Multimodal outfit compatibility with attention-based fusion."""
 
-from .compatibility import (COMP, SIM, VSE, LossWeights, hinges, pair_score,
+from .compatibility import (COMP, SIM, VSE, LossWeights, pair_score,
                             pair_scores, training_loss, triplet_loss)
 from .data import (Dataset, Dims, FCQuestion, FITBQuestion, Item, ItemType,
                    Outfit, SyntheticSpec, canonical_pair, filter_questions,

@@ -5,8 +5,11 @@ visual-semantic, visual-similarity and textual-similarity terms in the
 common space. Each term is a table of the (negative, positive) cosine
 pairs it compares between a triplet batch's role stacks. `training_loss`
 computes the four terms and their weighted total as one `loss_head` node,
-which forms only the cosines each table reads; `hinges` reads a table from
-a full `role_cosines` table, for `triplet_loss`.
+which forms only the cosines each table reads; `triplet_loss` reads `COMP`
+from a full `role_cosines` table through `margin_hinges`.
+
+Scoring keys items by store row: a `PairPlan` holds the distinct store
+rows of its pairs, and `Reps.at` maps a store row to its rep.
 """
 
 from __future__ import annotations
@@ -62,19 +65,12 @@ VSE = _row_table([((i, j), (i, i)) for i in range(3) for j in range(3)
                   if j != i])
 
 
-def hinges(cos: Tensor, table: np.ndarray, margin: float) -> Tensor:
-    """Each triplet's mean of max(0, cos[negative] - cos[positive] + margin)
-    over the entries of the row table `table` (`COMP`, `SIM` or `VSE`),
-    read from the (3, 3, ...) table `cos`."""
-    return margin_hinges(cos, table[0], table[1], margin)
-
-
 def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
                  margin: float) -> Tensor:
     """max(0, f(anchor, negative) - f(anchor, positive) + margin), f = cosine."""
     roles = concat([anchor, positive, negative], axis=0).reshape(
         (3,) + anchor.shape)
-    return hinges(role_cosines(roles, roles), COMP, margin)
+    return margin_hinges(role_cosines(roles, roles), *COMP, margin)
 
 
 def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
@@ -152,45 +148,42 @@ def _space_cosines(space: np.ndarray, reps: np.ndarray, left, right
 
 
 class Reps(Mapping):
-    """Fused reps as one (n, rep_dim) array `data` whose row k is the rep
-    of `ids[k]`; as a mapping, an id's rep is a view of its row."""
+    """Fused reps of the store rows `rows` of `dataset`, as one (n, rep_dim)
+    array `data` whose row k is the rep of store row `rows[k]`. `at[r]` is
+    store row r's row of `data`, -1 when r has no rep. As a mapping by id,
+    an id's rep is a view of its row."""
 
-    def __init__(self, ids: list[str], data: np.ndarray):
-        self.ids, self.data = ids, data
-        self.row = dict(zip(ids, range(len(ids))))
+    def __init__(self, dataset: Dataset, rows: np.ndarray, data: np.ndarray):
+        self.dataset, self.rows, self.data = dataset, rows, data
+        self.at = np.full(len(dataset.ids), -1, dtype=np.intp)
+        self.at[rows] = np.arange(len(rows))
 
     def __getitem__(self, item_id: str) -> np.ndarray:
-        return self.data[self.row[item_id]]
+        k = self.at[self.dataset.row[item_id]]
+        if k < 0:
+            raise KeyError(item_id)
+        return self.data[k]
 
     def __iter__(self):
-        return iter(self.ids)
+        return map(self.dataset.ids.__getitem__, self.rows.tolist())
 
     def __len__(self) -> int:
-        return len(self.ids)
-
-
-def _stack(reps: Reps, ids: list[str]) -> np.ndarray:
-    """The reps of `ids` as one (len(ids), rep_dim) array, by one fancy
-    index. DomainError names an id without a rep."""
-    try:
-        return reps.data[np.fromiter(map(reps.row.__getitem__, ids),
-                                     dtype=np.intp, count=len(ids))]
-    except KeyError as e:
-        raise DomainError(f"item {e.args[0]!r} has no representation; only "
-                          "described items are scored") from None
+        return len(self.rows)
 
 
 @dataclass(eq=False)
 class PairPlan:
-    """The model-independent part of scoring a list of `size` item pairs.
+    """The model-independent part of scoring a list of `size` item pairs
+    of `dataset`.
 
-    `ids` are the distinct ids of the pairs in first-seen order. Each
-    group is one trained type pair's `(pair, positions, rows, left,
-    right)`: the positions of its pairs in the list, its distinct rows of
-    `ids` in first-seen order over those pairs, and each pair's left and
-    right index into those rows.
+    `rows` are the distinct store rows of the pairs in first-seen order.
+    Each group is one trained type pair's `(pair, positions, rows, left,
+    right)`: the positions of its pairs in the list, its distinct entries
+    of `rows` in first-seen order over those pairs, and each pair's left
+    and right index into those entries.
     """
-    ids: list[str]
+    dataset: Dataset
+    rows: np.ndarray
     size: int
     groups: list[tuple[tuple[str, str], np.ndarray, np.ndarray, np.ndarray,
                        np.ndarray]]
@@ -215,18 +208,26 @@ def plan_pairs(dataset: Dataset, pairs: list[tuple[str, str]], trained
             # other bits at another row position (tests/test_blas_kernels.py)
             rows, local = first_seen(ends[at])
             groups.append((pair, at, rows, local[:, 0], local[:, 1]))
-    return PairPlan(list(map(dataset.ids.__getitem__, distinct.tolist())),
-                    len(pairs), groups)
+    return PairPlan(dataset, distinct, len(pairs), groups)
 
 
 def plan_scores(plan: PairPlan, model: OutfitModel, reps: Reps) -> np.ndarray:
     """The pair scores of `plan` under `model`, NaN where a pair has no
-    trained space: the reps of the plan's ids are gathered once, and each
+    trained space: the reps of the plan's rows are gathered once, and each
     group's rows are projected into its type-pair space by one
-    `_space_cosines` call. DomainError names an id without a rep."""
+    `_space_cosines` call. DomainError names an id without a rep, and
+    rejects reps of another dataset than the plan's."""
+    if reps.dataset is not plan.dataset:
+        raise DomainError("the reps and the pair plan belong to different "
+                          "datasets")
     scores = np.full(plan.size, np.nan)
-    if plan.ids:
-        stack = _stack(reps, plan.ids)
+    if len(plan.rows):
+        at = reps.at[plan.rows]
+        if (at < 0).any():
+            bare = plan.dataset.ids[plan.rows[int(np.argmin(at))]]
+            raise DomainError(f"item {bare!r} has no representation; only "
+                              "described items are scored")
+        stack = reps.data[at]
         for pair, positions, rows, left, right in plan.groups:
             scores[positions] = _space_cosines(model.spaces[pair].data,
                                                stack[rows], left, right)
@@ -235,8 +236,8 @@ def plan_scores(plan: PairPlan, model: OutfitModel, reps: Reps) -> np.ndarray:
 
 def pair_scores(model: OutfitModel, dataset: Dataset, reps: Reps,
                 pairs: list[tuple[str, str]]) -> np.ndarray:
-    """`score_from_reps` for a list of item-id pairs, NaN where a pair has
-    no trained space: `plan_scores` of `plan_pairs`.
+    """The scores of a list of item-id pairs, NaN where a pair has no
+    trained space: `plan_scores` of `plan_pairs`.
 
     Raises DomainError for an id the dataset does not hold or that has no
     entry in `reps`.

@@ -33,6 +33,7 @@ MANIFEST_FORMAT = "outfitrec-dataset"
 MANIFEST_VERSION = 2
 
 SPLITS = ("train", "valid", "test")
+FITB_CANDIDATES = 4          # candidates of every FITB question
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class FCQuestion:
 @dataclass
 class FITBQuestion:
     partial: tuple[str, ...]     # outfit remainder
-    candidates: tuple[str, ...]  # exactly 4
+    candidates: tuple[str, ...]  # exactly FITB_CANDIDATES
     answer: int                  # index of ground truth in candidates
 
 
@@ -435,9 +436,10 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
         if walk_fitb:
             check_ids(list(q["partial"]) + list(q["candidates"]),
                       "FITB question")
-        if len(q["candidates"]) != 4:
-            raise DatasetError("FITB question must have exactly 4 candidates")
-        if not 0 <= _typed(q["answer"], int, "FITB answer") <= 3:
+        if len(q["candidates"]) != FITB_CANDIDATES:
+            raise DatasetError("FITB question must have exactly "
+                               f"{FITB_CANDIDATES} candidates")
+        if not 0 <= _typed(q["answer"], int, "FITB answer") < FITB_CANDIDATES:
             raise DatasetError(f"FITB answer index out of range: {q['answer']!r}")
         fitb.append(FITBQuestion(partial=tuple(q["partial"]),
                                  candidates=tuple(q["candidates"]),
@@ -611,13 +613,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
         style = item_style[truth]
         eligible = [x for (ty, st), pool in test_pool.items() if ty == t_id
                     and st != style for x in pool]
-        if len(eligible) < 3:
+        if len(eligible) < FITB_CANDIDATES - 1:
             raise SyntheticSpecError(
                 "too few same-type cross-style items for FITB distractors; "
                 "increase test outfits or styles")
-        picks = rng.choice(len(eligible), size=3, replace=False)
+        picks = rng.choice(len(eligible), FITB_CANDIDATES - 1, replace=False)
         candidates = [truth] + [eligible[int(p)] for p in picks]
-        order = rng.permutation(4)
+        order = rng.permutation(FITB_CANDIDATES)
         shuffled = tuple(candidates[int(j)] for j in order)
         answer = int(np.where(order == 0)[0][0])
         fitb.append(FITBQuestion(partial=partial, candidates=shuffled,

@@ -8,8 +8,9 @@ from itertools import combinations
 import numpy as np
 
 from .compatibility import PairPlan, Reps, plan_pairs, plan_scores
-from .data import Dataset, FCQuestion, FITBQuestion, filter_questions
-from .errors import MetricUndefinedError
+from .data import (FITB_CANDIDATES, Dataset, FCQuestion, FITBQuestion,
+                   filter_questions)
+from .errors import DomainError, MetricUndefinedError
 from .model import OutfitModel, item_features
 from .tensor import no_grad
 
@@ -27,7 +28,7 @@ def compute_representations(model: OutfitModel, dataset: Dataset,
         parts = [item_features(model, *dataset.features(
             rows[start:start + REPRESENTATION_CHUNK]))[0].data
             for start in range(0, len(rows), REPRESENTATION_CHUNK)]
-    return Reps(list(map(dataset.ids.__getitem__, rows.tolist())),
+    return Reps(dataset, rows,
                 np.concatenate(parts) if parts else np.empty((0, 0)))
 
 
@@ -45,22 +46,22 @@ def plan_fitb(dataset: Dataset, questions: list[FITBQuestion], trained
               ) -> tuple[PairPlan, list]:
     """The pair plan of the FITB questions' (candidate, partial item)
     pairs, question by question and candidate by candidate, and per
-    (candidates, partial) shape its `(shape, questions, positions)` block,
-    the questions' pair positions as one (q, c * p) array."""
+    partial size p its `(p, questions, positions)` block, the questions'
+    pair positions as one (q, 4 * p) array. A question with other than 4
+    candidates raises DomainError."""
+    counts = {len(q.candidates) for q in questions} - {FITB_CANDIDATES}
+    if counts:
+        raise DomainError(f"a FITB question has {min(counts)} candidates; "
+                          f"each needs exactly {FITB_CANDIDATES}")
     pairs = [(cand, other) for q in questions
              for cand in q.candidates for other in q.partial]
-    shapes: dict[tuple[int, int], list[int]] = {}
-    starts, start = [], 0
-    for qi, q in enumerate(questions):
-        shape = (len(q.candidates), len(q.partial))
-        shapes.setdefault(shape, []).append(qi)
-        starts.append(start)
-        start += shape[0] * shape[1]
-    starts = np.array(starts, dtype=np.intp)
+    sizes = np.array([len(q.partial) for q in questions], dtype=np.intp)
+    starts = FITB_CANDIDATES * (np.cumsum(sizes) - sizes)
     blocks = []
-    for (c, p), qs in shapes.items():
-        qs = np.array(qs, dtype=np.intp)
-        blocks.append(((c, p), qs, starts[qs, None] + np.arange(c * p)))
+    for p in np.unique(sizes).tolist():
+        qs = np.flatnonzero(sizes == p)
+        blocks.append((p, qs,
+                       starts[qs, None] + np.arange(FITB_CANDIDATES * p)))
     return plan_pairs(dataset, pairs, trained), blocks
 
 
@@ -109,53 +110,49 @@ def fc_scores_and_labels(dataset: Dataset, questions: list[FCQuestion],
 def fitb_answers(questions: list[FITBQuestion], model: OutfitModel,
                  dataset: Dataset, reps: Reps,
                  plan: tuple[PairPlan, list] | None = None
-                 ) -> list[tuple[int, np.ndarray] | None]:
-    """Per question, the chosen candidate index plus per-candidate total
-    scores.
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each question's chosen candidate index, (Q,) with -1 where the
+    question is unanswerable, and its (Q, 4) per-candidate total scores.
 
-    Untrained type pairs are skipped. None when no candidate has a single
-    scorable pair. Ties break toward the lowest index. `plan` is
-    `plan_fitb(dataset, questions, model.spaces)`, built here unless a
-    caller that scores several models passes it. The questions of one
-    (candidates, partial) shape are one (q, c, p) block of pair scores,
-    totalled over its last axis.
+    Untrained type pairs are skipped. A question is unanswerable when no
+    candidate has a single scorable pair. Ties break toward the lowest
+    index. `plan` is `plan_fitb(dataset, questions, model.spaces)`, built
+    here unless a caller that scores several models passes it. The
+    questions of one partial size p are one (q, 4, p) block of pair
+    scores, totalled over its last axis.
     """
     pairs, blocks = plan or plan_fitb(dataset, questions, model.spaces)
     scores = plan_scores(pairs, model, reps)
-    outcomes: list[tuple[int, np.ndarray] | None] = [None] * len(questions)
-    for (c, p), qs, at in blocks:
-        if not c * p:
-            continue   # no pair at all: every such question is None
-        block = scores[at].reshape(-1, c, p)
-        totals = np.nan_to_num(block).sum(axis=-1)
-        unscored = np.isnan(block).all(axis=(1, 2))
-        for qi, choice, total, none in zip(qs.tolist(),
-                                           totals.argmax(axis=-1).tolist(),
-                                           totals, unscored.tolist()):
-            if not none:
-                outcomes[qi] = (choice, total)
-    return outcomes
+    choice = np.full(len(questions), -1, dtype=np.intp)
+    totals = np.zeros((len(questions), FITB_CANDIDATES))
+    for p, qs, at in blocks:
+        block = scores[at].reshape(len(qs), FITB_CANDIDATES, p)
+        totals[qs] = np.nan_to_num(block).sum(axis=-1)
+        answered = qs[~np.isnan(block).all(axis=(1, 2))]
+        choice[answered] = totals[answered].argmax(axis=-1)
+    return choice, totals
 
 
 def fitb_answer(question: FITBQuestion, model: OutfitModel, dataset: Dataset,
                 reps: Reps) -> tuple[int, np.ndarray] | None:
-    """`fitb_answers` for one question."""
-    return fitb_answers([question], model, dataset, reps)[0]
+    """`fitb_answers` for one question: its choice and totals, or None
+    when it is unanswerable."""
+    choice, totals = fitb_answers([question], model, dataset, reps)
+    return None if choice[0] < 0 else (int(choice[0]), totals[0])
 
 
-def vote(answers: list[int], totals_per_run: list[np.ndarray]) -> int:
-    """Majority vote over run answers; ties resolved by the highest summed
-    candidate score across tied indices, then by the lowest index."""
-    if not answers:
+def vote(answers: np.ndarray, totals_per_run: np.ndarray) -> np.ndarray:
+    """Majority vote over runs: the answers (R, ...) and the per-candidate
+    totals (R, ..., C) of R runs give the (...) chosen candidates, a numpy
+    integer for one question. A tie in votes goes to the tied candidate
+    with the highest summed total, then to the lowest index."""
+    answers = np.asarray(answers, dtype=np.intp)
+    if not len(answers):
         raise MetricUndefinedError("vote over zero runs")
-    n_cand = len(totals_per_run[0])
-    counts = np.bincount(answers, minlength=n_cand)
-    tied = np.flatnonzero(counts == counts.max())
-    if len(tied) == 1:
-        return int(tied[0])
-    summed = np.sum(totals_per_run, axis=0)
-    best = tied[np.argmax(summed[tied])]
-    return int(best)
+    totals = np.asarray(totals_per_run, dtype=np.float64)
+    counts = (answers[..., None] == np.arange(totals.shape[-1])).sum(axis=0)
+    tied = counts == counts.max(axis=-1, keepdims=True)
+    return np.where(tied, totals.sum(axis=0), -np.inf).argmax(axis=-1)
 
 
 @dataclass
@@ -205,39 +202,35 @@ def evaluate(dataset: Dataset, models: list[OutfitModel]) -> MetricsReport:
     fc_plan = plan_fc(dataset, fc, models[0].spaces)
     fitb_plan = plan_fitb(dataset, fitb, models[0].spaces)
 
-    fitb_outcomes: list[list[tuple[int, np.ndarray] | None]] = []
+    truth = np.array([q.answer for q in fitb], dtype=np.intp)
+    choices, totals = [], []
     for run, model in enumerate(models):
         reps = compute_representations(model, dataset, ids)
         scores, labels, unanswerable, skipped = fc_scores_and_labels(
             dataset, fc, model, reps, fc_plan)
         report.fc_auc_per_run.append(fc_auc(scores, labels))
-        outcomes = fitb_answers(fitb, model, dataset, reps, fitb_plan)
-        fitb_outcomes.append(outcomes)
-        answered = [o for o in outcomes if o is not None]
+        choice, total = fitb_answers(fitb, model, dataset, reps, fitb_plan)
+        answered = int((choice >= 0).sum())
         if not answered:
             raise MetricUndefinedError("no answerable FITB questions")
-        correct = sum(1 for q, o in zip(fitb, outcomes)
-                      if o is not None and o[0] == q.answer)
-        report.fitb_accuracy_per_run.append(correct / len(answered))
+        report.fitb_accuracy_per_run.append(
+            int((choice == truth).sum()) / answered)
+        choices.append(choice)
+        totals.append(total)
         if run == 0:
             report.fc_unanswerable = unanswerable
             report.fc_answered = len(scores)
             report.skipped_pairs = skipped
-            report.fitb_unanswerable = sum(1 for o in outcomes if o is None)
-            report.fitb_answered = len(answered)
+            report.fitb_unanswerable = len(fitb) - answered
+            report.fitb_answered = answered
 
-    vote_correct, vote_answered = 0, 0
-    for qi, q in enumerate(fitb):
-        per_run = [runs[qi] for runs in fitb_outcomes]
-        if any(o is None for o in per_run):
-            continue
-        vote_answered += 1
-        choice = vote([o[0] for o in per_run], [o[1] for o in per_run])
-        if choice == q.answer:
-            vote_correct += 1
-
+    # the vote counts the questions that every run answers
+    choices = np.array(choices)
+    every = (choices >= 0).all(axis=0)
+    voted = vote(choices[:, every], np.array(totals)[:, every])
     report.fc_auc_mean = float(np.mean(report.fc_auc_per_run))
     report.fitb_accuracy_mean = float(np.mean(report.fitb_accuracy_per_run))
-    if vote_answered:
-        report.fitb_accuracy_vote = vote_correct / vote_answered
+    if every.any():
+        report.fitb_accuracy_vote = (int((voted == truth[every]).sum())
+                                     / int(every.sum()))
     return report

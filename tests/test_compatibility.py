@@ -5,9 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from outfitrec.compatibility import (SIM, VSE, LossWeights, hinges,
-                                     pair_score, plan_pairs, training_loss,
-                                     triplet_loss)
+from outfitrec.compatibility import (SIM, VSE, LossWeights, pair_score,
+                                     plan_pairs, training_loss, triplet_loss)
 from outfitrec.data import (Item, ItemType, SyntheticSpec, canonical_pair,
                             generate_synthetic)
 from outfitrec.errors import (ConfigError, DimensionError, DomainError,
@@ -15,7 +14,8 @@ from outfitrec.errors import (ConfigError, DimensionError, DomainError,
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model, item_features
 from outfitrec.optim import grad_check
 from outfitrec.tensor import (Tensor, grouped_projection, linear,
-                              no_grad, parameter, role_cosines)
+                              margin_hinges, no_grad, parameter,
+                              role_cosines)
 
 
 def cos(a, b):
@@ -42,13 +42,13 @@ def tl(a, p, n, m=0.2):
 def vsim(u, p, n, m):
     """The vsim (or tsim) term of one anchor/positive/negative triplet."""
     roles = Tensor(np.stack([u, p, n]))
-    return hinges(role_cosines(roles, roles), SIM, m).item()
+    return margin_hinges(role_cosines(roles, roles), *SIM, m).item()
 
 
 def vse(imgs, txts, m):
     """The vse term of one triplet's three images and three texts."""
-    return hinges(role_cosines(Tensor(np.stack(imgs)), Tensor(np.stack(txts))),
-                  VSE, m).item()
+    return margin_hinges(role_cosines(Tensor(np.stack(imgs)),
+                                      Tensor(np.stack(txts))), *VSE, m).item()
 
 
 class TestTripletLoss:
@@ -264,20 +264,21 @@ class TestPlanPairs:
                             []).append(k)
         trained = set(list(want)[::2])
         plan = plan_pairs(ds, pairs, trained)
-        assert plan.ids == list(dict.fromkeys(i for p in pairs for i in p))
+        ids = [ds.ids[r] for r in plan.rows]
+        assert ids == list(dict.fromkeys(i for p in pairs for i in p))
         assert plan.size == len(pairs)
         assert [g[0] for g in plan.groups] == [p for p in want if p in trained]
         for pair, positions, rows, left, right in plan.groups:
             assert positions.tolist() == want[pair]
             assert (np.diff(positions) > 0).all()
-            assert [(plan.ids[rows[i]], plan.ids[rows[j]])
+            assert [(ids[rows[i]], ids[rows[j]])
                     for i, j in zip(left, right)] == [pairs[k]
                                                       for k in positions]
 
     def test_no_pairs_give_an_empty_plan(self):
         ds = generate_synthetic(PLAN_SPEC, seed=2)
         plan = plan_pairs(ds, [], ds.trained_type_pairs())
-        assert (plan.ids, plan.size, plan.groups) == ([], 0, [])
+        assert (plan.rows.tolist(), plan.size, plan.groups) == ([], 0, [])
 
 
 class TestTrainingLoss:

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outfitrec.data import (FCQuestion, FITBQuestion, SyntheticSpec,
                             canonical_pair, filter_questions,
@@ -169,9 +171,29 @@ def reference_fitb_answers(questions, model, dataset, reps):
     return outcomes
 
 
+def outcome_list(answers):
+    """`fitb_answers`' (choice, totals) arrays as one entry per question:
+    None where unanswerable, else (choice, totals row)."""
+    choice, totals = answers
+    return [None if c < 0 else (c, t) for c, t in zip(choice.tolist(), totals)]
+
+
+def reference_vote(answers, totals_per_run):
+    """The one-question rule that `vote` applies over leading axes: the
+    majority, then the highest summed total among the tied candidates,
+    then the lowest index."""
+    counts = np.bincount(answers, minlength=len(totals_per_run[0]))
+    tied = np.flatnonzero(counts == counts.max())
+    if len(tied) == 1:
+        return int(tied[0])
+    summed = np.sum(totals_per_run, axis=0)
+    return int(tied[np.argmax(summed[tied])])
+
+
 def reference_report(dataset, models):
     """`evaluate` as a loop over the models, each scored on its own by
-    `compute_representations`, `fc_scores_and_labels` and `fitb_answers`."""
+    `compute_representations`, `fc_scores_and_labels` and `fitb_answers`,
+    and the vote question by question by `reference_vote`."""
     fc, fitb, fc_disc, fitb_disc = filter_questions(
         dataset.fc_questions, dataset.fitb_questions, dataset)
     ids = [i for q in fc for i in q.items]
@@ -185,7 +207,7 @@ def reference_report(dataset, models):
         reps = compute_representations(model, dataset, ids)
         scores, labels, unanswerable, skipped = fc_scores_and_labels(
             dataset, fc, model, reps)
-        outcomes = fitb_answers(fitb, model, dataset, reps)
+        outcomes = outcome_list(fitb_answers(fitb, model, dataset, reps))
         answered = [(q, o) for q, o in zip(fitb, outcomes) if o is not None]
         report.fc_auc_per_run.append(fc_auc(scores, labels))
         report.fitb_accuracy_per_run.append(
@@ -199,8 +221,9 @@ def reference_report(dataset, models):
         runs.append(outcomes)
     per_question = [[outcomes[k] for outcomes in runs]
                     for k in range(len(fitb))]
-    votes = [vote([o[0] for o in per_run], [o[1] for o in per_run]) == q.answer
-             for q, per_run in zip(fitb, per_question) if None not in per_run]
+    votes = [reference_vote([o[0] for o in per_run], [o[1] for o in per_run])
+             == q.answer for q, per_run in zip(fitb, per_question)
+             if None not in per_run]
     report.fc_auc_mean = float(np.mean(report.fc_auc_per_run))
     report.fitb_accuracy_mean = float(np.mean(report.fitb_accuracy_per_run))
     report.fitb_accuracy_vote = sum(votes) / len(votes)
@@ -271,7 +294,7 @@ class TestScoringBitIdentity:
         ]
         assert len(long_partial) >= 8
         want = reference_fitb_answers(questions, model, ds, reps)
-        got = fitb_answers(questions, model, ds, reps)
+        got = outcome_list(fitb_answers(questions, model, ds, reps))
         assert [o is None for o in got] == [o is None for o in want]
         assert got[5] is None and got[6] is None   # no pair; no partial
         for g, w in zip(got, want):
@@ -325,7 +348,8 @@ class TestScoringBitIdentity:
 
     def test_no_questions_and_no_pairs(self):
         ds, model, reps = fixture_model_and_reps(seed=17)
-        assert fitb_answers([], model, ds, reps) == []
+        choice, totals = fitb_answers([], model, ds, reps)
+        assert choice.shape == (0,) and totals.shape == (0, 4)
         assert pair_scores(model, ds, reps, []).shape == (0,)
 
 
@@ -373,6 +397,33 @@ class TestUnrepresentedItem:
         q = FITBQuestion(partial=(), candidates=(bare, *list(reps)[:3]),
                          answer=0)
         assert fitb_answer(q, model, ds, reps) is None
+
+
+class TestMismatchedInput:
+    """Inputs the store-row key cannot line up are DomainErrors."""
+
+    def test_reps_of_another_dataset(self, tmp_path):
+        """Reps of one `Dataset` passed with a second one loaded from the
+        same manifest: the rows agree by value, but nothing ties them."""
+        manifest = save_dataset(generate_synthetic(SPEC, seed=22), tmp_path)
+        first, second = load_dataset(manifest), load_dataset(manifest)
+        dims = ModelDims(d_g=8, d_c=8, h=8, hops=2, mfb_factor=2,
+                         region_dim=6, word_dim=5)
+        model = init_model("baseline", dims, first.trained_type_pairs(),
+                           seed=0)
+        reps = compute_representations(model, first, first.ids)
+        with pytest.raises(DomainError, match="different datasets"):
+            fitb_answer(second.fitb_questions[0], model, second, reps)
+        with pytest.raises(DomainError, match="different datasets"):
+            fc_scores_and_labels(second, second.fc_questions, model, reps)
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_fitb_question_needs_four_candidates(self, count):
+        ds, model, reps = fixture_model_and_reps(seed=23)
+        q = ds.fitb_questions[0]
+        odd = dataclasses.replace(q, candidates=(q.candidates * 2)[:count])
+        with pytest.raises(DomainError, match=f"has {count} candidates"):
+            fitb_answers([ds.fitb_questions[1], odd], model, ds, reps)
 
 
 class TestUnknownItem:
@@ -485,6 +536,26 @@ class TestVote:
     def test_zero_runs_rejected(self):
         with pytest.raises(MetricUndefinedError):
             vote([], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_array_vote_equals_per_question_rule(self, data):
+        """`vote` over (R, Q) answers and (R, Q, 4) totals is, question by
+        question, `reference_vote`. Totals from a few values make ties in
+        both the counts and the summed totals."""
+        runs = data.draw(st.integers(1, 6), label="runs")
+        count = data.draw(st.integers(1, 40), label="questions")
+        answers = np.array(data.draw(st.lists(
+            st.integers(0, 3), min_size=runs * count,
+            max_size=runs * count))).reshape(runs, count)
+        totals = np.array(data.draw(st.lists(
+            st.sampled_from([-0.5, 0.0, 0.25, 1.0]), min_size=runs * count * 4,
+            max_size=runs * count * 4))).reshape(runs, count, 4)
+        got = vote(answers, totals)
+        assert got.shape == (count,)
+        assert got.tolist() == [
+            reference_vote(answers[:, k].tolist(), list(totals[:, k]))
+            for k in range(count)]
 
 
 class TestEvaluate:

@@ -37,7 +37,8 @@ def test_same_tree_as_parent_and_change(tool, tmp_path, capsys):
     assert list(result["layers"]) == (
         ["training.sample_triplets"]
         + [f"compatibility.loss_step.{f}" for f in FUSION_KINDS]
-        + [f"training.train.{f}" for f in FUSION_KINDS])
+        + [f"training.train.{f}" for f in FUSION_KINDS]
+        + ["evaluation.evaluate"])
     for name, figure in result["layers"].items():
         assert figure["equal_outputs"] is True, name
         assert math.isfinite(figure["ratio"]) and figure["ratio"] > 0, name

@@ -151,11 +151,12 @@ def scoring_fingerprint(dataset, model) -> dict:
     ids += [i for q in fitb for i in (*q.partial, *q.candidates)]
     reps = compute_representations(model, dataset, ids)
     pairs = [p for q in fc for p in combinations(q.items, 2)]
-    totals = [b"none" if o is None else o[1].tobytes()
-              for o in fitb_answers(fitb, model, dataset, reps)]
+    choice, totals = fitb_answers(fitb, model, dataset, reps)
+    blobs = [b"none" if c < 0 else t.tobytes()
+             for c, t in zip(choice.tolist(), totals)]
     return {"fc_pair_scores_sha256": sha256(
                 pair_scores(model, dataset, reps, pairs).tobytes()),
-            "fitb_totals_sha256": sha256(b"".join(totals))}
+            "fitb_totals_sha256": sha256(b"".join(blobs))}
 
 
 def fingerprint() -> dict:

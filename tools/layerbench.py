@@ -1,5 +1,5 @@
-"""In-process timings of training layers at the acceptance width (d=32),
-for one tree or for a parent tree against this one.
+"""In-process timings of training and evaluation layers at the acceptance
+width (d=32), for one tree or for a parent tree against this one.
 
     python tools/layerbench.py                       # this tree alone
     python tools/layerbench.py --parent ../parent    # parent vs this tree
@@ -15,12 +15,15 @@ The figures, on `SyntheticSpec()` seed 42 with a one-epoch d=32 config
   generator seeded with the round number;
 - `compatibility.loss_step.<fuser>`: `training_loss` plus `backward` on
   the first 128-triplet batch of an initialised model;
-- `training.train.<fuser>`: one-epoch `train()`.
+- `training.train.<fuser>`: one-epoch `train()`;
+- `evaluation.evaluate`: `evaluate` of four initialised models, one per
+  fuser, on the dataset's 2000 FC and 1000 FITB questions.
 
 Per figure it reports each tree's median and interquartile range in ms,
 the ratio of the medians (parent / change, so above 1 is faster), the
 rounds in which this tree was faster, and whether both trees gave equal
-outputs (triplets; loss bits and gradients; step losses and parameters).
+outputs (triplets; loss bits and gradients; step losses and parameters;
+the report's `to_dict()`).
 The JSON names the parent by its directory name.
 It writes the JSON to `--out` (default `BENCH_layers.json` at the repo
 root) and exits with status 1 when some figure's outputs differ. Run it on
@@ -72,6 +75,7 @@ class Tree:
         self.root = Path(root).resolve()
         self.training = importlib.import_module(f"{name}.training")
         self.compatibility = importlib.import_module(f"{name}.compatibility")
+        self.evaluation = importlib.import_module(f"{name}.evaluation")
         data = importlib.import_module(f"{name}.data")
         self.dataset = data.generate_synthetic(data.SyntheticSpec(**SPEC),
                                                SEED)
@@ -102,11 +106,16 @@ def sample_call(tree: Tree):
     return call
 
 
+def initialised(tree: Tree, fusion: str):
+    """A `fusion` model at init: `train` of zero epochs."""
+    return tree.training.train(tree.dataset, dataclasses.replace(
+        tree.config(fusion), epochs=0))[0]
+
+
 def loss_step_call(tree: Tree, fusion: str):
     """`training_loss` plus `backward` on the first batch at init."""
     config = tree.config(fusion)
-    model, _ = tree.training.train(tree.dataset,
-                                   dataclasses.replace(config, epochs=0))
+    model = initialised(tree, fusion)
     params = [p for _, p in model.parameters()]
     triplets, _ = tree.training.sample_triplets(
         tree.dataset, np.random.default_rng(config.seed))
@@ -134,6 +143,16 @@ def train_call(tree: Tree, fusion: str):
     return call
 
 
+def evaluate_call(tree: Tree):
+    """`evaluate` of one initialised model per fuser."""
+    models = [initialised(tree, fusion) for fusion in FUSERS]
+
+    def call(round_: int) -> str:
+        report = tree.evaluation.evaluate(tree.dataset, models)
+        return json.dumps(report.to_dict(), sort_keys=True)
+    return call
+
+
 def figures(trees: list[Tree]) -> dict:
     """Each figure's call per tree, in report order."""
     out = {"training.sample_triplets": [sample_call(t) for t in trees]}
@@ -143,6 +162,7 @@ def figures(trees: list[Tree]) -> dict:
     for fusion in FUSERS:
         out[f"training.train.{fusion}"] = [train_call(t, fusion)
                                            for t in trees]
+    out["evaluation.evaluate"] = [evaluate_call(t) for t in trees]
     return out
 
 
