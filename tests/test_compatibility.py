@@ -1,5 +1,6 @@
 """Hinge-table losses, total-loss assembly and pairwise scoring."""
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -73,6 +74,55 @@ class TestTripletLoss:
             a, p, n = rng.normal(size=(3, 5))
             val = tl(a, p, n)
             assert 0.0 <= val <= 0.2 + 2.0 + 1e-12
+
+
+# An anchor, a positive and a negative whose cosines with the anchor are
+# exactly 0.5 and 0.25, so at margin 0.25 the hinge is exactly 0.
+AT_ZERO = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, 0.0],
+                    [1.0, 3.0, 2.0, 1.0, 1.0]])
+# One vector triplet whose hinge is active: the negative is near the anchor.
+ACTIVE = np.array([[0.3, -1.2, 0.7, 2.0, -0.4], [-1.0, 0.5, 0.2, -0.3, 0.9],
+                   [0.4, -0.8, 1.1, 1.5, 0.1]])
+
+
+class TestTripletLossPin:
+    """`triplet_loss` on fixed inputs: each value's `float.hex` and the
+    SHA-256 of the three input gradients under a fixed upstream gradient,
+    so a rewrite of the loss keeps every bit, signed zeros included."""
+
+    def roles(self, case):
+        rng = np.random.default_rng(29)
+        if case == "batched":
+            return rng.normal(size=(3, 7, 4)), 0.2
+        if case == "single":
+            return ACTIVE, 0.2
+        if case == "hinge_at_zero":
+            return np.stack([AT_ZERO, ACTIVE], axis=1), 0.25
+        a, p = rng.normal(size=(2, 2, 6))
+        return np.stack([a, p, p]), 0.2   # p == n
+
+    @pytest.mark.parametrize("case, values, grads", [
+        ("batched",
+         ["0x1.d7b4a0c8edad6p-3", "0x1.4bc291a1f311cp+0",
+          "0x1.f6f11d7a75889p-2", "0x0.0p+0", "0x1.9f385ed631a68p+0",
+          "0x1.1cd5e19ae155ap+0", "0x0.0p+0"],
+         "d1f185a4967b968422b963e3a98c40f6f3f23e12e645f0276b3d97b948710d83"),
+        ("single", ["0x1.9a97e1e1a86d0p+0"],
+         "c19cccec555f19a029394fd259c0e4eb255197d8a5dfb0ad0923b5471e98f379"),
+        ("hinge_at_zero", ["0x0.0p+0", "0x1.a764aeae7539dp+0"],
+         "0a234dbb83a3a276d5ebb5ee8496d6cc13d4a948b1b0f5df4f2b289b43fdb1a3"),
+        ("p_equals_n", ["0x1.999999999999ap-3", "0x1.999999999999ap-3"],
+         "8791add6eacf55110df56062ffc136842504184ff62440ae255321d54b547cc1"),
+    ])
+    def test_bits_are_pinned(self, case, values, grads):
+        roles, margin = self.roles(case)
+        leaves = [parameter(r) for r in roles]
+        out = triplet_loss(*leaves, margin)
+        assert [float(v).hex() for v in out.data.ravel()] == values
+        g = np.random.default_rng(30).normal(size=out.shape)
+        (out * Tensor(g)).sum().backward()
+        assert hashlib.sha256(b"".join(
+            t.grad.tobytes() for t in leaves)).hexdigest() == grads
 
 
 class TestSimilarityLosses:
