@@ -1,7 +1,7 @@
 """Multimodal outfit compatibility with attention-based fusion."""
 
 from .compatibility import (COMP, SIM, VSE, LossWeights, pair_score,
-                            pair_scores, training_loss, triplet_loss)
+                            training_loss, triplet_loss)
 from .data import (Dataset, Dims, FCQuestion, FITBQuestion, Item, ItemType,
                    Outfit, SyntheticSpec, canonical_pair, filter_questions,
                    generate_synthetic, load_dataset, save_dataset)

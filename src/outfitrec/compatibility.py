@@ -5,8 +5,9 @@ visual-semantic, visual-similarity and textual-similarity terms in the
 common space. Each term is a table of the (negative, positive) cosine
 pairs it compares between a triplet batch's role stacks. `training_loss`
 computes the four terms and their weighted total as one `loss_head` node,
-which forms only the cosines each table reads; `triplet_loss` reads `COMP`
-from a full `role_cosines` table through `margin_hinges`.
+which forms only the cosines each table reads. `triplet_loss`, the
+per-triplet comp term, is that node's op-by-op reference: it reads `COMP`
+from a full `role_cosines` table with `take_rows`, `relu` and `mean`.
 
 Scoring keys items by store row: a `PairPlan` holds the distinct store
 rows of its pairs, and `Reps.at` maps a store row to its rep.
@@ -24,8 +25,8 @@ import numpy as np
 from .data import Dataset, first_seen
 from .errors import ConfigError, DimensionError, DomainError
 from .model import OutfitModel, item_features
-from .tensor import (Tensor, concat, grouped_projection, loss_head,
-                     margin_hinges, no_grad, role_cosines, take_rows)
+from .tensor import (Tensor, concat, grouped_projection, loss_head, no_grad,
+                     role_cosines, take_rows)
 
 
 @dataclass
@@ -67,10 +68,13 @@ VSE = _row_table([((i, j), (i, i)) for i in range(3) for j in range(3)
 
 def triplet_loss(anchor: Tensor, positive: Tensor, negative: Tensor,
                  margin: float) -> Tensor:
-    """max(0, f(anchor, negative) - f(anchor, positive) + margin), f = cosine."""
+    """max(0, f(anchor, negative) - f(anchor, positive) + margin), f = cosine,
+    op by op: the `COMP` rows of the role-cosine table seen as 9 rows."""
     roles = concat([anchor, positive, negative], axis=0).reshape(
         (3,) + anchor.shape)
-    return margin_hinges(role_cosines(roles, roles), *COMP, margin)
+    rows = role_cosines(roles, roles).reshape((9,) + anchor.shape[:-1])
+    return (take_rows(rows, COMP[0]) + take_rows(rows, COMP[1]) * -1.0
+            + margin).relu().mean(axis=0)
 
 
 def training_loss(model: OutfitModel, regions: np.ndarray, words: np.ndarray,
@@ -232,17 +236,6 @@ def plan_scores(plan: PairPlan, model: OutfitModel, reps: Reps) -> np.ndarray:
             scores[positions] = _space_cosines(model.spaces[pair].data,
                                                stack[rows], left, right)
     return scores
-
-
-def pair_scores(model: OutfitModel, dataset: Dataset, reps: Reps,
-                pairs: list[tuple[str, str]]) -> np.ndarray:
-    """The scores of a list of item-id pairs, NaN where a pair has no
-    trained space: `plan_scores` of `plan_pairs`.
-
-    Raises DomainError for an id the dataset does not hold or that has no
-    entry in `reps`.
-    """
-    return plan_scores(plan_pairs(dataset, pairs, model.spaces), model, reps)
 
 
 def score_from_reps(model: OutfitModel, type_a: str, rep_a: np.ndarray,

@@ -521,10 +521,22 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     and word rows, identically across the outfit's items. FC negatives mix
     items across styles; FITB distractors share the blank's type but come
     from a different style.
+
+    SyntheticSpecError: the spec is invalid, or its arrays do not fit in
+    memory.
     """
     spec.validate()
-    rng = np.random.default_rng(seed)
+    try:
+        return _generate(spec, np.random.default_rng(seed))
+    except MemoryError as exc:
+        raise SyntheticSpecError(
+            f"items of {spec.num_regions} x {spec.region_dim} regions and "
+            f"{spec.num_words} x {spec.word_dim} words do not fit in "
+            f"memory: {exc}") from exc
 
+
+def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
+    """`generate_synthetic` of a valid spec."""
     types = [ItemType(name=f"type{i:02d}", id=i) for i in range(spec.num_types)]
     img_patterns = rng.normal(size=(spec.num_styles, spec.region_dim))
     img_patterns /= np.linalg.norm(img_patterns, axis=1, keepdims=True)

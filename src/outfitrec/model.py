@@ -77,8 +77,14 @@ class OutfitModel:
 
 def init_model(fusion: str, dims: ModelDims,
                type_pairs: set[tuple[str, str]], seed: int) -> OutfitModel:
-    """Seeded initialization; one compatibility space per trained pair."""
-    return _build_model(fusion, dims, type_pairs, np.random.default_rng(seed))
+    """Seeded initialization; one compatibility space per trained pair.
+    ConfigError: the dims' tensors do not fit in memory."""
+    try:
+        return _build_model(fusion, dims, type_pairs,
+                            np.random.default_rng(seed))
+    except MemoryError as exc:
+        raise ConfigError(
+            f"model dims {vars(dims)} do not fit in memory: {exc}") from exc
 
 
 def _build_model(fusion: str, dims: ModelDims,

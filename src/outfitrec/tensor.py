@@ -11,9 +11,8 @@ Tensors; only `+` and `*` also wrap a plain number or array.
 Shapes may carry leading batch axes: `linear` maps the last axis,
 `attention_pool` sums rows over the second-to-last, reductions act on
 whatever axis is requested, and softmax, the MFB pooling tail and the
-role cosines act on the last axis; `margin_hinges` reads a role-cosine
-table's leading (R, R) roles, and `loss_head` the leading roles of its
-(R, ..., d) stacks.
+role cosines act on the last axis; `loss_head` reads the leading roles
+of its (R, ..., d) stacks.
 """
 
 from __future__ import annotations
@@ -527,20 +526,11 @@ def role_cosines(a: Tensor, b: Tensor) -> Tensor:
                           (a, b), backward)
 
 
-def _hinges(rows: np.ndarray, negative_rows: np.ndarray,
-            positive_rows: np.ndarray, margin: float
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's `cos[negative] - cos[positive] + margin` over the table
-    rows `rows`, and each triplet's mean of its entries' hinges."""
-    hinge = rows[negative_rows] + rows[positive_rows] * -1.0 + margin
-    return hinge, (np.maximum(hinge, 0.0).sum(axis=0)
-                   * (1.0 / len(negative_rows)))
-
-
 def _hinge_grad(g: np.ndarray, hinge: np.ndarray, negative_rows: np.ndarray,
                 positive_rows: np.ndarray, count: int) -> np.ndarray:
-    """The gradient for the `count` table rows of `_hinges`' triplet means,
-    given theirs, `g`: one `np.bincount` scatter per side."""
+    """The gradient for the `count` cosine rows of the triplet means of the
+    (E, ...) `hinge` rows `cos[negative] - cos[positive] + margin`, given
+    theirs, `g`: one `np.bincount` scatter per side."""
     g_neg = g * (1.0 / len(negative_rows)) * (hinge > 0.0)   # signed zeros
     width = hinge[0].size
     flat = [(ix[:, None] * width + np.arange(width)).ravel()
@@ -552,77 +542,40 @@ def _hinge_grad(g: np.ndarray, hinge: np.ndarray, negative_rows: np.ndarray,
     return summed.reshape((count,) + hinge.shape[1:])
 
 
-def margin_hinges(cos: Tensor, negative_rows: np.ndarray,
-                  positive_rows: np.ndarray, margin: float) -> Tensor:
-    """Each triplet's mean of `max(0, cos[negative] - cos[positive] +
-    margin)` over E entries, as one node: entry e compares rows
-    `negative_rows[e]` and `positive_rows[e]` of the (R, R, ...) table
-    `cos` seen as R * R rows.
-
-    Forward and backward repeat the arithmetic of the op-by-op chain (two
-    `take_rows`, `* -1.0`, `+`, `+ margin`, `relu`, `mean(axis=0)`) it
-    replaced, so values and gradients match it bit for bit; each side's
-    gradient is one `np.bincount` scatter. DimensionError: `cos` is not
-    (R, R, ...), or the row tables are not two 1-D integer arrays of one
-    length >= 1 with rows in [0, R * R).
-    """
-    neg, pos = negative_rows, positive_rows
-    if (cos.ndim < 2 or cos.shape[0] != cos.shape[1]
-            or not isinstance(neg, np.ndarray)
-            or not isinstance(pos, np.ndarray)
-            or neg.ndim != 1 or neg.shape != pos.shape or not neg.size
-            or neg.dtype.kind not in "iu" or pos.dtype.kind not in "iu"):
-        raise DimensionError(
-            f"margin_hinges needs an (R, R, ...) table and two 1-D integer "
-            f"row tables of one length >= 1, got {cos.shape} and "
-            f"{getattr(neg, 'shape', neg)}, {getattr(pos, 'shape', pos)}")
-    count = cos.shape[0] ** 2
-    listed = neg.tolist() + pos.tolist()   # a few entries: cheaper than numpy
-    if min(listed) < 0 or max(listed) >= count:
-        raise DimensionError(f"margin_hinges rows span [{min(listed)}, "
-                             f"{max(listed)}], outside the {count} table rows")
-    neg, pos = neg.astype(np.intp, copy=False), pos.astype(np.intp, copy=False)
-    hinge, data = _hinges(cos.data.reshape((count,) + cos.shape[2:]),
-                          neg, pos, margin)
-
-    def backward(g):
-        cos._accumulate(_hinge_grad(g, hinge, neg, pos, count)
-                        .reshape(cos.shape))
-
-    return Tensor._result(data, (cos,), backward)
-
-
 def loss_head(stacks: Sequence[Tensor], terms, margin: float
               ) -> tuple[Tensor, list[float]]:
     """A weighted sum of margin-hinge loss terms over role stacks, as one
     node, and each term's value.
 
     Term `(weight, a, b, table)` is `weight` times the mean over triplets
-    of `margin_hinges(role_cosines(stacks[a], stacks[b]), *table, margin)`
-    for two (R, ..., d) stacks and a (2, E) row table; the total adds the
-    weighted terms left to right. Only the cosines the table's rows read
-    are computed and differentiated, and each stack's norms once.
+    of the op-by-op chain `(take_rows(rows, table[0]) + take_rows(rows,
+    table[1]) * -1.0 + margin).relu().mean(axis=0)`, where `rows` is
+    `role_cosines(stacks[a], stacks[b])` seen as R * R rows, for two
+    (R, ..., d) stacks and a (2, E) row table; the total adds the weighted
+    terms left to right. Only the cosines the table's rows read are
+    computed and differentiated, and each stack's norms once.
 
-    Forward and backward repeat the arithmetic of that op-by-op chain
-    (`role_cosines`, `margin_hinges`, `.mean()`, `*` and `+`), so values and
-    gradients match it bit for bit: an unread cosine's gradient is exactly
-    0, and `_cosine_grad` adds the read ones as the full table's
-    contraction does. Each stack receives its gradients in term order, the
-    `a` side before the `b` side. DimensionError: a term's stacks differ in
+    Forward and backward repeat the arithmetic of that chain, its
+    `.mean()` and the weighted sum's `*` and `+`, so values and gradients
+    match it bit for bit: an unread cosine's gradient is exactly 0, and
+    `_cosine_grad` adds the read ones as the full table's contraction
+    does. Each stack receives its gradients in term order, the `a` side
+    before the `b` side. DimensionError: a term's stacks differ in
     shape or are not (R, ..., d), or its table is not a (2, E >= 1) integer
-    array of rows in [0, R * R).
+    numpy array of rows in [0, R * R).
     """
     norms: dict[int, np.ndarray] = {}
     saved, values, total = [], [], None
     for weight, ia, ib, table in terms:
-        a, b, table = stacks[ia].data, stacks[ib].data, np.asarray(table)
-        if (a.ndim < 2 or a.shape != b.shape or table.ndim != 2
+        a, b = stacks[ia].data, stacks[ib].data
+        if (a.ndim < 2 or a.shape != b.shape
+                or not isinstance(table, np.ndarray) or table.ndim != 2
                 or table.shape[0] != 2 or not table.size
                 or table.dtype.kind not in "iu"):
             raise DimensionError(
                 f"loss_head needs two (R, ..., d) stacks of one shape and a "
                 f"(2, E) integer row table, got {a.shape}, {b.shape} and "
-                f"{table.shape}")
+                f"{getattr(table, 'shape', table)}")
         roles, listed = a.shape[0], table.tolist()
         read = sorted(set(listed[0] + listed[1]))   # the cosines to compute
         if read[0] < 0 or read[-1] >= roles * roles:
@@ -636,7 +589,8 @@ def loss_head(stacks: Sequence[Tensor], terms, margin: float
             if k not in norms:
                 norms[k] = _norms(x)
         cos, den = _cosines(a, b, norms[ia], norms[ib], i, j)
-        hinge, per_triplet = _hinges(cos, neg, pos, margin)
+        hinge = cos[neg] + cos[pos] * -1.0 + margin
+        per_triplet = np.maximum(hinge, 0.0).sum(axis=0) * (1.0 / len(neg))
         value = per_triplet.sum() * (1.0 / per_triplet.size)
         total = value * weight if total is None else total + value * weight
         values.append(float(value))

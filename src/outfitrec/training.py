@@ -23,10 +23,10 @@ class TrainConfig:
     epochs: int = 10
     learning_rate: float = 5e-5
     batch_size: int = 128
-    lambda_vsim: float = 5e-5
-    lambda_tsim: float = 5e-5
-    lambda_vse: float = 5e-3
-    margin: float = 0.2
+    lambda_vsim: float = LossWeights.lambda_vsim
+    lambda_tsim: float = LossWeights.lambda_tsim
+    lambda_vse: float = LossWeights.lambda_vse
+    margin: float = LossWeights.margin
     hops: int = 2
     mfb_factor: int = 2
     d_g: int = 512

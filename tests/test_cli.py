@@ -84,6 +84,12 @@ class TestGen:
                                       *args])
         assert_usage_error(result, message)
 
+    def test_arrays_beyond_memory_are_a_usage_error(self, tmp_path, runner):
+        # a size numpy refuses at once, so no memory is touched
+        result = runner.invoke(main, ["gen", "--out", str(tmp_path / "x"),
+                                      *GEN_ARGS, "--num-regions", str(10**17)])
+        assert_one_error_line(result, "do not fit in memory")
+
     def test_out_path_that_is_a_file_is_a_usage_error(self, tmp_path,
                                                       runner):
         out = tmp_path / "taken"
@@ -167,6 +173,16 @@ class TestTrain:
         assert isinstance(result.exception, SystemExit), result.exception
         assert str(cfg_path) in result.output
 
+    def test_dims_beyond_memory_are_a_usage_error(self, tmp_path, runner,
+                                                  data_dir):
+        # a size numpy refuses at once, so no memory is touched
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TRAIN_CONFIG, "d_g": 10**17}))
+        result = runner.invoke(main, ["train", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / "x")])
+        assert_one_error_line(result, "do not fit in memory")
 
     def test_malformed_manifest_is_a_usage_error(self, tmp_path, runner):
         manifest = tmp_path / "manifest.json"
@@ -422,6 +438,13 @@ def assert_usage_error(result, message):
     assert result.exit_code != 0
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert "Error:" in result.output and message in result.output
+
+
+def assert_one_error_line(result, message):
+    """The usage error is the command's only output, with exit status 1."""
+    assert_usage_error(result, message)
+    assert result.exit_code == 1
+    assert len(result.output.splitlines()) == 1, result.output
 
 
 def test_every_package_error_is_an_outfitrec_error():

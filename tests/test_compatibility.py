@@ -14,9 +14,8 @@ from outfitrec.errors import (ConfigError, DimensionError, DomainError,
                              UnseenTypePairError)
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model, item_features
 from outfitrec.optim import grad_check
-from outfitrec.tensor import (Tensor, grouped_projection, linear,
-                              margin_hinges, no_grad, parameter,
-                              role_cosines)
+from outfitrec.tensor import (Tensor, grouped_projection, linear, no_grad,
+                              parameter, role_cosines, take_rows)
 
 
 def cos(a, b):
@@ -40,16 +39,26 @@ def tl(a, p, n, m=0.2):
     return triplet_loss(Tensor(a), Tensor(p), Tensor(n), m).item()
 
 
+def hinges_chain(cos, negative_rows, positive_rows, margin):
+    """Each triplet's mean margin hinge over a role-cosine table's entries,
+    op by op, as `triplet_loss` computes its one entry (the reference of
+    the same name in test_tensor.py)."""
+    rows = cos.reshape((cos.shape[0] ** 2,) + cos.shape[2:])
+    negative = take_rows(rows, negative_rows)
+    positive = take_rows(rows, positive_rows)
+    return (negative + positive * -1.0 + margin).relu().mean(axis=0)
+
+
 def vsim(u, p, n, m):
     """The vsim (or tsim) term of one anchor/positive/negative triplet."""
     roles = Tensor(np.stack([u, p, n]))
-    return margin_hinges(role_cosines(roles, roles), *SIM, m).item()
+    return hinges_chain(role_cosines(roles, roles), *SIM, m).item()
 
 
 def vse(imgs, txts, m):
     """The vse term of one triplet's three images and three texts."""
-    return margin_hinges(role_cosines(Tensor(np.stack(imgs)),
-                                      Tensor(np.stack(txts))), *VSE, m).item()
+    return hinges_chain(role_cosines(Tensor(np.stack(imgs)),
+                                     Tensor(np.stack(txts))), *VSE, m).item()
 
 
 class TestTripletLoss:
@@ -396,7 +405,7 @@ class TestTrainingLoss:
     def test_graph_node_count_is_bounded(self, fusion, bound):
         """The four loss terms and their weighted total are one `loss_head`
         node and each mean pooling is one `pool_rows` node; a `role_cosines`
-        table and a `margin_hinges` node per term, with the means and the
+        table and a one-node margin hinge per term, with the means and the
         total op by op, took 32 more, the op-by-op hinge chains 44 more
         again, and one node chain per cosine 151 more again."""
         regions, words = self.items(np.random.default_rng(16), 5)

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import json
 import struct
 import warnings
@@ -611,13 +612,21 @@ class TestSyntheticGenerator:
                 assert ds.items[cand].type.name == truth.type.name
 
     def test_undescribed_fraction(self):
-        import dataclasses
         spec = dataclasses.replace(self.SPEC, undescribed_frac=0.5)
         ds = generate_synthetic(spec, seed=4)
         undescribed = [i for i in ds.items.values() if not i.described]
         assert undescribed, "expected some undescribed items"
         for item in undescribed:
             assert item.words.shape[0] == 0
+
+    def test_arrays_beyond_memory_are_a_spec_error(self):
+        """A size numpy refuses at once, beyond any address space, so no
+        memory is touched."""
+        spec = dataclasses.replace(self.SPEC, num_regions=10**17)
+        with pytest.raises(SyntheticSpecError,
+                           match="100000000000000000 x 6 regions .* do not "
+                                 "fit in memory"):
+            generate_synthetic(spec, seed=0)
 
 
 class TestFilterQuestions:

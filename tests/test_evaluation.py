@@ -15,8 +15,8 @@ from outfitrec.errors import DomainError, MetricUndefinedError
 from outfitrec.evaluation import (MetricsReport, compute_representations,
                                   evaluate, fc_auc, fc_scores_and_labels,
                                   fitb_answer, fitb_answers, vote)
-from outfitrec.compatibility import (_space_cosines, pair_scores,
-                                     score_from_reps)
+from outfitrec.compatibility import (_space_cosines, plan_pairs,
+                                     plan_scores, score_from_reps)
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.tensor import Tensor
 from outfitrec.training import TrainConfig, train
@@ -130,11 +130,12 @@ class TestPairScores:
                   for k, v in model.spaces.items()}
         model2 = dataclasses.replace(model, spaces=zeroed)
         with pytest.raises(DomainError):
-            pair_scores(model2, ds, reps, [ds.fc_questions[0].items[:2]])
+            plan_scores(plan_pairs(ds, [ds.fc_questions[0].items[:2]],
+                                   model2.spaces), model2, reps)
 
 
 def reference_pair_scores(model, dataset, reps, pairs):
-    """The per-group loop `pair_scores` replaced: pairs grouped by
+    """The per-group loop `plan_scores` replaced: pairs grouped by
     `canonical_pair` in a dict, and per trained group a row dict of its
     distinct ids in first-seen order and one `np.stack` of their reps."""
     scores = np.full(len(pairs), np.nan)
@@ -231,7 +232,7 @@ def reference_report(dataset, models):
 
 
 class TestScoringBitIdentity:
-    """`pair_scores` and `fitb_answers` give the reference loops' exact
+    """`plan_scores` and `fitb_answers` give the reference loops' exact
     bits: the same rows reach each type pair's GEMM in the same order, and
     each candidate is totalled by the same reduction."""
 
@@ -247,7 +248,7 @@ class TestScoringBitIdentity:
         pairs += [(b, a) for a, b in pairs[:40]] + pairs[:10]
         want = reference_pair_scores(model, ds, reps, pairs)
         assert 0 < np.isnan(want).sum() < len(pairs)   # an untrained pair
-        got = pair_scores(model, ds, reps, pairs)
+        got = plan_scores(plan_pairs(ds, pairs, model.spaces), model, reps)
         assert np.array_equal(got, want, equal_nan=True)
 
     def test_fc_questions_of_mixed_sizes_match_reference(self):
@@ -322,7 +323,7 @@ class TestScoringBitIdentity:
         model = init_model(fusion, dims, ds.trained_type_pairs(), seed=0)
         pairs = [p for q in ds.fc_questions for p in combinations(q.items, 2)]
         reps = compute_representations(model, ds, [i for p in pairs for i in p])
-        got = pair_scores(model, ds, reps, pairs)
+        got = plan_scores(plan_pairs(ds, pairs, model.spaces), model, reps)
         want = reference_pair_scores(model, ds, reps, pairs)
         assert len(pairs) == 12000
         assert np.array_equal(got, want), f"{(got != want).sum()} scores differ"
@@ -350,7 +351,8 @@ class TestScoringBitIdentity:
         ds, model, reps = fixture_model_and_reps(seed=17)
         choice, totals = fitb_answers([], model, ds, reps)
         assert choice.shape == (0,) and totals.shape == (0, 4)
-        assert pair_scores(model, ds, reps, []).shape == (0,)
+        assert plan_scores(plan_pairs(ds, [], model.spaces), model,
+                           reps).shape == (0,)
 
 
 class TestUnrepresentedItem:
@@ -370,7 +372,8 @@ class TestUnrepresentedItem:
         ds, model, reps, bare = self.fixture()
         other = next(iter(reps))
         with pytest.raises(DomainError, match=repr(bare)):
-            pair_scores(model, ds, reps, [(other, bare)])
+            plan_scores(plan_pairs(ds, [(other, bare)], model.spaces), model,
+                        reps)
 
     def test_fc_scores_and_labels(self):
         ds, model, reps, bare = self.fixture()

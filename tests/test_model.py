@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from outfitrec import model as model_module
-from outfitrec.errors import DatasetError, DimensionError
+from outfitrec.errors import ConfigError, DatasetError, DimensionError
 from outfitrec.model import (CHECKPOINT_MAGIC, FUSION_KINDS, ModelDims,
                              init_model, item_features, load_model,
                              save_model)
@@ -206,6 +206,15 @@ def test_init_model_rejects_a_zero_dim(field):
     dims = dataclasses.replace(DIMS, **{field: 0})
     with pytest.raises(DimensionError, match="dims must be positive"):
         init_model("coattention", dims, PAIRS, seed=0)
+
+
+def test_init_model_beyond_memory_is_a_config_error():
+    """A size numpy refuses at once, beyond any address space, so no
+    memory is touched."""
+    dims = dataclasses.replace(DIMS, d_g=10**17)
+    with pytest.raises(ConfigError, match="'d_g': 100000000000000000, .* "
+                                          "do not fit in memory"):
+        init_model("baseline", dims, PAIRS, seed=0)
 
 
 def test_hop_count_is_checked_before_the_model_is_built(tmp_path, monkeypatch):

@@ -18,9 +18,9 @@ from outfitrec.fusion import mfb
 from outfitrec.model import FUSION_KINDS, ModelDims, init_model
 from outfitrec.optim import grad_check
 from outfitrec.tensor import (Tensor, attention_pool, concat,
-                              grouped_projection, linear, loss_head,
-                              margin_hinges, mfb_pool, parameter, pool_rows,
-                              role_cosines, softmax, take_rows)
+                              grouped_projection, linear, loss_head, mfb_pool,
+                              parameter, pool_rows, role_cosines, softmax,
+                              take_rows)
 
 
 class TestSoftmax:
@@ -483,7 +483,7 @@ def test_every_tape_op_is_reached_by_a_training_graph():
     records its backward closure in some fuser's training graph, or in the
     graph of `triplet_loss`, the per-triplet loss the acceptance oracle
     reads (since `loss_head` computes the training terms, `role_cosines`
-    and `margin_hinges` are reached only there): an op that no graph
+    and `Tensor.relu` are reached only there): an op that no graph
     reaches is dead code and should be deleted."""
     def records(fn):
         return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
@@ -665,7 +665,8 @@ class TestTakeRows:
 
 
 def hinges_chain(cos, negative_rows, positive_rows, margin):
-    """The op-by-op graph `margin_hinges` replaced: the table as R * R
+    """Each triplet's mean margin hinge over a role-cosine table's entries,
+    op by op, as `triplet_loss` computes its one entry: the table as R * R
     rows, one `take_rows` per side, `negative - positive + margin` (the
     subtraction as `+ positive * -1.0`), `relu` and the mean over the
     entries."""
@@ -676,63 +677,61 @@ def hinges_chain(cos, negative_rows, positive_rows, margin):
 
 
 class TestMarginHinges:
+    """The margin hinges of one `loss_head` term for each row table: bits
+    against `hinges_chain` and finite differences over a single stack (the
+    comp and sim case), and the row tables and stacks a term rejects."""
     # row 2 is a negative of one entry and the positive of another
-    CROSSED = (np.array([1, 2, 5]), np.array([2, 0, 2]))
-    TABLES = [COMP, SIM, VSE, np.stack(CROSSED)]
+    CROSSED = np.array([[1, 2, 5], [2, 0, 2]])
+    TABLES = [COMP, SIM, VSE, CROSSED]
     IDS = ["comp", "sim", "vse", "crossed"]
 
     @pytest.mark.parametrize("table", TABLES, ids=IDS)
     @pytest.mark.parametrize("tail", [(), (7,), (2, 5)])
     def test_bits_match_op_by_op_chain(self, table, tail):
-        """Output and `cos` gradient, signed zeros included, with a hinge
-        exactly at 0 in every column, uniform cosines below and above it,
-        and zero upstream gradients."""
-        rng = np.random.default_rng(17)
-        data = rng.uniform(-1.0, 1.0, size=(3, 3) + tail)
-        flat = data.reshape((9,) + tail)
+        """Value and stack gradient, signed zeros included, with the first
+        entry's hinge exactly at 0 in the first column."""
+        stack = np.random.default_rng(17).normal(size=(3,) + tail + (4,))
+        first = role_cosines(*[Tensor(stack)] * 2).data.reshape(9, -1)[:, 0]
         neg, pos = table
-        flat[neg[0]], flat[pos[0]] = 0.25, 0.5   # 0.25 - 0.5 + 0.25 == 0.0
-        g = rng.normal(size=tail)
-        if tail:
-            g.reshape(-1)[:2] = (0.0, -0.0)
-        got, want = parameter(data), parameter(data)
-        out = margin_hinges(got, neg, pos, 0.25)
-        ref = hinges_chain(want, neg, pos, 0.25)
-        assert out.data.tobytes() == ref.data.tobytes()
-        (out * Tensor(g)).sum().backward()
-        (ref * Tensor(g)).sum().backward()
-        np.testing.assert_array_equal(got.grad.view(np.uint64),
-                                      want.grad.view(np.uint64))
+        margin = -(first[neg[0]] + first[pos[0]] * -1.0)
+        head, chain = parameter(stack), parameter(stack)
+        total, _ = loss_head([head], [(1.0, 0, 0, table)], margin)
+        want = hinges_chain(role_cosines(chain, chain), neg, pos,
+                            margin).mean()
+        assert same_bits(total.data, want.data)
+        (total * 0.75).backward()
+        (want * 0.75).backward()
+        assert same_bits(head.grad, chain.grad)
 
     def test_one_node(self):
-        cos = parameter(np.zeros((3, 3, 4)))
-        out = margin_hinges(cos, *VSE, 0.2)
-        assert out._parents == (cos,) and out.shape == (4,)
+        stack = parameter(np.random.default_rng(18).normal(size=(3, 4, 2)))
+        total, _ = loss_head([stack], [(1.0, 0, 0, VSE)], 0.2)
+        assert total._parents == (stack,) and total.shape == ()
 
     @pytest.mark.parametrize("table", TABLES, ids=IDS)
     def test_gradients_match_finite_differences(self, table):
-        rng = np.random.default_rng(18)
-        cos = parameter(rng.uniform(-1.0, 1.0, size=(3, 3, 5)))
-        c = rng.normal(size=5)
-        loss = lambda: (margin_hinges(cos, *table, 0.2) * c).sum()
-        report = grad_check(loss, [("cos", cos)], h_scale=1e-6, rel_tol=1e-6)
+        stack = parameter(np.random.default_rng(18).normal(size=(3, 5, 4)))
+        report = grad_check(
+            lambda: loss_head([stack], [(1.0, 0, 0, table)], 0.2)[0],
+            [("stack", stack)], h_scale=1e-6, rel_tol=1e-6)
         assert report.passed, str(report)
 
-    @pytest.mark.parametrize("cos_shape, neg, pos", [
-        ((3, 3, 4), np.array([1, 9]), np.array([0, 0])),
-        ((3, 3, 4), np.array([1, 2]), np.array([0, -1])),
-        ((3, 3, 4), np.array([1.0, 2.0]), np.array([0, 0])),
-        ((3, 3, 4), np.array([[1, 2]]), np.array([[0, 0]])),
-        ((3, 3, 4), np.array([1, 2]), np.array([0])),
-        ((3, 3, 4), np.array([], dtype=np.intp), np.array([], dtype=np.intp)),
-        ((3, 3, 4), [1, 2], [0, 0]),
-        ((3, 2, 4), np.array([1]), np.array([0])),
-        ((3,), np.array([1]), np.array([0])),
+    @pytest.mark.parametrize("shapes, table", [
+        (((3, 4, 2),) * 2, np.array([[1, 9], [0, 0]])),
+        (((3, 4, 2),) * 2, np.array([[1, 2], [0, -1]])),
+        (((3, 4, 2),) * 2, np.array([[1.0, 2.0], [0, 0]])),
+        (((3, 4, 2),) * 2, np.array([[[1, 2]], [[0, 0]]])),
+        (((3, 4, 2),) * 2, (np.array([1, 2]), np.array([0]))),
+        (((3, 4, 2),) * 2, np.zeros((2, 0), dtype=np.intp)),
+        (((3, 4, 2),) * 2, [[1, 2], [0, 0]]),
+        (((3, 4, 2), (2, 4, 2)), np.array([[1], [0]])),
+        (((3,),) * 2, np.array([[1], [0]])),
     ], ids=["past_end", "negative", "float", "2d", "lengths_differ", "empty",
             "list", "not_square", "1d_cos"])
-    def test_malformed_row_table_rejected(self, cos_shape, neg, pos):
-        with pytest.raises(DimensionError, match="margin_hinges"):
-            margin_hinges(parameter(np.zeros(cos_shape)), neg, pos, 0.2)
+    def test_malformed_row_table_rejected(self, shapes, table):
+        stacks = [parameter(np.ones(shape)) for shape in shapes]
+        with pytest.raises(DimensionError, match="loss_head"):
+            loss_head(stacks, [(1.0, 0, 1, table)], 0.2)
 
 
 # The four terms of `training_loss` over (proj, img, txt) stacks.
@@ -743,9 +742,9 @@ TERMS = [(1.0, 0, 0, COMP), (WEIGHTS.lambda_vsim, 1, 1, SIM),
 
 def loss_chain(proj, img, txt, w=WEIGHTS):
     """The op-by-op graph `loss_head` replaced: a `role_cosines` table per
-    term, its `margin_hinges` and `.mean()`, then the weighted total as
+    term, its `hinges_chain` and `.mean()`, then the weighted total as
     `total_loss` added it. Returns the total and the four terms."""
-    terms = [margin_hinges(role_cosines(a, b), *table, w.margin).mean()
+    terms = [hinges_chain(role_cosines(a, b), *table, w.margin).mean()
              for a, b, table in ((proj, proj, COMP), (img, img, SIM),
                                  (txt, txt, SIM), (img, txt, VSE))]
     comp, vsim, tsim, vse = terms

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from outfitrec.compatibility import LossWeights
 from outfitrec.data import (Dataset, ItemType, Outfit, SyntheticSpec,
                             canonical_pair, generate_synthetic)
 from outfitrec import training
@@ -50,6 +51,9 @@ class TestTrainConfig:
         assert cfg.hops == 2 and cfg.mfb_factor == 2
         assert cfg.d_g == cfg.d_c == cfg.h == 512
         assert cfg.runs == 5
+
+    def test_default_weights_are_the_loss_defaults(self):
+        assert TrainConfig().weights() == LossWeights()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="learning_rte"):

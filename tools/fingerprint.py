@@ -47,7 +47,7 @@ import numpy as np  # noqa: E402
 
 from outfitrec import training  # noqa: E402
 from outfitrec.compatibility import training_loss  # noqa: E402
-from outfitrec.compatibility import pair_scores  # noqa: E402
+from outfitrec.compatibility import plan_pairs, plan_scores  # noqa: E402
 from outfitrec.data import (SyntheticSpec, filter_questions,  # noqa: E402
                             generate_synthetic, save_dataset)
 from outfitrec.evaluation import (compute_representations,  # noqa: E402
@@ -154,8 +154,8 @@ def scoring_fingerprint(dataset, model) -> dict:
     choice, totals = fitb_answers(fitb, model, dataset, reps)
     blobs = [b"none" if c < 0 else t.tobytes()
              for c, t in zip(choice.tolist(), totals)]
-    return {"fc_pair_scores_sha256": sha256(
-                pair_scores(model, dataset, reps, pairs).tobytes()),
+    scores = plan_scores(plan_pairs(dataset, pairs, model.spaces), model, reps)
+    return {"fc_pair_scores_sha256": sha256(scores.tobytes()),
             "fitb_totals_sha256": sha256(b"".join(blobs))}
 
 
