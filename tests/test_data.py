@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+import hashlib
 import json
 import struct
 import warnings
@@ -382,6 +383,133 @@ def test_inconsistent_manifest_rejected(tmp_path, edit, message):
         load_dataset(manifest)
 
 
+def dataset_content(ds: Dataset) -> dict[str, str]:
+    """The SHA-256 of each part of a dataset's content: the float64 stores
+    with their shapes, the items (id, type, description) in order, the
+    outfits by split and the questions."""
+    def sha256(part) -> str:
+        if isinstance(part, np.ndarray):
+            raw = (repr(part.shape).encode()
+                   + np.ascontiguousarray(part, "<f8").tobytes())
+        else:
+            raw = json.dumps(part).encode()
+        return hashlib.sha256(raw).hexdigest()
+    return {
+        "regions": sha256(ds.regions),
+        "words": sha256(ds.words),
+        "ids": sha256([[i, item.type.name, item.type.id, item.description]
+                       for i, item in ds.items.items()]),
+        "outfits": sha256({split: [[o.id, list(o.items)] for o in outfits]
+                           for split, outfits in ds.outfits.items()}),
+        "questions": sha256([
+            [[list(q.items), q.label] for q in ds.fc_questions],
+            [[list(q.partial), list(q.candidates), q.answer]
+             for q in ds.fitb_questions]]),
+    }
+
+
+class TestManifestContract:
+    """The manifest's layout and its item checks, pinned: a one-line and
+    an indented manifest load alike, and each malformed item list raises
+    the message an item-by-item walk raises."""
+
+    def test_indented_and_one_line_manifests_load_equal(self, tmp_path):
+        manifest = save_dataset(generate_synthetic(STORE_SPEC, seed=3),
+                                tmp_path)
+        meta = json.loads(manifest.read_text())
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+        one_line = tmp_path / "one_line.json"
+        one_line.write_text(json.dumps(meta, sort_keys=True) + "\n")
+        assert len(one_line.read_text().splitlines()) == 1
+        assert indented.read_bytes() != one_line.read_bytes()
+        want = dataset_content(load_dataset(manifest))
+        assert dataset_content(load_dataset(indented)) == want
+        assert dataset_content(load_dataset(one_line)) == want
+
+    @staticmethod
+    def subscript_error(entry) -> TypeError:
+        try:
+            entry["id"]
+        except TypeError as exc:
+            return exc
+        raise AssertionError(f"{entry!r} is subscriptable by a str")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda items: items.append(dict(items[0])), "duplicate item id 'a'"),
+        (lambda items: items[1].update(id=7),
+         "item id must be a JSON str, got 7"),
+        (lambda items: items[1].update(id=True),
+         "item id must be a JSON str, got True"),
+        (lambda items: items[1].update(type="hats"),
+         "item 'b' has unknown type 'hats'"),
+        (lambda items: items[1].update(type=["shoes"]),
+         "item 'b' type must be a JSON str, got ['shoes']"),
+        (lambda items: items[1].update(type=1),
+         "item 'b' type must be a JSON str, got 1"),
+        (lambda items: items[1].update(description=5),
+         "item 'b' description must be a JSON str, got 5"),
+        (lambda items: items[1].update(description=False),
+         "item 'b' description must be a JSON str, got False"),
+        # the first faulty item in list order raises, whatever its fault
+        (lambda items: (items[1].update(type="hats"),
+                        items[2].update(id=7)),
+         "item 'b' has unknown type 'hats'"),
+        (lambda items: (items[1].update(description=5),
+                        items.append(dict(items[0]))),
+         "item 'b' description must be a JSON str, got 5"),
+        (lambda items: items[1].update(id=7, type=5),
+         "item id must be a JSON str, got 7"),
+    ], ids=["duplicate_id", "int_id", "bool_id", "unknown_type",
+            "list_type", "int_type", "int_description", "bool_description",
+            "first_of_two_faults", "fault_before_duplicate",
+            "id_before_type"])
+    def test_malformed_item_raises_its_message(self, tmp_path, edit,
+                                               message):
+        manifest = save_dataset(tiny_dataset(), tmp_path)
+        meta = json.loads(manifest.read_text())
+        edit(meta["items"])
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(DatasetError) as info:
+            load_dataset(manifest)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry", [["b", "shoes"], "b", None, 5],
+                             ids=["list", "str", "null", "int"])
+    def test_item_that_is_not_an_object_raises_its_message(self, tmp_path,
+                                                           entry):
+        manifest = save_dataset(tiny_dataset(), tmp_path)
+        meta = json.loads(manifest.read_text())
+        meta["items"][1] = entry
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(DatasetError) as info:
+            load_dataset(manifest)
+        assert str(info.value) == (f"{manifest}: malformed manifest: "
+                                   f"{self.subscript_error(entry)!r}")
+
+    @pytest.mark.parametrize("key", ["id", "type"])
+    def test_item_without_a_key_raises_its_message(self, tmp_path, key):
+        manifest = save_dataset(tiny_dataset(), tmp_path)
+        meta = json.loads(manifest.read_text())
+        del meta["items"][1][key]
+        meta["items"][2] = None   # a later fault does not raise first
+        manifest.write_text(json.dumps(meta))
+        with pytest.raises(DatasetError) as info:
+            load_dataset(manifest)
+        assert str(info.value) == (f"{manifest}: malformed manifest: "
+                                   f"{KeyError(key)!r}")
+
+    def test_item_without_a_description_is_undescribed(self, tmp_path):
+        manifest = save_dataset(tiny_dataset(), tmp_path)
+        want = dataset_content(load_dataset(manifest))
+        meta = json.loads(manifest.read_text())
+        assert meta["items"][2] == {"id": "c", "type": "shoes",
+                                    "description": None}
+        del meta["items"][2]["description"]
+        manifest.write_text(json.dumps(meta))
+        assert dataset_content(load_dataset(manifest)) == want
+
+
 @pytest.mark.parametrize("name", ["absent.json", "subdir"])
 def test_unreadable_manifest_raises_dataset_error(tmp_path, name):
     (tmp_path / "subdir").mkdir()
@@ -627,6 +755,33 @@ class TestSyntheticGenerator:
                            match="100000000000000000 x 6 regions .* do not "
                                  "fit in memory"):
             generate_synthetic(spec, seed=0)
+
+
+class TestGeneratedContentPin:
+    """`generate_synthetic`'s output, pinned bit for bit: a change to how
+    the generator stores or orders its draws must keep every part."""
+
+    PINS = {
+        "default_seed_42": (SyntheticSpec(), 42, {
+            "regions": "c351d83d6710126b4a2a4daf21830a199ef6988db28ca2038c5765ddc967f818",
+            "words": "9e8a925d0b00d1912f406212f04a050eeb63f4d4d68b8b328a1cb6c7df773e88",
+            "ids": "7e13d15d2ea662ac9a65f809f2be4e81f37a100a47133fadb30f0c784ccb5cd4",
+            "outfits": "37ec1eec14c56a068f13ad086c8dac84958744bb5b4d7607344671faf517ca69",
+            "questions": "225ac7747effafb7dc6fd1984c29e00c91d522c3e1e034e5d4fc179ce1c19d5d",
+        }),
+        "undescribed_seed_3": (SyntheticSpec(undescribed_frac=0.2), 3, {
+            "regions": "f138d3ee5c5c7809aecd2c7be5b49155e21d6636a3f76b3e15cd7918754194a3",
+            "words": "7596028d56d74c8b07557899f762a18efdd089a66969f3ab750c11b6e27465d5",
+            "ids": "bbae73a586b24162d5d59e619a7706e12b894dd5144127110fdc6dea5682a133",
+            "outfits": "37ec1eec14c56a068f13ad086c8dac84958744bb5b4d7607344671faf517ca69",
+            "questions": "a7e0173a3c85e73a3aab00b1b9754adac6d1b9e51d17d4e0c659bb729b80fcf3",
+        }),
+    }
+
+    @pytest.mark.parametrize("case", list(PINS))
+    def test_content_is_pinned(self, case):
+        spec, seed, want = self.PINS[case]
+        assert dataset_content(generate_synthetic(spec, seed)) == want
 
 
 class TestFilterQuestions:
