@@ -281,7 +281,12 @@ def read_f32(raw: bytes, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
-    """Write manifest.json, regions.f32 and words.f32; returns manifest path."""
+    """Write manifest.json, regions.f32 and words.f32; returns manifest path.
+
+    The manifest is one line of JSON with sorted keys: without `indent`,
+    `json.dumps` runs its C encoder. `load_dataset` reads any layout, the
+    indented manifests of earlier versions included, and `python -m
+    json.tool manifest.json` prints it indented."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "regions.f32").write_bytes(dataset.regions.astype("<f4").tobytes())
@@ -309,7 +314,7 @@ def save_dataset(dataset: Dataset, out_dir: str | Path) -> Path:
         },
     }
     path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, sort_keys=True) + "\n")
     return path
 
 
@@ -350,7 +355,33 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _item_entries(items, by_name: dict[str, ItemType]
+                  ) -> dict[str, tuple[ItemType, str | None]] | None:
+    """The manifest's item list as `Dataset` entries, checked one field at
+    a time over all items: ids are distinct `str`s, types are names in
+    `by_name`, and descriptions are `str` or null (or absent). None when
+    the check fails or an item is not an object with those keys; the
+    caller then walks the items one by one to raise the first fault."""
+    try:
+        ids = [meta["id"] for meta in items]
+        type_names = [meta["type"] for meta in items]
+        descriptions = [meta.get("description") for meta in items]
+        if not (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
+                and set(type_names).issubset(by_name)
+                and set(map(type, descriptions)) <= {str, type(None)}):
+            return None
+    except (KeyError, TypeError):
+        return None
+    return dict(zip(ids, zip(map(by_name.__getitem__, type_names),
+                             descriptions)))
+
+
 def _parse_manifest(manifest: dict, path: Path) -> Dataset:
+    """The `Dataset` a manifest describes. Each section is checked in
+    bulk, the item list field by field (`_item_entries`) and each list of
+    item references by one set difference; only a section that fails
+    is walked entry by entry, so the first fault raises its own
+    DatasetError."""
     base = path.parent
     d = manifest["dims"]
     dims = Dims(**{f.name: _typed(d[f.name], int, f"dims {f.name!r}")
@@ -368,18 +399,22 @@ def _parse_manifest(manifest: dict, path: Path) -> Dataset:
         types.append(ItemType(name=name, id=type_id))
     by_name = {t.name: t for t in types}
 
-    entries: dict[str, tuple[ItemType, str | None]] = {}
-    for meta in manifest["items"]:
-        item_id = _typed(meta["id"], str, "item id")
-        if item_id in entries:
-            raise DatasetError(f"duplicate item id {item_id!r}")
-        type_name = _typed(meta["type"], str, f"item {item_id!r} type")
-        if type_name not in by_name:
-            raise DatasetError(f"item {item_id!r} has unknown type {type_name!r}")
-        description = meta.get("description")
-        if description is not None:
-            _typed(description, str, f"item {item_id!r} description")
-        entries[item_id] = (by_name[type_name], description)
+    items = manifest["items"]
+    entries = _item_entries(items, by_name)
+    if entries is None:   # some item is malformed: raise the first fault
+        entries = {}
+        for meta in items:
+            item_id = _typed(meta["id"], str, "item id")
+            if item_id in entries:
+                raise DatasetError(f"duplicate item id {item_id!r}")
+            type_name = _typed(meta["type"], str, f"item {item_id!r} type")
+            if type_name not in by_name:
+                raise DatasetError(
+                    f"item {item_id!r} has unknown type {type_name!r}")
+            description = meta.get("description")
+            if description is not None:
+                _typed(description, str, f"item {item_id!r} description")
+            entries[item_id] = (by_name[type_name], description)
     regions = _read_features(base / "regions.f32", (
         len(entries), dims.num_regions, dims.region_dim))
     described = sum(d is not None for _, d in entries.values())
@@ -520,10 +555,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     style's signal pattern into exactly `signal_rows` of its region rows
     and word rows, identically across the outfit's items. FC negatives mix
     items across styles; FITB distractors share the blank's type but come
-    from a different style.
+    from a different style. The feature stores are allocated for all
+    `outfit_size` items of every outfit before the first draw, and each
+    item's draws are written into its rows.
 
     SyntheticSpecError: the spec is invalid, or its arrays do not fit in
-    memory.
+    memory (raised before any draw).
     """
     spec.validate()
     try:
@@ -537,6 +574,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
 
 def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
     """`generate_synthetic` of a valid spec."""
+    num_items = spec.outfit_size * (spec.train_outfits + spec.valid_outfits
+                                    + spec.test_outfits)
+    try:
+        regions = np.empty((num_items, spec.num_regions, spec.region_dim))
+        words = np.empty((num_items, spec.num_words, spec.word_dim))
+    except ValueError as exc:   # numpy's refusal of a size past intp
+        raise MemoryError(exc) from exc
     types = [ItemType(name=f"type{i:02d}", id=i) for i in range(spec.num_types)]
     img_patterns = rng.normal(size=(spec.num_styles, spec.region_dim))
     img_patterns /= np.linalg.norm(img_patterns, axis=1, keepdims=True)
@@ -545,23 +589,23 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
 
     entries: dict[str, tuple[ItemType, str | None]] = {}
     item_style: dict[str, int] = {}
-    region_draws: list[np.ndarray] = []
-    word_draws: list[np.ndarray] = []
+    described = 0
 
     def make_item(type_idx: int, style: int) -> str:
-        item_id = f"itm{len(entries):06d}"
-        regions = rng.normal(scale=spec.noise_scale,
-                             size=(spec.num_regions, spec.region_dim))
+        nonlocal described
+        row = len(entries)
+        item_id = f"itm{row:06d}"
+        regions[row] = rng.normal(scale=spec.noise_scale,
+                                  size=(spec.num_regions, spec.region_dim))
         rows = rng.choice(spec.num_regions, size=spec.signal_rows, replace=False)
-        regions[rows] = spec.signal_amplitude * img_patterns[style]
-        region_draws.append(regions)
+        regions[row, rows] = spec.signal_amplitude * img_patterns[style]
         description = None
         if rng.random() >= spec.undescribed_frac:
-            words = rng.normal(scale=spec.noise_scale,
-                               size=(spec.num_words, spec.word_dim))
+            words[described] = rng.normal(scale=spec.noise_scale,
+                                          size=(spec.num_words, spec.word_dim))
             wrows = rng.choice(spec.num_words, size=spec.signal_rows, replace=False)
-            words[wrows] = spec.signal_amplitude * txt_patterns[style]
-            word_draws.append(words)
+            words[described, wrows] = spec.signal_amplitude * txt_patterns[style]
+            described += 1
             description = f"style {style} {types[type_idx].name} item"
         entries[item_id] = (types[type_idx], description)
         item_style[item_id] = style
@@ -590,6 +634,10 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
             key = (entries[i][0].id, item_style[i])
             test_pool.setdefault(key, []).append(i)
     test_item_ids = [i for o in test_outfits for i in o.items]
+    # each (type, style)'s FITB distractors: its type's items of other styles
+    distractors = {(t_id, style): [x for (ty, st), pool in test_pool.items()
+                                   if ty == t_id and st != style for x in pool]
+                   for t_id, style in test_pool}
 
     fc: list[FCQuestion] = []
     for i in range(n_pos):
@@ -621,10 +669,7 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
         blank = int(rng.integers(len(outfit.items)))
         truth = outfit.items[blank]
         partial = tuple(x for j, x in enumerate(outfit.items) if j != blank)
-        t_id = entries[truth][0].id
-        style = item_style[truth]
-        eligible = [x for (ty, st), pool in test_pool.items() if ty == t_id
-                    and st != style for x in pool]
+        eligible = distractors[entries[truth][0].id, item_style[truth]]
         if len(eligible) < FITB_CANDIDATES - 1:
             raise SyntheticSpecError(
                 "too few same-type cross-style items for FITB distractors; "
@@ -637,9 +682,7 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
         fitb.append(FITBQuestion(partial=partial, candidates=shuffled,
                                  answer=answer))
 
-    # a reshape, not a stack, so that no described item gives (0, M, d_t)
-    words = np.reshape(word_draws, (-1, spec.num_words, spec.word_dim))
-    return Dataset(entries, np.stack(region_draws), words, types=types,
+    return Dataset(entries, regions, words[:described], types=types,
                    outfits=outfits, fc_questions=fc, fitb_questions=fitb)
 
 

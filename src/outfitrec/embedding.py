@@ -21,12 +21,17 @@ def uniform_init(rng: np.random.Generator | None, shape: tuple[int, ...],
                  fan_in: int, name: str) -> Tensor:
     """Uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], seeded; with no `rng`,
     zeros allocated without a draw (for a checkpoint to fill). Either way
-    the leaf adopts the fresh C-ordered array without a copy."""
-    if rng is None:
-        values = np.zeros(shape)
-    else:
-        bound = 1.0 / np.sqrt(fan_in)
-        values = rng.uniform(-bound, bound, size=shape)
+    the leaf adopts the fresh C-ordered array without a copy. A shape too
+    large to allocate raises MemoryError, numpy's refusal of a size past
+    the intp limit included."""
+    try:
+        if rng is None:
+            values = np.zeros(shape)
+        else:
+            bound = 1.0 / np.sqrt(fan_in)
+            values = rng.uniform(-bound, bound, size=shape)
+    except ValueError as exc:   # "array is too big"
+        raise MemoryError(exc) from exc
     return Tensor(values, requires_grad=True, name=name)
 
 

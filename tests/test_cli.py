@@ -90,6 +90,13 @@ class TestGen:
                                       *GEN_ARGS, "--num-regions", str(10**17)])
         assert_one_error_line(result, "do not fit in memory")
 
+    def test_arrays_beyond_intp_are_a_usage_error(self, tmp_path, runner):
+        # the byte count passes the intp limit: numpy raises ValueError
+        result = runner.invoke(main, ["gen", "--out", str(tmp_path / "x"),
+                                      "--num-regions", str(10**18),
+                                      "--region-dim", "16"])
+        assert_one_error_line(result, "do not fit in memory")
+
     def test_out_path_that_is_a_file_is_a_usage_error(self, tmp_path,
                                                       runner):
         out = tmp_path / "taken"
@@ -178,6 +185,17 @@ class TestTrain:
         # a size numpy refuses at once, so no memory is touched
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({**TRAIN_CONFIG, "d_g": 10**17}))
+        result = runner.invoke(main, ["train", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / "x")])
+        assert_one_error_line(result, "do not fit in memory")
+
+    def test_dims_beyond_intp_are_a_usage_error(self, tmp_path, runner,
+                                                data_dir):
+        # the byte count passes the intp limit: numpy raises ValueError
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TRAIN_CONFIG, "d_g": 10**18}))
         result = runner.invoke(main, ["train", "--data",
                                       str(data_dir / "manifest.json"),
                                       "--config", str(cfg_path),

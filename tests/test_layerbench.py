@@ -35,7 +35,8 @@ def test_same_tree_as_parent_and_change(tool, tmp_path, capsys):
                       "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert list(result["layers"]) == (
-        ["training.sample_triplets"]
+        ["data.generate_synthetic", "data.save_dataset", "data.load_dataset",
+         "training.sample_triplets"]
         + [f"compatibility.loss_step.{f}" for f in FUSION_KINDS]
         + [f"training.train.{f}" for f in FUSION_KINDS]
         + ["evaluation.evaluate"])

@@ -143,6 +143,11 @@ def dims_beyond_memory(raw):
     return with_header(raw, lambda header: header["dims"].update(d_g=10**15))
 
 
+def dims_beyond_intp(raw):
+    """A size numpy refuses with ValueError, not MemoryError."""
+    return with_header(raw, lambda header: header["dims"].update(d_g=10**18))
+
+
 def omitted_parameter(raw):
     """Drop the last parameter from the header and its values from the
     payload, leaving a file that is consistent but incomplete."""
@@ -168,7 +173,8 @@ def snan_payload(raw):
 
 @pytest.mark.parametrize("corrupt", [
     cut_length_prefix, cut_header, invalid_header, header_without_dims,
-    trailing_bytes, cut_inside_float, dims_beyond_memory, omitted_parameter,
+    trailing_bytes, cut_inside_float, dims_beyond_memory, dims_beyond_intp,
+    omitted_parameter,
     nan_payload, inf_payload, snan_payload, version_true, float_dims,
     bool_dims, zero_dims],
     ids=lambda f: f.__name__)
@@ -213,6 +219,15 @@ def test_init_model_beyond_memory_is_a_config_error():
     memory is touched."""
     dims = dataclasses.replace(DIMS, d_g=10**17)
     with pytest.raises(ConfigError, match="'d_g': 100000000000000000, .* "
+                                          "do not fit in memory"):
+        init_model("baseline", dims, PAIRS, seed=0)
+
+
+def test_init_model_beyond_intp_is_a_config_error():
+    """At d_g=10**18 the byte count passes the intp limit, and numpy
+    refuses it with ValueError rather than MemoryError."""
+    dims = ModelDims(10**18, 8, 8, 1, 1, 16, 16)
+    with pytest.raises(ConfigError, match="'d_g': 1000000000000000000, .* "
                                           "do not fit in memory"):
         init_model("baseline", dims, PAIRS, seed=0)
 

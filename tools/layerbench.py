@@ -11,6 +11,10 @@ to back, the parent first in even rounds and this tree first in odd ones.
 The figures, on `SyntheticSpec()` seed 42 with a one-epoch d=32 config
 (`perfbench`'s accept-d32 shape):
 
+- `data.generate_synthetic`: the dataset, generated afresh;
+- `data.save_dataset`: the generated dataset, saved over the tree's own
+  copy in a scratch directory;
+- `data.load_dataset`: that copy, loaded;
 - `training.sample_triplets`: one epoch's triplets, from a fresh
   generator seeded with the round number;
 - `compatibility.loss_step.<fuser>`: `training_loss` plus `backward` on
@@ -22,8 +26,9 @@ The figures, on `SyntheticSpec()` seed 42 with a one-epoch d=32 config
 Per figure it reports each tree's median and interquartile range in ms,
 the ratio of the medians (parent / change, so above 1 is faster), the
 rounds in which this tree was faster, and whether both trees gave equal
-outputs (triplets; loss bits and gradients; step losses and parameters;
-the report's `to_dict()`).
+outputs (the dataset's content: stores, items, outfits and questions, as
+loaded for `save_dataset`, not the file bytes; triplets; loss bits and
+gradients; step losses and parameters; the report's `to_dict()`).
 The JSON names the parent by its directory name.
 It writes the JSON to `--out` (default `BENCH_layers.json` at the repo
 root) and exits with status 1 when some figure's outputs differ. Run it on
@@ -45,6 +50,7 @@ import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -76,9 +82,12 @@ class Tree:
         self.training = importlib.import_module(f"{name}.training")
         self.compatibility = importlib.import_module(f"{name}.compatibility")
         self.evaluation = importlib.import_module(f"{name}.evaluation")
-        data = importlib.import_module(f"{name}.data")
-        self.dataset = data.generate_synthetic(data.SyntheticSpec(**SPEC),
-                                               SEED)
+        self.data = importlib.import_module(f"{name}.data")
+        self.dataset = self.generate()
+
+    def generate(self):
+        return self.data.generate_synthetic(self.data.SyntheticSpec(**SPEC),
+                                            SEED)
 
     def config(self, fusion: str):
         return self.training.TrainConfig(fusion=fusion, **CONFIG)
@@ -95,6 +104,47 @@ def digest(*parts) -> str:
         else:
             h.update(np.ascontiguousarray(part).tobytes())
     return h.hexdigest()
+
+
+def content(dataset) -> str:
+    """Digest of a dataset's stores, items, outfits and questions."""
+    items = [[i, item.type.name, item.type.id, item.description]
+             for i, item in dataset.items.items()]
+    outfits = {split: [[o.id, list(o.items)] for o in members]
+               for split, members in dataset.outfits.items()}
+    questions = [[[list(q.items), q.label] for q in dataset.fc_questions],
+                 [[list(q.partial), list(q.candidates), q.answer]
+                  for q in dataset.fitb_questions]]
+    return digest(dataset.regions, np.array(dataset.regions.shape),
+                  dataset.words, np.array(dataset.words.shape),
+                  np.frombuffer(json.dumps([items, outfits, questions])
+                                .encode(), np.uint8))
+
+
+def generate_call(tree: Tree):
+    """`generate_synthetic` of the benchmark spec."""
+    def call(round_: int):
+        dataset = tree.generate()
+        return lambda: content(dataset)
+    return call
+
+
+def save_call(tree: Tree, out: Path):
+    """`save_dataset` of the generated dataset into `out`."""
+    def call(round_: int):
+        manifest = tree.data.save_dataset(tree.dataset, out)
+        return lambda: content(tree.data.load_dataset(manifest))
+    return call
+
+
+def load_call(tree: Tree, out: Path):
+    """`load_dataset` of the tree's own save of the dataset into `out`."""
+    manifest = tree.data.save_dataset(tree.dataset, out)
+
+    def call(round_: int):
+        dataset = tree.data.load_dataset(manifest)
+        return lambda: content(dataset)
+    return call
 
 
 def sample_call(tree: Tree):
@@ -153,9 +203,15 @@ def evaluate_call(tree: Tree):
     return call
 
 
-def figures(trees: list[Tree]) -> dict:
-    """Each figure's call per tree, in report order."""
-    out = {"training.sample_triplets": [sample_call(t) for t in trees]}
+def figures(trees: list[Tree], work: Path) -> dict:
+    """Each figure's call per tree, in report order; each tree saves its
+    dataset under its own name in `work`."""
+    out = {"data.generate_synthetic": [generate_call(t) for t in trees],
+           "data.save_dataset": [save_call(t, work / f"save{k}")
+                                 for k, t in enumerate(trees)],
+           "data.load_dataset": [load_call(t, work / f"load{k}")
+                                 for k, t in enumerate(trees)],
+           "training.sample_triplets": [sample_call(t) for t in trees]}
     for fusion in FUSERS:
         out[f"compatibility.loss_step.{fusion}"] = [
             loss_step_call(t, fusion) for t in trees]
@@ -174,8 +230,11 @@ def summary(seconds: list[float]) -> dict:
 
 def time_figure(calls, rounds: int) -> dict:
     """Time `calls` (one per tree) for `rounds` rounds after one untimed
-    call each, alternating which tree goes first."""
+    call each, alternating which tree goes first. A call returns its
+    output's digest, or a function computing it where that would cost
+    more than the call; only the untimed call's output is read."""
     outputs = [call(0) for call in calls]   # warm-up, and the outputs
+    outputs = [out() if callable(out) else out for out in outputs]
     times = [[] for _ in calls]
     for round_ in range(rounds):
         order = range(len(calls)) if round_ % 2 == 0 else reversed(
@@ -222,8 +281,9 @@ def main(argv=None) -> int:
         ap.error("--rounds must be >= 1")
     trees = [Tree(args.parent, "layerbench_parent")] if args.parent else []
     trees.append(Tree(ROOT, "layerbench_change"))
-    layers = {name: time_figure(calls, args.rounds)
-              for name, calls in figures(trees).items()}
+    with tempfile.TemporaryDirectory() as work:
+        layers = {name: time_figure(calls, args.rounds)
+                  for name, calls in figures(trees, Path(work)).items()}
     result = {"host": host(), "spec": {"fields": SPEC, "seed": SEED},
               "config": CONFIG, "rounds": args.rounds,
               "parent": trees[0].root.name if args.parent else None,
