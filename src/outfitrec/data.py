@@ -377,10 +377,10 @@ def _item_entries(items, by_name: dict[str, ItemType]
 
 
 def _parse_manifest(manifest: dict, path: Path) -> Dataset:
-    """The `Dataset` a manifest describes. Each section is checked in
-    bulk, the item list field by field (`_item_entries`) and each list of
-    item references by one set difference; only a section that fails
-    is walked entry by entry, so the first fault raises its own
+    """The `Dataset` a manifest describes. The item list is checked one
+    field at a time over all items (`_item_entries`) and each section's
+    item references by one set difference; only a list that fails is
+    walked entry by entry, so that its first fault raises its own
     DatasetError."""
     base = path.parent
     d = manifest["dims"]
@@ -586,6 +586,8 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
     img_patterns /= np.linalg.norm(img_patterns, axis=1, keepdims=True)
     txt_patterns = rng.normal(size=(spec.num_styles, spec.word_dim))
     txt_patterns /= np.linalg.norm(txt_patterns, axis=1, keepdims=True)
+    img_signal = spec.signal_amplitude * img_patterns   # planted row per style
+    txt_signal = spec.signal_amplitude * txt_patterns
 
     entries: dict[str, tuple[ItemType, str | None]] = {}
     item_style: dict[str, int] = {}
@@ -598,13 +600,13 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
         regions[row] = rng.normal(scale=spec.noise_scale,
                                   size=(spec.num_regions, spec.region_dim))
         rows = rng.choice(spec.num_regions, size=spec.signal_rows, replace=False)
-        regions[row, rows] = spec.signal_amplitude * img_patterns[style]
+        regions[row, rows] = img_signal[style]
         description = None
         if rng.random() >= spec.undescribed_frac:
             words[described] = rng.normal(scale=spec.noise_scale,
                                           size=(spec.num_words, spec.word_dim))
             wrows = rng.choice(spec.num_words, size=spec.signal_rows, replace=False)
-            words[described, wrows] = spec.signal_amplitude * txt_patterns[style]
+            words[described, wrows] = txt_signal[style]
             described += 1
             description = f"style {style} {types[type_idx].name} item"
         entries[item_id] = (types[type_idx], description)
@@ -613,7 +615,7 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
 
     def make_outfit(oid: str, style: int) -> Outfit:
         type_ids = rng.choice(spec.num_types, size=spec.outfit_size, replace=False)
-        members = tuple(make_item(int(t), style) for t in type_ids)
+        members = tuple(make_item(t, style) for t in type_ids.tolist())
         return Outfit(id=oid, items=members)
 
     outfits: dict[str, list[Outfit]] = {s: [] for s in SPLITS}
@@ -634,6 +636,8 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
             key = (entries[i][0].id, item_style[i])
             test_pool.setdefault(key, []).append(i)
     test_item_ids = [i for o in test_outfits for i in o.items]
+    test_types = [entries[i][0].id for i in test_item_ids]
+    test_styles = [item_style[i] for i in test_item_ids]
     # each (type, style)'s FITB distractors: its type's items of other styles
     distractors = {(t_id, style): [x for (ty, st), pool in test_pool.items()
                                    if ty == t_id and st != style for x in pool]
@@ -648,11 +652,9 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
         # random cross-style combination with distinct types
         for _ in draws:
             picks = rng.choice(len(test_item_ids), size=spec.outfit_size,
-                               replace=False)
-            chosen = [test_item_ids[int(p)] for p in picks]
-            type_set = {entries[c][0].id for c in chosen}
-            style_set = {item_style[c] for c in chosen}
-            if len(type_set) == spec.outfit_size and len(style_set) >= 2:
+                               replace=False).tolist()
+            if (len({test_types[p] for p in picks}) == spec.outfit_size
+                    and len({test_styles[p] for p in picks}) >= 2):
                 break
         else:
             raise SyntheticSpecError(
@@ -661,7 +663,8 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
                 f"{spec.test_outfits} test outfits, need more than "
                 f"{FC_NEGATIVE_DRAWS * n_neg} draws; raise num_types or the test "
                 "outfits, or lower outfit_size")
-        fc.append(FCQuestion(items=tuple(chosen), label=0))
+        fc.append(FCQuestion(items=tuple(test_item_ids[p] for p in picks),
+                             label=0))
 
     fitb: list[FITBQuestion] = []
     for i in range(spec.fitb_questions):
@@ -675,12 +678,11 @@ def _generate(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
                 "too few same-type cross-style items for FITB distractors; "
                 "increase test outfits or styles")
         picks = rng.choice(len(eligible), FITB_CANDIDATES - 1, replace=False)
-        candidates = [truth] + [eligible[int(p)] for p in picks]
-        order = rng.permutation(FITB_CANDIDATES)
-        shuffled = tuple(candidates[int(j)] for j in order)
-        answer = int(np.where(order == 0)[0][0])
-        fitb.append(FITBQuestion(partial=partial, candidates=shuffled,
-                                 answer=answer))
+        candidates = [truth] + [eligible[p] for p in picks.tolist()]
+        order = rng.permutation(FITB_CANDIDATES).tolist()
+        fitb.append(FITBQuestion(partial=partial,
+                                 candidates=tuple(candidates[j] for j in order),
+                                 answer=order.index(0)))
 
     return Dataset(entries, regions, words[:described], types=types,
                    outfits=outfits, fc_questions=fc, fitb_questions=fitb)
