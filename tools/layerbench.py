@@ -13,7 +13,7 @@ The figures, on `SyntheticSpec()` seed 42 with a one-epoch d=32 config
 
 - `data.generate_synthetic`: the dataset, generated afresh;
 - `data.save_dataset`: the generated dataset, saved over the tree's own
-  copy in a scratch directory;
+  copy in a temporary directory;
 - `data.load_dataset`: that copy, loaded;
 - `training.sample_triplets`: one epoch's triplets, from a fresh
   generator seeded with the round number;
