@@ -98,11 +98,12 @@ class TestTrainConfig:
 
 class RecordingRng:
     """A seeded generator that records the bound of each `integers` draw,
-    one entry per element of an array of bounds."""
+    one entry per element of an array of bounds, and counts the calls."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
         self.bounds = []
+        self.calls = 0
 
     @property
     def bit_generator(self):
@@ -112,6 +113,7 @@ class RecordingRng:
         return self.rng.permutation(n)
 
     def integers(self, n):
+        self.calls += 1
         self.bounds.extend(np.ravel(n).tolist())
         return self.rng.integers(n)
 
@@ -258,7 +260,10 @@ class TestSampleTriplets:
             + [[("c", "tops"), ("z", "shoes")], [("y", "hats"), ("x", "tops")],
                [("w", "hats")], [("p", "bags"), ("q", "belts")]]),
         lambda: generate_synthetic(SyntheticSpec(), seed=42),
-    ], ids=["small", "undescribed", "forced_and_skipped", "default"])
+        lambda: generate_synthetic(SyntheticSpec(
+            num_types=4, train_outfits=11, valid_outfits=8, fc_questions=100,
+            fitb_questions=50), seed=42),
+    ], ids=["small", "undescribed", "forced_and_skipped", "default", "paper"])
     def test_draws_the_scalar_loops_numbers(self, make):
         """Epoch after epoch, the same triplets, skips and final generator
         state as the scalar reference loop: on the small data, where
@@ -272,6 +277,15 @@ class TestSampleTriplets:
             assert triplets.tolist() == [list(t) for t in want]
             assert skipped == want_skipped
             assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_an_epoch_draws_in_few_calls(self):
+        """The default spec's first candidates come in vector rounds: an
+        epoch makes fewer than one `integers` call per 20 pairs, not one
+        call per pair."""
+        ds = generate_synthetic(SyntheticSpec(), seed=42)
+        rng = RecordingRng(6)
+        sample_triplets(ds, rng)
+        assert 0 < rng.calls < len(ds.train_pairs.pairs) / 20
 
     def test_undescribed_items_never_sampled(self):
         spec = dataclasses.replace(SMALL_SPEC, undescribed_frac=0.4)
