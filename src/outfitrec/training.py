@@ -78,10 +78,8 @@ class EpochStats:
     step_losses: list[float] = field(default_factory=list)
 
 
-# First candidates drawn per vector call of `sample_triplets`, and the
-# run of pairs without a rejected first candidate that makes such a call
-# cheaper than one scalar call per pair.
-CANDIDATE_CHUNK, VECTOR_RUN = 256, 8
+# First candidates drawn per vector call of `sample_triplets`.
+CANDIDATE_CHUNK = 256
 
 
 def sample_triplets(dataset: Dataset, rng: np.random.Generator
@@ -100,14 +98,13 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
     co-occurrence test are `Dataset.train_pairs`' arrays.
 
     The draws are those of one scalar `rng.integers` call per candidate,
-    but most come from vector calls: a call with an array of bounds gives
-    the values and the final state of one scalar call per bound
-    (tests/test_training.py checks this). While rejected first candidates
-    are at least `VECTOR_RUN` pairs apart, one call draws the first
-    candidates of up to `CANDIDATE_CHUNK` pairs from a saved state; at the
-    first rejected one the state is restored, the accepted pairs' draws
-    are made again, and that pair draws by scalar calls. Where rejections
-    come closer together, each pair draws by scalar calls.
+    but first candidates come from vector calls: a call with an array of
+    bounds gives the values and the final state of one scalar call per
+    bound (tests/test_training.py checks this). Each round draws the first
+    candidates of up to `CANDIDATE_CHUNK` pairs in one call from a saved
+    state. At the first rejected one the state is restored, the accepted
+    pairs' draws are made again, that pair draws by scalar calls, and the
+    next round starts after it.
     """
     table = dataset.train_pairs
     order = rng.permutation(len(table.pairs))
@@ -115,42 +112,36 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
     kind = dataset.type_rank[positive]
     start, bound = table.start[kind], table.size[kind]
     negative = np.empty(len(order), np.intp)
-    k, gap, run = 0, CANDIDATE_CHUNK, 0   # run: pairs since the last rejection
+    k = 0
     while k < len(order):
-        if max(gap, run) >= VECTOR_RUN:
-            end = min(k + CANDIDATE_CHUNK, len(order))
-            state = rng.bit_generator.state
-            cand = table.pool[start[k:end] + rng.integers(bound[k:end])]
-            rejected = table.shares_outfit(anchor[k:end], cand)
-            accepted = int(rejected.argmax()) if rejected.any() else end - k
-            negative[k:k + accepted] = cand[:accepted]
-            k, run = k + accepted, run + accepted
-            if k == end:
-                continue
+        end = min(k + CANDIDATE_CHUNK, len(order))
+        state = rng.bit_generator.state
+        cand = table.pool[start[k:end] + rng.integers(bound[k:end])]
+        rejected = table.shares_outfit(anchor[k:end], cand)
+        accepted = int(rejected.argmax()) if rejected.any() else end - k
+        negative[k:k + accepted] = cand[:accepted]
+        k += accepted
+        if k < end:
             rng.bit_generator.state = state
             rng.integers(bound[k - accepted:k])   # the accepted pairs' draws
-        pool = table.pool[start[k]:start[k] + bound[k]].tolist()
-        negative[k], draws = _scalar_negative(table, int(anchor[k]), pool, rng)
-        gap, run = (gap, run + 1) if draws == 1 else (run + 1, 0)
-        k += 1
+            pool = table.pool[start[k]:start[k] + bound[k]].tolist()
+            negative[k] = _scalar_negative(table, int(anchor[k]), pool, rng)
+            k += 1
     kept = negative >= 0
     return (np.column_stack((anchor, positive, negative))[kept],
             int(len(kept) - kept.sum()))
 
 
 def _scalar_negative(table, anchor: int, pool: list[int],
-                     rng: np.random.Generator) -> tuple[int, int]:
+                     rng: np.random.Generator) -> int:
     """A pair's negative by scalar draws: up to 16 candidates from `pool`,
-    then one draw from the eligible list. Returns the negative (-1 when no
-    item is eligible) and the number of candidates drawn."""
-    for draws in range(1, 17):
+    then one draw from the eligible list; -1 when no item is eligible."""
+    for _ in range(16):
         cand = pool[int(rng.integers(len(pool)))]
         if not table.shares(anchor, cand):
-            return cand, draws
+            return cand
     eligible = [c for c in pool if not table.shares(anchor, c)]
-    if not eligible:
-        return -1, 16
-    return eligible[int(rng.integers(len(eligible)))], 16
+    return eligible[int(rng.integers(len(eligible)))] if eligible else -1
 
 
 def _batch_arrays(dataset: Dataset, triplets: np.ndarray
@@ -197,7 +188,8 @@ def _validation_questions(dataset: Dataset, seed: int) -> list[FCQuestion]:
 
 def train(dataset: Dataset, config: TrainConfig,
           seed: int | None = None) -> tuple[OutfitModel, list[EpochStats]]:
-    """Train one model; deterministic in (dataset, config, seed)."""
+    """Train one model; deterministic in (dataset, config, seed) at a fixed
+    BLAS thread count."""
     config.validate()
     seed = config.seed if seed is None else seed
     dims = ModelDims(d_g=config.d_g, d_c=config.d_c, h=config.h,

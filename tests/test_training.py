@@ -266,9 +266,9 @@ class TestSampleTriplets:
     ], ids=["small", "undescribed", "forced_and_skipped", "default", "paper"])
     def test_draws_the_scalar_loops_numbers(self, make):
         """Epoch after epoch, the same triplets, skips and final generator
-        state as the scalar reference loop: on the small data, where
-        rejections are dense and pairs draw by scalar calls, and on the
-        default spec, where they draw in vector rounds."""
+        state as the scalar reference loop: on the small data, where many
+        first candidates are rejected and so end vector rounds early, and
+        on the default and paper-width specs, where few are."""
         ds = make()
         rng, ref = np.random.default_rng(6), np.random.default_rng(6)
         for _ in range(4):
