@@ -180,11 +180,8 @@ def score(data, checkpoint, item_a, item_b):
     dataset = load_dataset(data)
     model = load_model(checkpoint)
     for item_id in (item_a, item_b):
-        if item_id not in dataset.items:
+        if item_id not in dataset.row:
             raise click.ClickException(f"unknown item id {item_id!r}")
-        if not dataset.items[item_id].described:
-            raise click.ClickException(
-                f"item {item_id!r} has no description and cannot be scored")
     value = pair_score(model, dataset.items[item_a], dataset.items[item_b])
     click.echo(f"{value:.6f}")
 

@@ -255,9 +255,11 @@ def pair_score(model: OutfitModel, item_a, item_b) -> float:
     region or word counts differ.
     """
     a, b = sorted((item_a, item_b), key=lambda item: (item.type.name, item.id))
+    for item in (a, b):
+        if not item.described:
+            raise DomainError(f"item {item.id!r} has no description; "
+                              "pair_score needs two described items")
     space = model.space(a.type.name, b.type.name).data
-    if not (a.described and b.described):
-        raise DomainError("pair_score needs two described items")
     if a.regions.shape != b.regions.shape or a.words.shape != b.words.shape:
         raise DimensionError(
             f"items {a.id!r} and {b.id!r} differ in region or word count")

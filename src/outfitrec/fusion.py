@@ -22,6 +22,8 @@ Inputs whose leading axes or widths disagree raise DimensionError.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,30 +70,41 @@ class CoAttentionParams:
     p: int
 
 
+def _check_hop_memory(hops: int, hop_shapes: dict, *shapes) -> None:
+    """MemoryError, before any draw, when `hops` sets of `hop_shapes` and
+    the `shapes` hold more float64 bytes than the host's physical memory."""
+    size = 8 * (hops * sum(math.prod(s) for s, _ in hop_shapes.values())
+                + sum(map(math.prod, shapes)))
+    if size > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"{hops} hops need {size} bytes of parameters")
+
+
 def init_stacked_params(rng: np.random.Generator | None, d_g: int, h: int,
                         hops: int) -> StackedAttentionParams:
-    out = []
-    for r in range(hops):
-        out.append(StackedHopParams(
-            w_v=uniform_init(rng, (h, d_g), d_g, f"stacked.{r}.w_v"),
-            w_t=uniform_init(rng, (h, d_g), d_g, f"stacked.{r}.w_t"),
-            w_p=uniform_init(rng, (1, h), h, f"stacked.{r}.w_p"),
-            b_s=uniform_init(rng, (h, 1), d_g, f"stacked.{r}.b_s")))
-    return StackedAttentionParams(hops=out)
+    shapes = {"w_v": ((h, d_g), d_g), "w_t": ((h, d_g), d_g),
+              "w_p": ((1, h), h), "b_s": ((h, 1), d_g)}
+    _check_hop_memory(hops, shapes)
+    return StackedAttentionParams(hops=[StackedHopParams(**{
+        name: uniform_init(rng, shape, fan_in, f"stacked.{r}.{name}")
+        for name, (shape, fan_in) in shapes.items()}) for r in range(hops)])
+
+
+def _conv_shapes(d_in: int, d_mid: int) -> dict:   # field: (shape, fan-in)
+    return {"w1": ((d_mid, d_in), d_in), "b1": ((d_mid,), d_in),
+            "w2": ((1, d_mid), d_mid), "b2": ((1,), d_mid)}
 
 
 def init_conv_attention(rng: np.random.Generator | None, d_in: int,
                         d_mid: int, prefix: str) -> ConvAttentionParams:
-    return ConvAttentionParams(
-        w1=uniform_init(rng, (d_mid, d_in), d_in, f"{prefix}.w1"),
-        b1=uniform_init(rng, (d_mid,), d_in, f"{prefix}.b1"),
-        w2=uniform_init(rng, (1, d_mid), d_mid, f"{prefix}.w2"),
-        b2=uniform_init(rng, (1,), d_mid, f"{prefix}.b2"))
+    return ConvAttentionParams(**{
+        name: uniform_init(rng, shape, fan_in, f"{prefix}.{name}")
+        for name, (shape, fan_in) in _conv_shapes(d_in, d_mid).items()})
 
 
 def init_coattention_params(rng: np.random.Generator | None, d_g: int,
                             hops: int, p: int) -> CoAttentionParams:
     k = 2 * d_g
+    _check_hop_memory(hops, _conv_shapes(k, d_g), (k, hops * k))
     return CoAttentionParams(
         text_attn=init_conv_attention(rng, d_g, d_g, "coatt.text"),
         visual_attn=[init_conv_attention(rng, k, d_g, f"coatt.vis{r}")
@@ -201,9 +214,7 @@ def fuse_coattention(regions: Tensor, words: Tensor,
     merged = mfb(x, _row(text_ctx),
                  params.u_merge, params.v_merge, params.p)        # (..., N, 2*d_g)
 
-    hop_ctx = []
-    for conv in params.visual_attn:
-        hop_ctx.append(_attend(conv_attention_scores(merged, conv), merged,
-                               weights_out))                      # (..., 2*d_g)
+    hop_ctx = [_attend(conv_attention_scores(merged, conv), merged, weights_out)
+               for conv in params.visual_attn]                    # (..., 2*d_g)
     visual_ctx = linear(concat(hop_ctx, axis=-1), params.w_f)     # (..., 2*d_g)
     return mfb(visual_ctx, text_ctx, params.u_final, params.v_final, params.p)

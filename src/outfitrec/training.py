@@ -97,14 +97,12 @@ def sample_triplets(dataset: Dataset, rng: np.random.Generator
     eligible items, or is skipped when there is none. The pairs, pools and
     co-occurrence test are `Dataset.train_pairs`' arrays.
 
-    The draws are those of one scalar `rng.integers` call per candidate,
-    but first candidates come from vector calls: a call with an array of
-    bounds gives the values and the final state of one scalar call per
-    bound (tests/test_training.py checks this). Each round draws the first
-    candidates of up to `CANDIDATE_CHUNK` pairs in one call from a saved
-    state. At the first rejected one the state is restored, the accepted
-    pairs' draws are made again, that pair draws by scalar calls, and the
-    next round starts after it.
+    The draws are those of one scalar `rng.integers` call per candidate:
+    a call with an array of bounds gives the values and the final state of
+    one scalar call per bound (tests/test_training.py checks this). So each
+    round draws the first candidates of up to `CANDIDATE_CHUNK` pairs in
+    one call from a saved state; at the first rejected one it restores the
+    state, redraws the accepted pairs and retries that pair by scalar calls.
     """
     table = dataset.train_pairs
     order = rng.permutation(len(table.pairs))

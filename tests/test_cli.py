@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import time
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from outfitrec import cli, errors
 from outfitrec.cli import main
 from outfitrec.compatibility import pair_score
-from outfitrec.data import load_dataset
+from outfitrec.data import canonical_pair, load_dataset
 from outfitrec.evaluation import evaluate
 from outfitrec.model import ModelDims, init_model, load_model, save_model
 
@@ -201,6 +202,19 @@ class TestTrain:
                                       "--config", str(cfg_path),
                                       "--out-dir", str(tmp_path / "x")])
         assert_one_error_line(result, "do not fit in memory")
+
+    def test_huge_hop_count_is_a_usage_error(self, tmp_path, runner,
+                                             data_dir):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({**TRAIN_CONFIG, "fusion": "stacked",
+                                        "hops": 10**9}))
+        start = time.perf_counter()
+        result = runner.invoke(main, ["train", "--data",
+                                      str(data_dir / "manifest.json"),
+                                      "--config", str(cfg_path),
+                                      "--out-dir", str(tmp_path / "x")])
+        assert time.perf_counter() - start < 1.0
+        assert_one_error_line(result, "1000000000 hops need")
 
     def test_malformed_manifest_is_a_usage_error(self, tmp_path, runner):
         manifest = tmp_path / "manifest.json"
@@ -396,6 +410,32 @@ class TestScore:
         assert_usage_error(result, f"item {a!r} has no description")
         assert result.exit_code == 1
         assert len(result.output.splitlines()) == 1
+
+    def test_undescribed_item_in_an_untrained_pair(self, tmp_path, runner):
+        """The missing description is reported before the type pair."""
+        out = tmp_path / "data"
+        result = runner.invoke(main, ["gen", "--out", str(out), "--seed", "5",
+                                      *GEN_ARGS, "--train-outfits", "1",
+                                      "--undescribed-frac", "0.5"])
+        assert result.exit_code == 0, result.output
+        ds = load_dataset(out / "manifest.json")
+        trained = ds.trained_type_pairs()
+        a, b = next((a, b) for a in ds.items.values() if not a.described
+                    for b in ds.items.values() if b.described
+                    and canonical_pair(a.type.name, b.type.name) not in trained)
+        dims = ModelDims(d_g=4, d_c=4, h=4, hops=1, mfb_factor=1,
+                         region_dim=6, word_dim=5)
+        model = init_model("baseline", dims, trained, 0)
+        save_model(model, tmp_path / "run0.ckpt")
+        result = runner.invoke(main, ["score", "--data",
+                                      str(out / "manifest.json"),
+                                      "--checkpoint",
+                                      str(tmp_path / "run0.ckpt"),
+                                      "-a", b.id, "-b", a.id])
+        with pytest.raises(errors.DomainError,
+                           match=f"item {a.id!r} has no description"):
+            pair_score(model, a, b)
+        assert_one_error_line(result, f"item {a.id!r} has no description")
 
     def test_untrained_type_pair_is_one_unquoted_error_line(self, tmp_path,
                                                             runner):

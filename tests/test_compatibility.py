@@ -292,6 +292,20 @@ class TestPairScore:
             with pytest.raises(DomainError, match="described"):
                 pair_score(model, first, second)
 
+    def test_undescribed_item_is_named_before_the_type_pair(self):
+        """An untrained type pair with an undescribed item reports the
+        missing description, whichever order the items come in."""
+        rng = np.random.default_rng(16)
+        model = make_model()
+        a = make_item(rng, "a", "tops", 0)
+        c = Item(id="c", type=ItemType("hats", 2),
+                 regions=rng.normal(size=(2, 3)), words=np.zeros((0, 4)))
+        for first, second in ((a, c), (c, a)):
+            with pytest.raises(DomainError,
+                               match="item 'c' has no description; "
+                                     "pair_score needs two described items"):
+                pair_score(model, first, second)
+
     @pytest.mark.parametrize("field, shape", [("regions", (3, 3)),
                                               ("words", (2, 4))])
     def test_unequal_row_counts_raise_dimension_error(self, field, shape):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -230,6 +231,18 @@ def test_init_model_beyond_intp_is_a_config_error():
     with pytest.raises(ConfigError, match="'d_g': 1000000000000000000, .* "
                                           "do not fit in memory"):
         init_model("baseline", dims, PAIRS, seed=0)
+
+
+@pytest.mark.parametrize("fusion", ["stacked", "coattention"])
+def test_a_huge_hop_count_fails_before_the_first_hop(fusion):
+    """Each of a billion hops is small, so no allocation would fail; the
+    hop parameters' bytes are checked against physical memory first."""
+    dims = ModelDims(d_g=32, d_c=32, h=32, hops=10**9, mfb_factor=2,
+                     region_dim=16, word_dim=16)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="1000000000 hops need"):
+        init_model(fusion, dims, {("a", "b")}, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_hop_count_is_checked_before_the_model_is_built(tmp_path, monkeypatch):
