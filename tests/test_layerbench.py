@@ -1,5 +1,6 @@
 """`tools/layerbench.py` at a tiny size, with this tree as both parent and
-change: every figure appears, with a finite ratio and equal outputs."""
+change: every figure appears, with a finite ratio, equal outputs and a
+finite A/A noise floor."""
 
 import importlib.util
 import json
@@ -44,6 +45,11 @@ def test_same_tree_as_parent_and_change(tool, tmp_path, capsys):
         assert figure["equal_outputs"] is True, name
         assert math.isfinite(figure["ratio"]) and figure["ratio"] > 0, name
         assert figure["pairs_ahead"].endswith("/2"), name
+        assert math.isfinite(figure["aa_ratio"]) and figure["aa_ratio"] > 0, name
+        low, high = figure["aa_spread"]
+        assert math.isfinite(low) and math.isfinite(high), name
+        assert 0 < low <= high, name
+        assert figure["verdict"] in ("no change", "faster", "slower"), name
         for side in ("parent", "change"):
             assert figure[side]["median_ms"] > 0, name
             assert figure[side]["iqr_ms"] >= 0, name

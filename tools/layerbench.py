@@ -5,9 +5,10 @@ width (d=32), for one tree or for a parent tree against this one.
     python tools/layerbench.py --parent ../parent    # parent vs this tree
 
 Each tree's `src/outfitrec` is loaded under its own top-level name, so
-both run in one process on one heap and one BLAS. Every figure is timed
-`--rounds` times per tree; with `--parent`, round k calls both trees back
-to back, the parent first in even rounds and this tree first in odd ones.
+all run in one process on one heap and one BLAS. Every figure is timed
+`--rounds` times per tree. With `--parent`, this tree is also loaded a
+second time, and round k calls the parent, this tree and its second load
+back to back, in that order in even rounds and in reverse in odd ones.
 The figures, on `SyntheticSpec()` seed 42 with a one-epoch d=32 config
 (`perfbench`'s accept-d32 shape):
 
@@ -29,6 +30,10 @@ rounds in which this tree was faster, and whether both trees gave equal
 outputs (the dataset's content: stores, items, outfits and questions, as
 loaded for `save_dataset`, not the file bytes; triplets; loss bits and
 gradients; step losses and parameters; the report's `to_dict()`).
+The second load gives the A/A noise floor: `aa_ratio` is its median over
+this tree's (oriented as `ratio`), `aa_spread` the interquartile range of
+the per-round A/A ratios, and `verdict` is "no change" when `ratio` lies
+inside that spread, else "faster" or "slower".
 The JSON names the parent by its directory name.
 It writes the JSON to `--out` (default `BENCH_layers.json` at the repo
 root) and exits with status 1 when some figure's outputs differ. Run it on
@@ -229,10 +234,11 @@ def summary(seconds: list[float]) -> dict:
 
 
 def time_figure(calls, rounds: int) -> dict:
-    """Time `calls` (one per tree) for `rounds` rounds after one untimed
-    call each, alternating which tree goes first. A call returns its
-    output's digest, or a function computing it where that would cost
-    more than the call; only the untimed call's output is read."""
+    """Time `calls` (this tree's alone, or the parent's, this tree's and
+    its second load's) for `rounds` rounds after one untimed call each,
+    reversing their order every other round. A call returns its output's
+    digest, or a function computing it where that would cost more than
+    the call; only the untimed call's output is read."""
     outputs = [call(0) for call in calls]   # warm-up, and the outputs
     outputs = [out() if callable(out) else out for out in outputs]
     times = [[] for _ in calls]
@@ -243,15 +249,19 @@ def time_figure(calls, rounds: int) -> dict:
             start = time.perf_counter()
             calls[k](round_)
             times[k].append(time.perf_counter() - start)
-    result = {"change": summary(times[-1])}
-    if len(calls) == 2:
-        result["parent"] = summary(times[0])
-        result["ratio"] = round(result["parent"]["median_ms"]
-                                / result["change"]["median_ms"], 4)
-        result["pairs_ahead"] = (f"{sum(c < p for p, c in zip(*times))}"
-                                 f"/{rounds}")
-        result["equal_outputs"] = outputs[0] == outputs[1]
-    return result
+    if len(calls) == 1:
+        return {"change": summary(times[0])}
+    parent, change, again = (np.array(t) for t in times)
+    result = {"change": summary(change), "parent": summary(parent)}
+    ratio = result["parent"]["median_ms"] / result["change"]["median_ms"]
+    low, high = np.percentile(again / change, [25, 75])
+    return {**result, "ratio": round(ratio, 4),
+            "pairs_ahead": f"{int((change < parent).sum())}/{rounds}",
+            "equal_outputs": outputs[0] == outputs[1],
+            "aa_ratio": round(float(np.median(again) / np.median(change)), 4),
+            "aa_spread": [round(float(low), 4), round(float(high), 4)],
+            "verdict": ("no change" if low <= ratio <= high
+                        else "faster" if ratio > high else "slower")}
 
 
 def host() -> dict:
@@ -279,8 +289,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be >= 1")
-    trees = [Tree(args.parent, "layerbench_parent")] if args.parent else []
-    trees.append(Tree(ROOT, "layerbench_change"))
+    trees = [Tree(ROOT, "layerbench_change")]
+    if args.parent:
+        trees = [Tree(args.parent, "layerbench_parent"), trees[0],
+                 Tree(ROOT, "layerbench_again")]
     with tempfile.TemporaryDirectory() as work:
         layers = {name: time_figure(calls, args.rounds)
                   for name, calls in figures(trees, Path(work)).items()}
@@ -294,7 +306,9 @@ def main(argv=None) -> int:
         if args.parent:
             line += (f"  parent {fig['parent']['median_ms']:9.3f} ms"
                      f"  x{fig['ratio']:.3f}  ahead {fig['pairs_ahead']}"
-                     f"  {'equal' if fig['equal_outputs'] else 'DIFFER'}")
+                     f"  {'equal' if fig['equal_outputs'] else 'DIFFER'}"
+                     f"  A/A x{fig['aa_ratio']:.3f} [{fig['aa_spread'][0]:.3f}"
+                     f", {fig['aa_spread'][1]:.3f}]  {fig['verdict']}")
         print(line)
     differ = [n for n, f in layers.items() if not f.get("equal_outputs", True)]
     if differ:
